@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, ForwardTrace, NetworkSpec, infer_shapes, receptive_sets
+from .net import ConvLayer, ForwardTrace, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
 from .tensor import ChannelVector, ShapeError, Tensor3, hadamard, spatial_average, spatial_max
 
 SUPERVISION_MODES = ("last", "next")
@@ -117,31 +117,19 @@ def _conv_backward_input(
     kw, kh, _, _ = kernel.shape
     w, h, din = in_shape
     gxp = np.zeros((w + 2 * padding, h + 2 * padding, din))
-    for wo in range(grad_out.shape[0]):
-        for ho in range(grad_out.shape[1]):
-            contrib = np.tensordot(kernel, grad_out[wo, ho, :], axes=([3], [0]))
-            gxp[wo * stride : wo * stride + kw, ho * stride : ho * stride + kh, :] += contrib
-    if padding:
-        return gxp[padding : padding + w, padding : padding + h, :].copy()
-    return gxp
+    for a, b, tap in window_taps(kw, kh, stride, *grad_out.shape[:2]):
+        gxp[tap] += grad_out @ kernel[a, b].T
+    return gxp[padding : padding + w, padding : padding + h]
 
 
 def _pool_backward(layer, x_in: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Max pooling routes to the argmax (first scan hit wins ties);
     average pooling splits uniformly over the window."""
-    k, s = layer.window, layer.stride
+    k = layer.window
     gx = np.zeros_like(x_in)
-    depth = x_in.shape[2]
-    for wo in range(grad_out.shape[0]):
-        for ho in range(grad_out.shape[1]):
-            if layer.mode == "max":
-                window = x_in[wo * s : wo * s + k, ho * s : ho * s + k, :]
-                flat = window.reshape(k * k, depth)
-                idx = flat.argmax(axis=0)  # first max in (w-outer, h-inner) scan
-                kw, kh = np.divmod(idx, k)
-                np.add.at(gx, (wo * s + kw, ho * s + kh, np.arange(depth)), grad_out[wo, ho, :])
-            else:
-                gx[wo * s : wo * s + k, ho * s : ho * s + k, :] += grad_out[wo, ho, :] / (k * k)
+    idx = pool_argmax(layer, x_in) if layer.mode == "max" else None
+    for a, b, tap in window_taps(k, k, layer.stride, *grad_out.shape[:2]):
+        gx[tap] += grad_out / (k * k) if idx is None else np.where(idx == a * k + b, grad_out, 0.0)
     return gx
 
 

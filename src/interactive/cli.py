@@ -190,7 +190,7 @@ def cmd_gradcheck(args) -> int:
         else:
             max_rel = max(max_rel, abs(engine - fd) / scale)
 
-    ok = max_rel <= settings.rel_tol and max_small_abs <= 1e-7 and enum_max <= 1e-10
+    ok = compared > 0 and max_rel <= settings.rel_tol and max_small_abs <= 1e-7 and enum_max <= 1e-10
     print(f"connections sampled: {args.samples} (compared {compared}, kink-skipped {skipped})")
     print(f"max relative error vs finite differences: {max_rel:.3e}")
     print(f"max absolute error on near-zero pairs:    {max_small_abs:.3e}")
@@ -207,7 +207,7 @@ def cmd_toybench(args) -> int:
         targets = valid_targets(spec)
     w0, h0, d0 = spec.input_shape
     dataset = ToyDatasetSpec(seed=args.dataset_seed, image_size=(w0, h0), channels=d0)
-    report = compare_pipelines(dataset, spec, targets, threads=args.threads)
+    report = compare_pipelines(dataset, spec, targets)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(report.to_text())
     print(f"report written to {args.out}")
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", dest="global_seed", type=int, default=0,
         help="global seed (subcommand --seed overrides)",
     )
-    parser.add_argument("--threads", type=_positive_int, default=1, help="worker threads for toybench")
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
     sub = parser.add_subparsers(dest="command", required=True)
 

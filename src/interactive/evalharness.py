@@ -264,7 +264,6 @@ def compare_pipelines(
     targets: list[int] | None = None,
     epochs: int = 300,
     lr: float = 1.0,
-    threads: int = 1,
 ) -> PipelineReport:
     """Test accuracy of original vs activeness-weighted features per layer.
 
@@ -286,17 +285,9 @@ def compare_pipelines(
     images, labels, train_idx, test_idx = toy_samples(dataset)
     mean = [INPUT_MEAN] * dataset.channels
 
-    def extract(img: RasterImage) -> dict:
-        trace = forward(spec, to_input_tensor(img, mean))
-        return _pipeline_vectors(spec, trace, targets)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_image = list(pool.map(extract, images))
-    else:
-        per_image = [extract(img) for img in images]
+    per_image = [
+        _pipeline_vectors(spec, forward(spec, to_input_tensor(img, mean)), targets) for img in images
+    ]
 
     rows = []
     for t in targets:

@@ -70,6 +70,34 @@ def save_model(spec: NetworkSpec, path) -> None:
             fh.write(chunk)
 
 
+# Required keys of each header layer entry and the exact type each JSON value
+# must decode to (exact, because ``isinstance(True, int)`` holds).
+_LAYER_FIELDS = {
+    "conv": {"name": str, "kernel_shape": list, "stride": int, "padding": int, "relu": bool},
+    "pool": {"name": str, "window": int, "stride": int, "mode": str},
+}
+
+
+def _entry_scalars(i: int, desc) -> int:
+    """Check layer entry ``i`` of the header; returns how many blob scalars it owns."""
+    if not isinstance(desc, dict):
+        raise ModelFormatError(f"layer entry {i} must be an object, got {desc!r}")
+    kind = desc.get("kind")
+    if kind not in _LAYER_FIELDS:
+        raise ModelFormatError(f"layer entry {i}: unknown layer kind {kind!r}")
+    for key, expected in _LAYER_FIELDS[kind].items():
+        if type(desc.get(key)) is not expected:
+            raise ModelFormatError(
+                f"layer entry {i}: key {key!r} missing or not of type {expected.__name__}: {desc.get(key)!r}"
+            )
+    if kind == "pool":
+        return 0
+    shape = desc["kernel_shape"]
+    if len(shape) != 4 or not all(type(v) is int and v >= 0 for v in shape):
+        raise ModelFormatError(f"layer entry {i}: kernel_shape {shape!r} is not 4 integers >= 0")
+    return math.prod(shape) + shape[3]
+
+
 def load_model(path) -> NetworkSpec:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -99,45 +127,29 @@ def load_model(path) -> NetworkSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed header fields: {exc}") from None
 
-    expected = 0
-    for desc in descriptors:
-        if desc.get("kind") == "conv":
-            kw, kh, din, dout = (int(v) for v in desc["kernel_shape"])
-            expected += kw * kh * din * dout + dout
+    if not isinstance(descriptors, list):
+        raise ModelFormatError(f"header 'layers' must be a list, got {descriptors!r}")
+    expected = sum(_entry_scalars(i, desc) for i, desc in enumerate(descriptors))
     if len(blob) != 4 * expected:
         raise ModelFormatError(
             f"weight blob length mismatch: header implies {4 * expected} bytes, file has {len(blob)}"
         )
 
     layers = []
-    names = []
     offset = 0
-    scalars = np.frombuffer(blob, dtype="<f4")
+    scalars = np.frombuffer(blob, dtype="<f4").astype(np.float64)
     for desc in descriptors:
-        names.append(str(desc["name"]))
-        kind = desc.get("kind")
-        if kind == "conv":
-            kw, kh, din, dout = (int(v) for v in desc["kernel_shape"])
-            n = kw * kh * din * dout
-            kernel = scalars[offset : offset + n].astype(np.float64).reshape(kw, kh, din, dout)
-            offset += n
-            bias = scalars[offset : offset + dout].astype(np.float64)
-            offset += dout
-            layers.append(
-                ConvLayer(
-                    kernel=kernel,
-                    bias=bias,
-                    stride=int(desc["stride"]),
-                    padding=int(desc["padding"]),
-                    apply_relu=bool(desc["relu"]),
-                )
-            )
-        elif kind == "pool":
-            layers.append(
-                PoolLayer(window=int(desc["window"]), stride=int(desc["stride"]), mode=str(desc["mode"]))
-            )
+        if desc["kind"] == "conv":
+            shape = desc["kernel_shape"]
+            n = math.prod(shape)
+            kernel = scalars[offset : offset + n].reshape(shape)
+            bias = scalars[offset + n : offset + n + shape[3]]
+            offset += n + shape[3]
+            stride, padding, relu = desc["stride"], desc["padding"], desc["relu"]
+            layers.append(ConvLayer(kernel, bias, stride=stride, padding=padding, apply_relu=relu))
         else:
-            raise ModelFormatError(f"unknown layer kind {kind!r}")
+            layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
+    names = [desc["name"] for desc in descriptors]
     return NetworkSpec(layers=tuple(layers), input_shape=input_shape, names=tuple(names))
 
 

@@ -6,8 +6,10 @@ produces ``X(i+1)``.  ``X(0)`` is the input tensor, so activation indices
 run 0..L.  Fully-connected layers are expressed as conv layers whose
 kernel spans the full spatial extent, so there is a single code path.
 
-Convolution is computed directly (windowed sums, not matrix reshaping):
-at desk scale clarity and checkability beat speed.  Zero padding
+Every conv and pool kernel walks its windows through ``window_taps``: one
+whole-array step per kernel offset, on a strided view of the input, never
+a loop over output positions.  Unlike im2col, whose patch matrix holds
+kw*kh copies of the input, a view copies nothing.  Zero padding
 contributes zero terms only; padded positions are not neurons and never
 appear in connectivity sets.
 """
@@ -40,6 +42,8 @@ class ConvLayer:
         k = _as_finite_f64(self.kernel, "conv kernel")
         if k.ndim != 4:
             raise ShapeError(f"conv kernel must be rank 4 (kw, kh, d_in, d_out), got rank {k.ndim}")
+        if min(k.shape) < 1:
+            raise ShapeError(f"conv kernel dims must be >= 1, got shape {k.shape}")
         b = _as_finite_f64(self.bias, "conv bias").reshape(-1)
         if b.size != k.shape[3]:
             raise ShapeError(f"bias length {b.size} != d_out {k.shape[3]}")
@@ -162,41 +166,54 @@ class ForwardTrace:
         return len(self.activations)
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
+    """Yield ``(a, b, tap)`` for every kernel offset, w-outer and h-inner (the
+    scan order of a flattened window).  ``tap`` is a pair of basic slices: the
+    (ow, oh, ...) view ``x[tap]`` holds ``x[wo * stride + a, ho * stride + b]``
+    at (wo, ho)."""
+    for a in range(kw):
+        for b in range(kh):
+            yield a, b, (slice(a, a + ow * stride, stride), slice(b, b + oh * stride, stride))
 
 
 def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     """Pre-activation conv output for a (W, H, D) array."""
-    kw, kh, din, dout = layer.kernel.shape
-    s = layer.stride
-    ow = _out_dim(x.shape[0], kw, s, layer.padding)
-    oh = _out_dim(x.shape[1], kh, s, layer.padding)
-    xp = _pad(x, layer.padding)
-    out = np.empty((ow, oh, dout))
-    for wo in range(ow):
-        for ho in range(oh):
-            window = xp[wo * s : wo * s + kw, ho * s : ho * s + kh, :]
-            out[wo, ho, :] = np.tensordot(window, layer.kernel, axes=3)
+    kw, kh, _, dout = layer.kernel.shape
+    s, p = layer.stride, layer.padding
+    ow, oh = _out_dim(x.shape[0], kw, s, p), _out_dim(x.shape[1], kh, s, p)
+    xp = np.pad(x, ((p, p), (p, p), (0, 0))) if p else x
+    out = np.zeros((ow, oh, dout))
+    for a, b, tap in window_taps(kw, kh, s, ow, oh):
+        out += xp[tap] @ layer.kernel[a, b]
     out += layer.bias
     return out
 
 
-def apply_pool(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
+def _pool_taps(layer: PoolLayer, x: np.ndarray):
     k, s = layer.window, layer.stride
-    ow = _out_dim(x.shape[0], k, s, 0)
-    oh = _out_dim(x.shape[1], k, s, 0)
-    out = np.empty((ow, oh, x.shape[2]))
-    for wo in range(ow):
-        for ho in range(oh):
-            window = x[wo * s : wo * s + k, ho * s : ho * s + k, :]
-            if layer.mode == "max":
-                out[wo, ho, :] = window.max(axis=(0, 1))
-            else:
-                out[wo, ho, :] = window.mean(axis=(0, 1))
-    return out
+    return window_taps(k, k, s, _out_dim(x.shape[0], k, s, 0), _out_dim(x.shape[1], k, s, 0))
+
+
+def apply_pool(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
+    taps = [x[tap] for _, _, tap in _pool_taps(layer, x)]
+    combine = np.maximum if layer.mode == "max" else np.add
+    out = taps[0].copy()
+    for v in taps[1:]:
+        combine(out, v, out=out)
+    return out if layer.mode == "max" else out / len(taps)
+
+
+def pool_argmax(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
+    """Flat window index ``a * window + b`` of each max-pool window's maximum.
+    Only a strict ``>`` moves the choice, so the first hit in scan order wins ties."""
+    taps = [(a * layer.window + b, x[tap]) for a, b, tap in _pool_taps(layer, x)]
+    best = taps[0][1].copy()
+    idx = np.zeros(best.shape, dtype=np.int64)
+    for flat, v in taps[1:]:
+        hit = v > best
+        np.copyto(best, v, where=hit)
+        idx[hit] = flat
+    return idx
 
 
 def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activeness import ActivenessRequest, backprop_score, validate_request
-from .net import ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, receptive_sets
+from .net import (
+    ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
+)
 from .tensor import Tensor3
 
 ENUMERATION_GUARD = 10**7
@@ -58,21 +60,9 @@ def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
                 x = pre
         else:
             if layer.mode == "max":
-                pattern.append(_pool_argmax_pattern(layer, x).tobytes())
+                pattern.append(pool_argmax(layer, x).tobytes())
             x = apply_pool(layer, x)
     return x, tuple(pattern)
-
-
-def _pool_argmax_pattern(layer, x: np.ndarray) -> np.ndarray:
-    k, s = layer.window, layer.stride
-    ow = (x.shape[0] - k) // s + 1
-    oh = (x.shape[1] - k) // s + 1
-    idx = np.empty((ow, oh, x.shape[2]), dtype=np.int64)
-    for wo in range(ow):
-        for ho in range(oh):
-            window = x[wo * s : wo * s + k, ho * s : ho * s + k, :]
-            idx[wo, ho, :] = window.reshape(k * k, -1).argmax(axis=0)
-    return idx
 
 
 def _neg_log_f(xT: np.ndarray, p: int) -> float:

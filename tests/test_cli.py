@@ -163,6 +163,13 @@ class TestGradcheck:
                      "--corrupt-hop"])
         assert code == EXIT_VERIFY
 
+    def test_nothing_compared_fails(self, model_path, monkeypatch, capsys):
+        monkeypatch.setattr("interactive.cli.fd_connection_check", lambda *args, **kwargs: None)
+        code = main(["gradcheck", "--model", str(model_path), "--seed", "1", "--samples", "20"])
+        assert code == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "compared 0, kink-skipped 20" in out and "gradcheck FAIL" in out
+
     def test_zero_samples_exits_2(self, model_path):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--model", str(model_path), "--samples", "0"])

@@ -170,12 +170,6 @@ class TestComparePipelines:
         assert again.to_text() == seed3_report.to_text()
         assert json.dumps(again.to_json_dict()) == json.dumps(seed3_report.to_json_dict())
 
-    def test_threads_do_not_change_result(self, seed3_report):
-        spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
-        threaded = compare_pipelines(dataset, spec, threads=4)
-        assert threaded.to_text() == seed3_report.to_text()
-
     def test_size_mismatch_rejected(self):
         spec = generate_model("tiny-2conv", seed=3)
         dataset = ToyDatasetSpec(seed=3, image_size=(16, 16), channels=3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from interactive import (
     load_model,
     save_model,
 )
+from interactive.cli import EXIT_USAGE, main
 from interactive.model_io import BIAS_INIT, ModelFormatError
 
 from conftest import random_input
@@ -155,3 +158,61 @@ def test_header_is_readable_text(tmp_path):
     start = raw.index(b"\n", raw.index(b"\n") + 1) + 1
     header = raw[start : start + header_len].decode("utf-8")
     assert '"conv-1"' in header and '"pool"' in header
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the model at ``path``; the blob is kept."""
+    magic, length, rest = path.read_bytes().split(b"\n", 2)
+    header = json.loads(rest[: int(length)])
+    body = json.dumps(edit(header)).encode("utf-8")
+    path.write_bytes(b"\n".join([magic, str(len(body)).encode("ascii"), body]) + rest[int(length) :])
+
+
+def _drop(key):
+    def edit(header):
+        del header["layers"][0][key]
+        return header
+
+    return edit
+
+
+def _set(key, value):
+    def edit(header):
+        header["layers"][0][key] = value
+        return header
+
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "layers-not-a-list": lambda header: {**header, "layers": 5},
+    "entry-not-an-object": lambda header: {**header, "layers": [1]},
+    "missing-stride": _drop("stride"),
+    "missing-name": _drop("name"),
+    "null-stride": _set("stride", None),
+    "bool-padding": _set("padding", True),
+    "int-relu": _set("relu", 1),
+    "short-kernel-shape": _set("kernel_shape", [3, 3, 3]),
+    "negative-kernel-dim": _set("kernel_shape", [-1, 3, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_a_format_error(tmp_path, capsys, case):
+    path = tmp_path / "m.model"
+    save_model(generate_model("tiny-2conv", seed=7), path)
+    rewrite_header(path, MALFORMED_HEADERS[case])
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+    assert main(["gradcheck", "--model", str(path), "--samples", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_zero_size_kernel_in_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "m.model"
+    save_model(generate_model("tiny-2conv", seed=7), path)
+    rewrite_header(path, _set("kernel_shape", [0, 0, 3, 4]))
+    path.write_bytes(path.read_bytes()[: -4 * (3 * 3 * 3 * 4)])  # blob length matches the header
+    assert main(["gradcheck", "--model", str(path), "--samples", "1"]) == EXIT_USAGE
+    assert "(0, 0, 3, 4)" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,8 @@ from interactive import (
     infer_shapes,
     receptive_sets,
 )
-from interactive.net import apply_conv
+from interactive.activeness import _conv_backward_input, _pool_backward
+from interactive.net import apply_conv, apply_pool, pool_argmax
 
 from conftest import random_input
 
@@ -82,6 +85,12 @@ def test_conv_layer_rejects_nonfinite():
         ConvLayer(kernel=k, bias=np.zeros(1))
 
 
+def test_conv_layer_rejects_zero_size_kernel():
+    for shape in ((0, 0, 1, 1), (3, 0, 1, 1), (1, 1, 0, 2)):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            ConvLayer(kernel=np.zeros(shape), bias=np.zeros(shape[3]))
+
+
 def test_pool_layer_validation():
     with pytest.raises(ShapeError):
         PoolLayer(window=0, stride=1)
@@ -143,6 +152,10 @@ def test_conv_matches_naive_reference():
         (3, 2, 1, 2, 2, 0),
         (5, 5, 2, 3, 2, 2),
         (2, 3, 3, 1, 1, 2),
+        (4, 1, 2, 3, 3, 0),
+        (1, 3, 2, 2, 2, 2),
+        (2, 2, 1, 2, 3, 1),
+        (3, 4, 2, 1, 4, 2),
     ]
     for kw, kh, din, dout, stride, padding in cases:
         W = kw + rng.integers(0, 4) * stride
@@ -239,3 +252,121 @@ def test_receptive_sets_rejects_pool_and_bad_index(tiny_net):
     conn = receptive_sets(tiny_net, 0)
     with pytest.raises(IndexError):
         conn.u_set(8, 0, 0)
+
+
+# Literal per-position loops over every window: the references the tap-walk
+# kernels are held to.
+
+
+def naive_pool(window, stride, mode, x):
+    """Pooled output and flat argmax index (first strict maximum in scan order)."""
+    W, H, D = x.shape
+    ow = (W - window) // stride + 1
+    oh = (H - window) // stride + 1
+    out = np.zeros((ow, oh, D))
+    idx = np.zeros((ow, oh, D), dtype=np.int64)
+    for wo in range(ow):
+        for ho in range(oh):
+            for d in range(D):
+                best, total = None, 0.0
+                for a in range(window):
+                    for b in range(window):
+                        v = x[wo * stride + a, ho * stride + b, d]
+                        total += v
+                        if best is None or v > best:
+                            best, idx[wo, ho, d] = v, a * window + b
+                out[wo, ho, d] = best if mode == "max" else total / (window * window)
+    return out, idx
+
+
+def naive_pool_backward(window, stride, mode, x, grad_out):
+    _, idx = naive_pool(window, stride, mode, x)
+    gx = np.zeros_like(x)
+    ow, oh, D = grad_out.shape
+    for wo in range(ow):
+        for ho in range(oh):
+            for d in range(D):
+                for a in range(window):
+                    for b in range(window):
+                        if mode == "average":
+                            share = grad_out[wo, ho, d] / (window * window)
+                        elif idx[wo, ho, d] == a * window + b:
+                            share = grad_out[wo, ho, d]
+                        else:
+                            continue
+                        gx[wo * stride + a, ho * stride + b, d] += share
+    return gx
+
+
+def naive_conv_backward_input(kernel, stride, padding, grad_out, in_shape):
+    kw, kh, din, dout = kernel.shape
+    W, H, _ = in_shape
+    gx = np.zeros(in_shape)
+    ow, oh, _ = grad_out.shape
+    for wo in range(ow):
+        for ho in range(oh):
+            for do in range(dout):
+                for a in range(kw):
+                    for b in range(kh):
+                        w = wo * stride + a - padding
+                        h = ho * stride + b - padding
+                        if 0 <= w < W and 0 <= h < H:
+                            for di in range(din):
+                                gx[w, h, di] += kernel[a, b, di, do] * grad_out[wo, ho, do]
+    return gx
+
+
+def random_pool_cases(seed, n=40):
+    """Integer-valued inputs (so windows tie) with the stride below, at and
+    above the window: overlapping, tiling and gapped pools."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        k = int(rng.integers(1, 4))
+        s = max(1, k + (-1, 0, 1, 2)[i % 4])
+        ow, oh = (int(v) for v in rng.integers(1, 5, size=2))
+        W = k + (ow - 1) * s + int(rng.integers(0, s))
+        H = k + (oh - 1) * s + int(rng.integers(0, s))
+        x = rng.integers(-2, 3, size=(W, H, int(rng.integers(1, 4)))).astype(np.float64)
+        yield PoolLayer(window=k, stride=s, mode=("max", "average")[i % 2]), x, rng
+
+
+def test_pool_kernels_match_naive_reference():
+    overlapping = gapped = ties = 0
+    for layer, x, rng in random_pool_cases(seed=31):
+        out, idx = naive_pool(layer.window, layer.stride, layer.mode, x)
+        npt.assert_allclose(apply_pool(layer, x), out, rtol=0, atol=1e-12)
+        if layer.mode == "max":
+            npt.assert_array_equal(pool_argmax(layer, x), idx)
+        grad_out = rng.integers(-3, 4, size=out.shape).astype(np.float64)
+        npt.assert_allclose(
+            _pool_backward(layer, x, grad_out),
+            naive_pool_backward(layer.window, layer.stride, layer.mode, x, grad_out),
+            rtol=0,
+            atol=1e-12,
+        )
+        overlapping += layer.stride < layer.window
+        gapped += layer.stride > layer.window
+        ties += layer.window > 1 and np.unique(x).size < x.size
+    assert overlapping and gapped and ties
+
+
+def test_conv_backward_input_matches_naive_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        kw, kh = (int(v) for v in rng.integers(1, 5, size=2))
+        stride = int(rng.integers(1, 4))
+        padding = int(rng.integers(0, 3))
+        din, dout = (int(v) for v in rng.integers(1, 4, size=2))
+        W = max(1, kw - 2 * padding) + int(rng.integers(0, 2 * stride + 1))
+        H = max(1, kh - 2 * padding) + int(rng.integers(0, 2 * stride + 1))
+        ow = (W + 2 * padding - kw) // stride + 1
+        oh = (H + 2 * padding - kh) // stride + 1
+        kernel = rng.standard_normal((kw, kh, din, dout))
+        grad_out = rng.integers(-3, 4, size=(ow, oh, dout)).astype(np.float64)
+        for k in (kernel, np.ones_like(kernel)):  # the gamma hop runs the ones kernel
+            npt.assert_allclose(
+                _conv_backward_input(k, stride, padding, grad_out, (W, H, din)),
+                naive_conv_backward_input(k, stride, padding, grad_out, (W, H, din)),
+                rtol=0,
+                atol=1e-12,
+            )

@@ -30,6 +30,8 @@ from .tensor import ChannelVector, ShapeError, Tensor3, hadamard, spatial_averag
 
 SUPERVISION_MODES = ("last", "next")
 SUMMARIZE_MODES = ("max", "average")
+# (supervision, p) of the four stacked scores in ``weighted_features``, in order
+WEIGHTED_CONFIGS = (("next", 1), ("next", 2), ("last", 1), ("last", 2))
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,16 @@ def log_likelihood(xT: ChannelVector, p: int) -> float:
     return float(-(v.sum() if p == 1 else (v * v).sum()))
 
 
+def _score_array(xT: np.ndarray, p: int) -> np.ndarray:
+    """``layer_score`` of a (W, H, *batch, D) supervision array."""
+    w, h = xT.shape[:2]
+    scale = 1.0 / (w * h)
+    if p == 1:
+        return np.full(xT.shape, scale)
+    xbar = xT.mean(axis=(0, 1))
+    return np.broadcast_to(2.0 * scale * xbar, xT.shape).copy()
+
+
 def layer_score(XT: Tensor3, p: int) -> Tensor3:
     """Gradient of -ln f with respect to the supervision-layer responses.
 
@@ -102,21 +114,19 @@ def layer_score(XT: Tensor3, p: int) -> Tensor3:
     """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
-    w, h, d = XT.shape
-    scale = 1.0 / (w * h)
-    if p == 1:
-        return Tensor3.from_array(np.full((w, h, d), scale))
-    xbar = XT.array.mean(axis=(0, 1))
-    return Tensor3.from_array(np.broadcast_to(2.0 * scale * xbar, (w, h, d)).copy())
+    return Tensor3.from_array(_score_array(XT.array, p))
 
 
 def _conv_backward_input(
     kernel: np.ndarray, stride: int, padding: int, grad_out: np.ndarray, in_shape: tuple
 ) -> np.ndarray:
-    """Transposed-kernel accumulation: grad wrt conv output -> grad wrt input."""
-    kw, kh, _, _ = kernel.shape
-    w, h, din = in_shape
-    gxp = np.zeros((w + 2 * padding, h + 2 * padding, din))
+    """Transposed-kernel accumulation: grad wrt conv output -> grad wrt input.
+
+    ``grad_out`` is (W', H', *batch, d_out); only the spatial dims of
+    ``in_shape`` are read, the result is (W, H, *batch, d_in)."""
+    kw, kh, din, _ = kernel.shape
+    w, h = in_shape[:2]
+    gxp = np.zeros((w + 2 * padding, h + 2 * padding, *grad_out.shape[2:-1], din))
     for a, b, tap in window_taps(kw, kh, stride, *grad_out.shape[:2]):
         gxp[tap] += grad_out @ kernel[a, b].T
     return gxp[padding : padding + w, padding : padding + h]
@@ -124,16 +134,24 @@ def _conv_backward_input(
 
 def _pool_backward(layer, x_in: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Max pooling routes to the argmax (first scan hit wins ties);
-    average pooling splits uniformly over the window."""
+    average pooling splits uniformly over the window.  ``x_in`` may carry
+    singleton batch axes that broadcast against ``grad_out``."""
     k = layer.window
-    gx = np.zeros_like(x_in)
+    gx = np.zeros(x_in.shape[:2] + grad_out.shape[2:])
     idx = pool_argmax(layer, x_in) if layer.mode == "max" else None
     for a, b, tap in window_taps(k, k, layer.stride, *grad_out.shape[:2]):
         gx[tap] += grad_out / (k * k) if idx is None else np.where(idx == a * k + b, grad_out, 0.0)
     return gx
 
 
-def _check_trace(spec: NetworkSpec, trace: ForwardTrace) -> None:
+def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """View of a trace array with singleton axes after its spatial axes, so
+    that it broadcasts against a score ``like`` that carries stacked seeds."""
+    return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
+
+
+def _trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple[list, list]:
+    """Check a trace against the network; returns its (acts, pres) arrays."""
     if len(trace.activations) != len(spec.layers):
         raise ShapeError(
             f"trace has {len(trace.activations)} activations for {len(spec.layers)} layers"
@@ -143,6 +161,34 @@ def _check_trace(spec: NetworkSpec, trace: ForwardTrace) -> None:
     for i, shape in enumerate(infer_shapes(spec)):
         if trace.activations[i].shape != shape:
             raise ShapeError(f"trace activation {i} has shape {trace.activations[i].shape}, expected {shape}")
+    acts = [trace.input.array] + [a.array for a in trace.activations]
+    pres = [None if pre is None else pre.array for pre in trace.pre_activations]
+    return acts, pres
+
+
+def reverse_sweep(spec: NetworkSpec, acts: list, pres: list, seed: np.ndarray, T: int):
+    """Push a stacked score seed at activation T down to the input.
+
+    ``acts``/``pres`` come from ``forward_arrays``; ``seed`` is shaped
+    (W_T, H_T, *stack, *batch, D_T), any number of stacked seeds (p values,
+    say) ahead of the trace's batch axes.  Yields ``(j, score at X(j))``
+    for j = T, T-1, ..., 0; stop iterating once the lowest index needed has
+    come.  Standard reverse mode: conv layers mask by their pre-ReLU sign
+    and apply the transposed kernel, pool layers route by argmax or split
+    uniformly.  The masks and argmaxes depend on the trace only, so the
+    sweep is linear in the seed and every stacked seed is exact.
+    """
+    grad = seed
+    yield T, grad
+    for i in range(T - 1, -1, -1):
+        layer = spec.layers[i]
+        if isinstance(layer, ConvLayer):
+            if layer.apply_relu:
+                grad = grad * _lift(pres[i] > 0, grad)
+            grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, acts[i].shape)
+        else:
+            grad = _pool_backward(layer, _lift(acts[i], grad), grad)
+        yield i, grad
 
 
 def backprop_score(
@@ -150,37 +196,31 @@ def backprop_score(
 ) -> Tensor3:
     """Gradient of -ln f (likelihood at activation T) wrt activation ``down_to``.
 
-    Standard reverse mode: the layer score seeds the chain at T, conv
-    layers apply the transposed kernel after masking by their pre-ReLU
-    sign, pool layers route by argmax or split uniformly.
+    The layer score seeds ``reverse_sweep`` at T; the sweep stops at
+    ``down_to``.
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
-    _check_trace(spec, trace)
-    grad = layer_score(trace.activation(T), p).array
-    for i in range(T - 1, down_to - 1, -1):
-        layer = spec.layers[i]
-        x_in = trace.activation(i).array
-        if isinstance(layer, ConvLayer):
-            if layer.apply_relu:
-                grad = grad * (trace.pre_activations[i].array > 0)
-            grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, x_in.shape)
-        else:
-            grad = _pool_backward(layer, x_in, grad)
-    return Tensor3.from_array(grad)
+    if p not in (1, 2):
+        raise ValueError(f"norm p must be 1 or 2, got {p}")
+    acts, pres = _trace_arrays(spec, trace)
+    for j, score in reverse_sweep(spec, acts, pres, _score_array(acts[T], p), T):
+        if j == down_to:
+            return Tensor3.from_array(score)
 
 
-def _hop_mask(spec: NetworkSpec, trace: ForwardTrace, t: int, hop_score: np.ndarray) -> np.ndarray:
-    """Apply the activated-neuron indicator of the hop layer's output.
+def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:
+    """gamma at X(t) from the score at X(t+1) = ``hop(x_t)``, for any stacked score.
 
-    The indicator tests the post-activation response exactly as the score
-    function prescribes; for a conv layer without fused ReLU the
-    differentiation carries no indicator, so the score passes through.
+    The activated-neuron indicator of the hop layer's output tests the
+    post-activation response exactly as the score function prescribes (a
+    conv layer without fused ReLU carries no indicator).  Because the hop
+    itself is a differentiation in the connection weights, the
+    accumulation is weight-free: kernel entries replaced by 1.
     """
-    hop = spec.layers[t]
     if hop.apply_relu:
-        return hop_score * (trace.activation(t + 1).array > 0)
-    return hop_score
+        hop_score = hop_score * _lift(x_next > 0, hop_score)
+    return _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, hop_score, x_t.shape)
 
 
 def connection_activeness(
@@ -220,20 +260,15 @@ def neuron_activeness(
     """Per-neuron activeness at the requested layer.
 
     gamma sums the backpropagated score of every activated downstream
-    neuron over the hop layer's connectivity; because the hop itself is a
-    differentiation in the connection weights, the accumulation is
-    weight-free (kernel entries replaced by 1).  The weighted response
-    x(t) * gamma is the activeness tensor, summarized per channel into the
-    feature vector.
+    neuron over the hop layer's connectivity (``_gamma_hop``).  The
+    weighted response x(t) * gamma is the activeness tensor, summarized per
+    channel into the feature vector.
     """
     T = validate_request(spec, request)
     t = request.target_layer
-    hop = spec.layers[t]
     score = backprop_score(spec, trace, T, request.p, t + 1)
-    masked = _hop_mask(spec, trace, t, score.array)
     x_t = trace.activation(t)
-    ones_kernel = np.ones_like(hop.kernel)
-    gamma_arr = _conv_backward_input(ones_kernel, hop.stride, hop.padding, masked, x_t.shape)
+    gamma_arr = _gamma_hop(spec.layers[t], x_t.array, trace.activation(t + 1).array, score.array)
     gamma = Tensor3.from_array(gamma_arr)
     activeness = hadamard(x_t, gamma)
     map2d = gamma.array.sum(axis=2)
@@ -244,6 +279,45 @@ def neuron_activeness(
     return ActivenessResult(
         gamma=gamma, activeness=activeness, map2d=map2d, feature=feature, log_likelihood=ll
     )
+
+
+def weighted_features(spec: NetworkSpec, acts: list, pres: list, targets: list[int]) -> dict:
+    """Max-summarized activeness features of several targets under every
+    (supervision, p) of ``WEIGHTED_CONFIGS``, from one reverse sweep.
+
+    ``acts``/``pres`` come from ``forward_arrays`` on a (W, H, *batch, D)
+    input.  Returns ``{t: array (4, *batch, D_t)}``, the configs in
+    ``WEIGHTED_CONFIGS`` order; each entry equals the ``feature`` of the
+    matching ``neuron_activeness`` request with ``summarize="max"``.  The
+    p = 1 and p = 2 seeds at the final layer go down together, so one sweep
+    serves the "last" score of every target; a "next" score is the layer
+    score at t+1 and needs no sweep.  Each target then takes one gamma hop
+    over all four stacked scores.
+    """
+    for t in targets:
+        validate_request(spec, ActivenessRequest(target_layer=t))
+
+    def p_stack(x):  # the p = 1 and p = 2 layer scores of x, on a stack axis
+        return np.stack([_score_array(x, p) for p in (1, 2)], axis=2)
+
+    L = len(spec.layers)
+    need = {t + 1 for t in targets}
+    last = {}
+    for j, score in reverse_sweep(spec, acts, pres, p_stack(acts[L]), L):
+        if j in need:
+            last[j] = score
+            if len(last) == len(need):
+                break
+    features = {}
+    for t in targets:
+        # next-p1, next-p2, last-p1, last-p2; passed unnamed, so the stack is
+        # freed as soon as the hop has masked it
+        gamma = _gamma_hop(
+            spec.layers[t], acts[t], acts[t + 1], np.concatenate([p_stack(acts[t + 1]), last[t + 1]], axis=2)
+        )
+        gamma *= _lift(acts[t], gamma)
+        features[t] = gamma.max(axis=(0, 1))
+    return features
 
 
 def interactive_feature_stack(

@@ -19,13 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activeness import ActivenessRequest, neuron_activeness
+from .activeness import WEIGHTED_CONFIGS, neuron_activeness, weighted_features  # noqa: F401
 from .image import RasterImage, to_input_tensor
-from .net import ConvLayer, NetworkSpec, forward
-from .tensor import spatial_average, spatial_max
+from .net import ConvLayer, NetworkSpec, forward, forward_arrays  # noqa: F401
+
+# ``forward`` and ``neuron_activeness`` are the per-image calls whose results
+# the batched path reproduces.  They stay importable from this module because
+# the benchmark's tracer (perfbench/tracing.py) wraps them here by name.
 
 SLACK_C = 10.0
 INPUT_MEAN = 128.0
+
+# Input elements per image group in ``compare_pipelines``: 8 toy-cnn images
+# at 16x16x3.  Every intermediate of the forward pass and the reverse sweep
+# grows with the group: after three in-process toy-cnn toybench runs the
+# process's peak RSS was 38.8 MB with groups of one image, 40.3 MB with
+# groups of 8, 42.3 MB with 16 and 50.3 MB with all 48 in one stack.  An
+# image larger than the budget is a group of one.
+GROUP_INPUT_ELEMENTS = 8 * 16 * 16 * 3
 
 PIPELINE_CONFIGS = (
     "orig-avg",
@@ -39,7 +50,11 @@ PIPELINE_CONFIGS = (
 
 @dataclass(frozen=True)
 class LabeledFeatureSet:
-    """Feature rows with labels and a fixed train/test split."""
+    """Feature rows with labels and a fixed train/test split.
+
+    ``features`` is (N, D), or (C, N, D) for a stack of C feature sets
+    that share the labels and the split.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -49,14 +64,14 @@ class LabeledFeatureSet:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
+        if feats.ndim not in (2, 3) or labels.ndim != 1 or feats.shape[-2] != labels.shape[0]:
             raise ValueError(f"features {feats.shape} do not match labels {labels.shape}")
         if labels.size and labels.min() < 0:
             raise ValueError("labels must be nonnegative")
         train, test = set(self.train_idx), set(self.test_idx)
         if train & test:
             raise ValueError("train and test splits overlap")
-        if train | test != set(range(feats.shape[0])):
+        if train | test != set(range(labels.shape[0])):
             raise ValueError("splits must cover every row exactly once")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -138,8 +153,9 @@ def l2_normalize(row: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Unit-norm copy of every row (last axis) of a (..., D) array."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return matrix / safe
 
@@ -163,44 +179,52 @@ def train_linear(
     """One-vs-rest logistic regression by full-batch gradient descent.
 
     Returns a (K, D+1) weight matrix, last column the intercept (which is
-    not regularized).  Deterministic: zero init, fixed iteration count.
+    not regularized); for a (C, N, D) stack of feature sets, a (C, K, D+1)
+    tensor of C independent fits.  An (N, D) set runs as the C = 1 stack.
+    Deterministic: zero init, fixed iteration count.  ``track_loss`` gets
+    the loss per epoch (a length-C array for a stack).
     """
-    X = train.features[list(train.train_idx)]
+    stacked = train.features.ndim == 3
+    X = train.features[..., list(train.train_idx), :]
+    X = X if stacked else X[None]
     y = train.labels[list(train.train_idx)]
-    if X.shape[0] == 0:
+    if y.size == 0:
         raise ValueError("empty training split")
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training split must contain at least two classes")
     k = train.num_classes
-    n, d = X.shape
+    c, n, d = X.shape
     if reg is None:
         reg = 1.0 / (SLACK_C * n)
-    Xb = np.hstack([X, np.ones((n, 1))])
+    Xb = np.concatenate([X, np.ones((c, n, 1))], axis=2)
     Y = (y[:, None] == np.arange(k)[None, :]).astype(np.float64)
-    W = np.zeros((k, d + 1))
-    mask = np.ones((1, d + 1))
-    mask[0, -1] = 0.0  # intercept unregularized
+    W = np.zeros((c, k, d + 1))
+    mask = np.ones((1, 1, d + 1))
+    mask[..., -1] = 0.0  # intercept unregularized
     for _ in range(epochs):
-        S = _sigmoid(Xb @ W.T)
+        S = _sigmoid(Xb @ W.transpose(0, 2, 1))
         if track_loss is not None:
             eps = 1e-12
-            bce = -(Y * np.log(S + eps) + (1 - Y) * np.log(1 - S + eps)).sum(axis=1).mean()
-            track_loss.append(float(bce + reg * ((W * mask) ** 2).sum()))
-        grad = (S - Y).T @ Xb / n + 2.0 * reg * (W * mask)
+            bce = -(Y * np.log(S + eps) + (1 - Y) * np.log(1 - S + eps)).sum(axis=2).mean(axis=1)
+            loss = bce + reg * ((W * mask) ** 2).sum(axis=(1, 2))
+            track_loss.append(loss if stacked else float(loss[0]))
+        grad = (S - Y).transpose(0, 2, 1) @ Xb / n + 2.0 * reg * (W * mask)
         W = W - lr * grad
-    return W
+    return W if stacked else W[0]
 
 
 def predict_linear(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    Xb = np.hstack([features, np.ones((features.shape[0], 1))])
-    return (Xb @ weights.T).argmax(axis=1)
+    """Class per row; (K, D+1) weights and (N, D) rows, or a (C, ...) stack of both."""
+    Xb = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+    return (Xb @ np.swapaxes(weights, -1, -2)).argmax(axis=-1)
 
 
-def accuracy(weights: np.ndarray, fs: LabeledFeatureSet, idx) -> float:
+def accuracy(weights: np.ndarray, fs: LabeledFeatureSet, idx):
+    """Fraction of rows ``idx`` classified correctly: a float, or one per stacked set."""
     idx = list(idx)
-    pred = predict_linear(weights, fs.features[idx])
-    return float((pred == fs.labels[idx]).mean())
+    hits = (predict_linear(weights, fs.features[..., idx, :]) == fs.labels[idx]).mean(axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
 def valid_targets(spec: NetworkSpec) -> list[int]:
@@ -212,16 +236,16 @@ def target_name(spec: NetworkSpec, t: int) -> str:
     return "input" if t == 0 else spec.names[t - 1]
 
 
-def _pipeline_vectors(spec: NetworkSpec, trace, targets: list[int]) -> dict:
+def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:
+    """Feature rows of every (target, config) for a (W, H, N, D) image stack."""
+    acts, pres = forward_arrays(spec, x)
+    weighted = weighted_features(spec, acts, pres, targets)
     vectors = {}
     for t in targets:
-        x_t = trace.activation(t)
-        vectors[(t, "orig-avg")] = spatial_average(x_t).values
-        vectors[(t, "orig-max")] = spatial_max(x_t).values
-        for sup in ("next", "last"):
-            for p in (1, 2):
-                req = ActivenessRequest(target_layer=t, supervision=sup, p=p, summarize="max")
-                vectors[(t, f"{sup}-p{p}")] = neuron_activeness(spec, trace, req).feature.values
+        vectors[(t, "orig-avg")] = acts[t].mean(axis=(0, 1))
+        vectors[(t, "orig-max")] = acts[t].max(axis=(0, 1))
+        for (sup, p), rows in zip(WEIGHTED_CONFIGS, weighted[t]):
+            vectors[(t, f"{sup}-p{p}")] = rows
     return vectors
 
 
@@ -285,22 +309,27 @@ def compare_pipelines(
     images, labels, train_idx, test_idx = toy_samples(dataset)
     mean = [INPUT_MEAN] * dataset.channels
 
-    per_image = [
-        _pipeline_vectors(spec, forward(spec, to_input_tensor(img, mean)), targets) for img in images
-    ]
+    # One forward and one reverse sweep per group of images, stacked on a
+    # batch axis between the spatial axes and the channel axis.
+    size = max(1, GROUP_INPUT_ELEMENTS // math.prod(spec.input_shape))
+    groups = []
+    for i in range(0, len(images), size):
+        x = np.stack([to_input_tensor(img, mean).array for img in images[i : i + size]], axis=2)
+        groups.append(_group_vectors(spec, x, targets))
 
     rows = []
     for t in targets:
-        for config in PIPELINE_CONFIGS:
-            feats = np.stack([vecs[(t, config)] for vecs in per_image])
-            fs = LabeledFeatureSet(
-                features=l2_normalize_rows(feats),
-                labels=labels,
-                train_idx=train_idx,
-                test_idx=test_idx,
-            )
-            weights = train_linear(fs, epochs=epochs, lr=lr)
-            rows.append((target_name(spec, t), config, feats.shape[1], accuracy(weights, fs, test_idx)))
+        # the six configs of a target share a feature dimension and train as one stack
+        feats = np.stack([np.concatenate([g[(t, config)] for g in groups]) for config in PIPELINE_CONFIGS])
+        fs = LabeledFeatureSet(
+            features=l2_normalize_rows(feats),
+            labels=labels,
+            train_idx=train_idx,
+            test_idx=test_idx,
+        )
+        weights = train_linear(fs, epochs=epochs, lr=lr)
+        for config, acc in zip(PIPELINE_CONFIGS, accuracy(weights, fs, test_idx)):
+            rows.append((target_name(spec, t), config, feats.shape[2], float(acc)))
     return PipelineReport(
         rows=tuple(rows),
         dataset_seed=dataset.seed,

@@ -22,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, PoolLayer
+from .net import ConvLayer, NetworkSpec, PoolLayer, infer_shapes
 
 MAGIC = "interactive-model/1"
+
+# Most elements the input or any layer output of a loaded model may hold:
+# 4 Mi float64 values, 32 MB per activation.  A 224x224x3 input is 150528
+# elements (28x below the guard), toy-cnn's widest output at 224x224 is
+# 301056.  Without it a header like [100000, 100000, 3] only fails when the
+# first array is allocated.
+SHAPE_GUARD = 1 << 22
 
 
 class ModelFormatError(ValueError):
@@ -83,7 +90,7 @@ def _entry_scalars(i: int, desc) -> int:
     if not isinstance(desc, dict):
         raise ModelFormatError(f"layer entry {i} must be an object, got {desc!r}")
     kind = desc.get("kind")
-    if kind not in _LAYER_FIELDS:
+    if not isinstance(kind, str) or kind not in _LAYER_FIELDS:
         raise ModelFormatError(f"layer entry {i}: unknown layer kind {kind!r}")
     for key, expected in _LAYER_FIELDS[kind].items():
         if type(desc.get(key)) is not expected:
@@ -115,18 +122,20 @@ def load_model(path) -> NetworkSpec:
         raise ModelFormatError("truncated header")
     try:
         header = json.loads(rest[:header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, over-long ints, deep nesting
         raise ModelFormatError(f"malformed header JSON: {exc}") from None
     if rest[header_len : header_len + 1] != b"\n":
         raise ModelFormatError("missing separator after header")
     blob = rest[header_len + 1 :]
 
-    try:
-        input_shape = tuple(int(v) for v in header["input_shape"])
-        descriptors = header["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed header fields: {exc}") from None
-
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"header must be a JSON object, got {type(header).__name__}")
+    input_shape = header.get("input_shape")
+    if type(input_shape) is not list or len(input_shape) != 3 or not all(
+        type(v) is int and v >= 1 for v in input_shape
+    ):
+        raise ModelFormatError(f"input_shape {input_shape!r} is not 3 integers >= 1")
+    descriptors = header.get("layers")
     if not isinstance(descriptors, list):
         raise ModelFormatError(f"header 'layers' must be a list, got {descriptors!r}")
     expected = sum(_entry_scalars(i, desc) for i, desc in enumerate(descriptors))
@@ -138,19 +147,28 @@ def load_model(path) -> NetworkSpec:
     layers = []
     offset = 0
     scalars = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    for desc in descriptors:
-        if desc["kind"] == "conv":
-            shape = desc["kernel_shape"]
-            n = math.prod(shape)
-            kernel = scalars[offset : offset + n].reshape(shape)
-            bias = scalars[offset + n : offset + n + shape[3]]
-            offset += n + shape[3]
-            stride, padding, relu = desc["stride"], desc["padding"], desc["relu"]
-            layers.append(ConvLayer(kernel, bias, stride=stride, padding=padding, apply_relu=relu))
-        else:
-            layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
-    names = [desc["name"] for desc in descriptors]
-    return NetworkSpec(layers=tuple(layers), input_shape=input_shape, names=tuple(names))
+    try:  # the layer and network constructors reject NaN weights and impossible shapes
+        for desc in descriptors:
+            if desc["kind"] == "conv":
+                shape = desc["kernel_shape"]
+                n = math.prod(shape)
+                kernel = scalars[offset : offset + n].reshape(shape)
+                bias = scalars[offset + n : offset + n + shape[3]]
+                offset += n + shape[3]
+                stride, padding, relu = desc["stride"], desc["padding"], desc["relu"]
+                layers.append(ConvLayer(kernel, bias, stride=stride, padding=padding, apply_relu=relu))
+            else:
+                layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
+        names = tuple(desc["name"] for desc in descriptors)
+        spec = NetworkSpec(layers=tuple(layers), input_shape=tuple(input_shape), names=names)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    for name, shape in zip(["input", *names], [spec.input_shape, *infer_shapes(spec)]):
+        if math.prod(shape) > SHAPE_GUARD:
+            raise ModelFormatError(
+                f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard"
+            )
+    return spec
 
 
 @dataclass(frozen=True)

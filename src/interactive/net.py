@@ -12,6 +12,11 @@ a loop over output positions.  Unlike im2col, whose patch matrix holds
 kw*kh copies of the input, a view copies nothing.  Zero padding
 contributes zero terms only; padded positions are not neurons and never
 appear in connectivity sets.
+
+The kernels take arrays shaped (W, H, *batch, D): any batch axes (images,
+stacked seeds) sit between the spatial axes and the channel axis, so a
+tap view ``x[tap]`` and ``x[tap] @ K[a, b]`` carry them along unchanged.
+A single image is the case with no batch axes.
 """
 
 from __future__ import annotations
@@ -177,12 +182,12 @@ def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
 
 
 def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Pre-activation conv output for a (W, H, D) array."""
+    """Pre-activation conv output for a (W, H, *batch, D) array."""
     kw, kh, _, dout = layer.kernel.shape
     s, p = layer.stride, layer.padding
     ow, oh = _out_dim(x.shape[0], kw, s, p), _out_dim(x.shape[1], kh, s, p)
-    xp = np.pad(x, ((p, p), (p, p), (0, 0))) if p else x
-    out = np.zeros((ow, oh, dout))
+    xp = np.pad(x, ((p, p), (p, p)) + ((0, 0),) * (x.ndim - 2)) if p else x
+    out = np.zeros((ow, oh, *x.shape[2:-1], dout))
     for a, b, tap in window_taps(kw, kh, s, ow, oh):
         out += xp[tap] @ layer.kernel[a, b]
     out += layer.bias
@@ -195,6 +200,7 @@ def _pool_taps(layer: PoolLayer, x: np.ndarray):
 
 
 def apply_pool(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
+    """Max or average pool of a (W, H, *batch, D) array."""
     taps = [x[tap] for _, _, tap in _pool_taps(layer, x)]
     combine = np.maximum if layer.mode == "max" else np.add
     out = taps[0].copy()
@@ -216,28 +222,40 @@ def pool_argmax(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
     return idx
 
 
-def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:
-    """Run the network, caching every pre- and post-activation tensor."""
-    if x0.shape != spec.input_shape:
-        raise ShapeError(f"input shape {x0.shape} != network input {spec.input_shape}")
-    activations = []
-    pre_activations = []
-    x = x0.array
-    for i, layer in enumerate(spec.layers):
+def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> tuple[list, list]:
+    """Run the network on a (W, H, *batch, D) array.
+
+    Returns ``(acts, pres)``: ``acts[j]`` is X(j) for j = 0..L (``acts[0]``
+    is ``x``) and ``pres[i]`` is layer i's pre-ReLU output, None for pool
+    layers.  Every array keeps the batch axes of ``x`` between its spatial
+    axes and its channel axis.  Each layer output is checked for NaN/Inf
+    once, and a failure names the layer.
+    """
+    if x.ndim < 3 or (*x.shape[:2], x.shape[-1]) != spec.input_shape:
+        raise ShapeError(f"input shape {x.shape} != network input {spec.input_shape}")
+    acts, pres = [x], []
+    for name, layer in zip(spec.names, spec.layers):
         if isinstance(layer, ConvLayer):
-            pre = apply_conv(layer, x)
-            post = np.maximum(pre, 0.0) if layer.apply_relu else pre
-            try:
-                pre_activations.append(Tensor3.from_array(pre))
-                act = Tensor3.from_array(post)
-            except ValueError as exc:
-                raise ValueError(f"layer {spec.names[i]}: {exc}") from None
+            pre = out = apply_conv(layer, acts[-1])
+            if layer.apply_relu:
+                out = np.maximum(pre, 0.0)
         else:
-            pre_activations.append(None)
-            act = Tensor3.from_array(apply_pool(layer, x))
-        activations.append(act)
-        x = act.array
-    return ForwardTrace(input=x0, activations=tuple(activations), pre_activations=tuple(pre_activations))
+            pre, out = None, apply_pool(layer, acts[-1])
+        if not np.isfinite(out if pre is None else pre).all():
+            raise ValueError(f"layer {name}: output contains NaN or Inf")
+        acts.append(out)
+        pres.append(pre)
+    return acts, pres
+
+
+def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:
+    """Run the network on one image, caching every pre- and post-activation tensor."""
+    acts, pres = forward_arrays(spec, x0.array)
+    return ForwardTrace(
+        input=x0,
+        activations=tuple(Tensor3.wrap(a) for a in acts[1:]),
+        pre_activations=tuple(None if p is None else Tensor3.wrap(p) for p in pres),
+    )
 
 
 @dataclass(frozen=True)
@@ -298,23 +316,22 @@ class ConvConnectivity:
         """(kw, kh) kernel cell linking input (w, h) to output (wp, hp)."""
         return (w - wp * self.stride + self.padding, h - hp * self.stride + self.padding)
 
+    def _taps_in_range(self, size: int, extent: int, out_size: int) -> int:
+        """Kernel taps landing inside ``0..size-1``, summed over the output positions of one axis."""
+        s, p = self.stride, self.padding
+        return sum(max(0, min(extent, size + p - o * s) - max(0, p - o * s)) for o in range(out_size))
+
     def connection_count(self) -> int:
-        """Total number of real (unpadded) connections through this layer."""
-        total = 0
-        for wp in range(self.out_shape[0]):
-            wn = sum(
-                1
-                for kw in range(self.kernel_w)
-                if 0 <= wp * self.stride + kw - self.padding < self.in_shape[0]
-            )
-            for hp in range(self.out_shape[1]):
-                hn = sum(
-                    1
-                    for kh in range(self.kernel_h)
-                    if 0 <= hp * self.stride + kh - self.padding < self.in_shape[1]
-                )
-                total += wn * hn * self.in_shape[2] * self.out_shape[2]
-        return total
+        """Total number of real (unpadded) connections through this layer.
+
+        A window's in-range taps factor into a w count times an h count, so
+        the sum over all windows is the product of the per-axis sums."""
+        return (
+            self._taps_in_range(self.in_shape[0], self.kernel_w, self.out_shape[0])
+            * self._taps_in_range(self.in_shape[1], self.kernel_h, self.out_shape[1])
+            * self.in_shape[2]
+            * self.out_shape[2]
+        )
 
     def _check_in(self, w, h, d):
         if not (0 <= w < self.in_shape[0] and 0 <= h < self.in_shape[1] and 0 <= d < self.in_shape[2]):

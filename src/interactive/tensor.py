@@ -51,6 +51,20 @@ class Tensor3:
             raise ShapeError(f"expected a rank-3 array, got rank {arr.ndim}")
         return cls(arr.shape[0], arr.shape[1], arr.shape[2], arr.reshape(-1))
 
+    @classmethod
+    def wrap(cls, arr: np.ndarray) -> "Tensor3":
+        """Take over a finite rank-3 float64 array without a copy or a NaN scan.
+
+        For callers that own ``arr`` and have already checked it; the array
+        is made read-only.
+        """
+        if arr.ndim != 3 or arr.dtype != np.float64:
+            raise ShapeError(f"expected a rank-3 float64 array, got rank {arr.ndim} {arr.dtype}")
+        arr.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "array", arr)
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
 

@@ -4,8 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from interactive import generate_model
+import interactive.evalharness as evalharness
+from interactive import (
+    ActivenessRequest,
+    forward,
+    generate_model,
+    neuron_activeness,
+    spatial_average,
+    spatial_max,
+)
 from interactive.evalharness import (
+    INPUT_MEAN,
     LabeledFeatureSet,
     PIPELINE_CONFIGS,
     ToyDatasetSpec,
@@ -17,7 +26,9 @@ from interactive.evalharness import (
     toy_image,
     toy_samples,
     train_linear,
+    valid_targets,
 )
+from interactive.image import to_input_tensor
 
 # frozen on the first verified run: tiny-2conv(seed 3) features on the
 # seed-3 toy dataset, 24 test samples, accuracies as 24ths
@@ -106,6 +117,26 @@ class TestTrainLinear:
         assert np.array_equal(w1, w2)
 
 
+    def test_stacked_fit_equals_separate_fits(self):
+        sets = [two_blob_set(separation=s, seed=7) for s in (0.5, 1.0, 3.0)]
+        stack = LabeledFeatureSet(
+            features=np.stack([fs.features for fs in sets]),
+            labels=sets[0].labels,
+            train_idx=sets[0].train_idx,
+            test_idx=sets[0].test_idx,
+        )
+        losses = []
+        weights = train_linear(stack, epochs=60, lr=0.7, track_loss=losses)
+        assert weights.shape == (3, 2, 3) and losses[0].shape == (3,)
+        accs = accuracy(weights, stack, stack.test_idx)
+        for c, fs in enumerate(sets):
+            single = []
+            alone = train_linear(fs, epochs=60, lr=0.7, track_loss=single)
+            npt.assert_allclose(weights[c], alone, rtol=0, atol=1e-12)
+            npt.assert_allclose([loss[c] for loss in losses], single, rtol=0, atol=1e-12)
+            assert accs[c] == accuracy(weights[c], fs, fs.test_idx)
+
+
 class TestLabeledFeatureSet:
     def test_split_validation(self):
         feats = np.zeros((4, 2))
@@ -175,6 +206,42 @@ class TestComparePipelines:
         dataset = ToyDatasetSpec(seed=3, image_size=(16, 16), channels=3)
         with pytest.raises(ValueError, match="fit"):
             compare_pipelines(dataset, spec)
+
+    def test_group_size_does_not_change_report(self, seed3_report, monkeypatch):
+        spec = generate_model("tiny-2conv", seed=3)
+        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+        monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 1)  # a group per image
+        assert compare_pipelines(dataset, spec).to_text() == seed3_report.to_text()
+
+    @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-fc"])
+    def test_batched_features_equal_per_image_features(self, arch, monkeypatch):
+        spec = generate_model(arch, seed=1)
+        w, h, d = spec.input_shape
+        dataset = ToyDatasetSpec(seed=2, samples_per_class=5, image_size=(w, h), channels=d)
+        # groups of 4 for 15 images: the last group is short
+        monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 4 * w * h * d + 1)
+        seen = []
+        normalize = evalharness.l2_normalize_rows
+        monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: seen.append(m) or normalize(m))
+        compare_pipelines(dataset, spec)
+        targets = valid_targets(spec)
+        assert len(seen) == len(targets)
+
+        images = toy_samples(dataset)[0]
+        for t, batched in zip(targets, seen):
+            assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].d_in)
+            for n, img in enumerate(images):
+                trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d))
+                x_t = trace.activation(t)
+                expected = [spatial_average(x_t).values, spatial_max(x_t).values]
+                for sup in ("next", "last"):
+                    for p in (1, 2):
+                        request = ActivenessRequest(target_layer=t, supervision=sup, p=p, summarize="max")
+                        expected.append(neuron_activeness(spec, trace, request).feature.values)
+                # relative: tiny-fc's 1x1 fc output takes numpy's vector-matrix product
+                # for one image and a matrix product for a stack, so its last bit
+                # may differ (1.8e-12 absolute on entries near 7.5e3 was seen)
+                npt.assert_allclose(batched[:, n], np.stack(expected), rtol=1e-12, atol=1e-12)
 
     def test_text_report_shape(self, seed3_report):
         lines = seed3_report.to_text().splitlines()

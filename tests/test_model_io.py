@@ -194,6 +194,8 @@ MALFORMED_HEADERS = {
     "int-relu": _set("relu", 1),
     "short-kernel-shape": _set("kernel_shape", [3, 3, 3]),
     "negative-kernel-dim": _set("kernel_shape", [-1, 3, 3, 4]),
+    "float-input-shape": lambda header: {**header, "input_shape": [8.7, 8.2, 3]},
+    "huge-input-shape": lambda header: {**header, "input_shape": [100000, 100000, 3]},
 }
 
 

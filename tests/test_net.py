@@ -370,3 +370,64 @@ def test_conv_backward_input_matches_naive_reference():
                 rtol=0,
                 atol=1e-12,
             )
+
+
+def test_batched_kernels_equal_per_image_calls():
+    """A (W, H, N, D) stack, and a (W, H, S, N, D) one, gives each slice's single-image result."""
+    rng = np.random.default_rng(53)
+    for layer, x, _ in random_pool_cases(seed=57, n=20):
+        stack = np.stack([x, x[::-1], rng.integers(-2, 3, size=x.shape).astype(np.float64)], axis=2)
+        out = apply_pool(layer, stack)
+        idx = pool_argmax(layer, stack)
+        grad_out = rng.integers(-3, 4, size=(*out.shape[:2], 2, *out.shape[2:])).astype(np.float64)
+        grad_in = _pool_backward(layer, stack[:, :, None], grad_out)
+        for n in range(stack.shape[2]):
+            npt.assert_allclose(out[:, :, n], apply_pool(layer, stack[:, :, n]), rtol=0, atol=1e-12)
+            npt.assert_array_equal(idx[:, :, n], pool_argmax(layer, stack[:, :, n]))
+            for s in range(2):
+                npt.assert_allclose(
+                    grad_in[:, :, s, n],
+                    _pool_backward(layer, stack[:, :, n], grad_out[:, :, s, n]),
+                    rtol=0,
+                    atol=1e-12,
+                )
+    for _ in range(20):
+        kw, kh = (int(v) for v in rng.integers(1, 4, size=2))
+        stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        din, dout = (int(v) for v in rng.integers(1, 4, size=2))
+        W = max(1, kw - 2 * padding) + int(rng.integers(0, 4))
+        H = max(1, kh - 2 * padding) + int(rng.integers(0, 4))
+        kernel = rng.standard_normal((kw, kh, din, dout))
+        layer = ConvLayer(kernel=kernel, bias=rng.standard_normal(dout), stride=stride, padding=padding)
+        stack = rng.standard_normal((W, H, 4, din))
+        out = apply_conv(layer, stack)
+        grad_out = rng.standard_normal((*out.shape[:2], 2, 4, dout))
+        grad_in = _conv_backward_input(layer.kernel, stride, padding, grad_out, stack.shape)
+        assert grad_in.shape == (W, H, 2, 4, din)
+        for n in range(4):
+            npt.assert_allclose(out[:, :, n], apply_conv(layer, stack[:, :, n]), rtol=0, atol=1e-12)
+            for s in range(2):
+                npt.assert_allclose(
+                    grad_in[:, :, s, n],
+                    _conv_backward_input(layer.kernel, stride, padding, grad_out[:, :, s, n], (W, H, din)),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+
+def test_connection_count_matches_literal_count():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        kw, kh = (int(v) for v in rng.integers(1, 5, size=2))
+        stride, padding = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        din, dout = (int(v) for v in rng.integers(1, 4, size=2))
+        W = max(1, kw - 2 * padding) + int(rng.integers(0, 6))
+        H = max(1, kh - 2 * padding) + int(rng.integers(0, 6))
+        kernel = np.zeros((kw, kh, din, dout))
+        spec = conv_spec(kernel, np.zeros(dout), stride, padding, input_shape=(W, H, din))
+        conn = receptive_sets(spec, 0)
+        ow, oh, _ = conn.out_shape
+        literal = sum(
+            len(conn.v_set(wp, hp, dp)) for wp in range(ow) for hp in range(oh) for dp in range(dout)
+        )
+        assert conn.connection_count() == literal

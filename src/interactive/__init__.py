@@ -12,7 +12,6 @@ from .activeness import (
     ActivenessResult,
     backprop_score,
     connection_activeness,
-    interactive_feature_stack,
     layer_score,
     log_likelihood,
     neuron_activeness,
@@ -54,7 +53,6 @@ __all__ = [
     "generate_model",
     "hadamard",
     "infer_shapes",
-    "interactive_feature_stack",
     "layer_score",
     "load_model",
     "log_likelihood",

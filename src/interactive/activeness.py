@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ConvLayer, ForwardTrace, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
-from .tensor import ChannelVector, ShapeError, Tensor3, hadamard, spatial_average, spatial_max
+from .tensor import ChannelVector, ShapeError, Tensor3, spatial_average, spatial_max
 
 SUPERVISION_MODES = ("last", "next")
 SUMMARIZE_MODES = ("max", "average")
@@ -97,6 +97,8 @@ def log_likelihood(xT: ChannelVector, p: int) -> float:
 
 def _score_array(xT: np.ndarray, p: int) -> np.ndarray:
     """``layer_score`` of a (W, H, *batch, D) supervision array."""
+    if p not in (1, 2):
+        raise ValueError(f"norm p must be 1 or 2, got {p}")
     w, h = xT.shape[:2]
     scale = 1.0 / (w * h)
     if p == 1:
@@ -112,8 +114,6 @@ def layer_score(XT: Tensor3, p: int) -> Tensor3:
     with 0**0 taken as 1 so the p = 1 score is exactly the uniform field
     1/(W*H).
     """
-    if p not in (1, 2):
-        raise ValueError(f"norm p must be 1 or 2, got {p}")
     return Tensor3.from_array(_score_array(XT.array, p))
 
 
@@ -124,11 +124,15 @@ def _conv_backward_input(
 
     ``grad_out`` is (W', H', *batch, d_out); only the spatial dims of
     ``in_shape`` are read, the result is (W, H, *batch, d_in)."""
-    kw, kh, din, _ = kernel.shape
+    kw, kh, din, dout = kernel.shape
     w, h = in_shape[:2]
     gxp = np.zeros((w + 2 * padding, h + 2 * padding, *grad_out.shape[2:-1], din))
+    # one product per output column w' over all its other positions: a size-1
+    # stack axis would otherwise split it into one-row products, rounded unlike
+    # the plain array; one 2-D product over all raised peak RSS by 2 MB at 224x224
+    flat, out_shape = grad_out.reshape(grad_out.shape[0], -1, dout), (*grad_out.shape[:-1], din)
     for a, b, tap in window_taps(kw, kh, stride, *grad_out.shape[:2]):
-        gxp[tap] += grad_out @ kernel[a, b].T
+        gxp[tap] += (flat @ kernel[a, b].T).reshape(out_shape)
     return gxp[padding : padding + w, padding : padding + h]
 
 
@@ -150,7 +154,7 @@ def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
 
 
-def _trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple[list, list]:
+def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple[list, list]:
     """Check a trace against the network; returns its (acts, pres) arrays."""
     if len(trace.activations) != len(spec.layers):
         raise ShapeError(
@@ -201,9 +205,7 @@ def backprop_score(
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
-    if p not in (1, 2):
-        raise ValueError(f"norm p must be 1 or 2, got {p}")
-    acts, pres = _trace_arrays(spec, trace)
+    acts, pres = trace_arrays(spec, trace)
     for j, score in reverse_sweep(spec, acts, pres, _score_array(acts[T], p), T):
         if j == down_to:
             return Tensor3.from_array(score)
@@ -223,12 +225,43 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
     return _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, hop_score, x_t.shape)
 
 
+def gamma_stacks(spec: NetworkSpec, acts: list, pres: list, targets: list[int], configs):
+    """gamma of several targets under several (supervision, p) configs.
+
+    ``acts``/``pres`` come from ``forward_arrays``.  Yields ``(t, score at
+    X(t+1), gamma at X(t))`` per target, highest first, the configs in order
+    on axis 2.  One reverse sweep, seeded with the final layer's scores for
+    the "last" configs' p values, passes every target; a "next" score is the
+    layer score at X(t+1).  Each target then takes one gamma hop.
+    """
+    for t in targets:
+        for sup, p in configs:
+            validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p))
+    last_ps = [p for sup, p in configs if sup == "last"]
+    if last_ps:
+        seed = np.stack([_score_array(acts[-1], p) for p in last_ps], axis=2)
+        sweep = reverse_sweep(spec, acts, pres, seed, len(spec.layers))
+        del seed  # the sweep holds it until it is closed
+    order = sorted(set(targets), reverse=True)
+    for t in order:
+        lasts = iter(())
+        if last_ps:
+            lasts = iter(np.split(next(g for j, g in sweep if j == t + 1), len(last_ps), axis=2))
+            if t == order[-1]:
+                sweep.close()  # the views in ``lasts`` keep what the stack needs
+        parts = [next(lasts) if sup == "last" else _score_array(acts[t + 1], p)[:, :, None]
+                 for sup, p in configs]
+        score = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+        del lasts, parts  # a stacked copy leaves the swept array free for the hop
+        yield t, score, _gamma_hop(spec.layers[t], acts[t], acts[t + 1], score)
+
+
 def connection_activeness(
     spec: NetworkSpec,
     trace: ForwardTrace,
     request: ActivenessRequest,
     sample: tuple[int, int, int, int, int, int],
-    hop_score: Tensor3 | None = None,
+    hop_score: Tensor3 | np.ndarray | None = None,
 ) -> float:
     """Activeness of one connection (w, h, d) -> (w', h', d') through layer t.
 
@@ -236,8 +269,8 @@ def connection_activeness(
     indicator of the downstream neuron, the connectedness indicator and
     the backpropagated score at the downstream neuron.  Unconnected
     coordinate pairs yield 0.0; out-of-range coordinates raise.
-    ``hop_score`` may carry a precomputed ``backprop_score(..., t+1)`` to
-    amortize sweeps over many connections.
+    ``hop_score`` may carry a precomputed score at X(t+1) to amortize
+    sweeps over many connections: any array indexed ``[w', h', d']``.
     """
     T = validate_request(spec, request)
     t = request.target_layer
@@ -260,17 +293,16 @@ def neuron_activeness(
     """Per-neuron activeness at the requested layer.
 
     gamma sums the backpropagated score of every activated downstream
-    neuron over the hop layer's connectivity (``_gamma_hop``).  The
-    weighted response x(t) * gamma is the activeness tensor, summarized per
-    channel into the feature vector.
+    neuron over the hop layer's connectivity (``gamma_stacks`` with one
+    config).  The weighted response x(t) * gamma is the activeness
+    tensor, summarized per channel into the feature vector.
     """
     T = validate_request(spec, request)
     t = request.target_layer
-    score = backprop_score(spec, trace, T, request.p, t + 1)
-    x_t = trace.activation(t)
-    gamma_arr = _gamma_hop(spec.layers[t], x_t.array, trace.activation(t + 1).array, score.array)
-    gamma = Tensor3.from_array(gamma_arr)
-    activeness = hadamard(x_t, gamma)
+    acts, pres = trace_arrays(spec, trace)
+    [(_, _, stack)] = gamma_stacks(spec, acts, pres, [t], [(request.supervision, request.p)])
+    gamma = Tensor3.wrap(stack[:, :, 0])
+    activeness = Tensor3.wrap(acts[t] * gamma.array)
     map2d = gamma.array.sum(axis=2)
     map2d.flags.writeable = False
     summarize = spatial_max if request.summarize == "max" else spatial_average
@@ -283,48 +315,14 @@ def neuron_activeness(
 
 def weighted_features(spec: NetworkSpec, acts: list, pres: list, targets: list[int]) -> dict:
     """Max-summarized activeness features of several targets under every
-    (supervision, p) of ``WEIGHTED_CONFIGS``, from one reverse sweep.
+    (supervision, p) of ``WEIGHTED_CONFIGS``, from one ``gamma_stacks`` pass.
 
-    ``acts``/``pres`` come from ``forward_arrays`` on a (W, H, *batch, D)
-    input.  Returns ``{t: array (4, *batch, D_t)}``, the configs in
+    Returns ``{t: array (4, *batch, D_t)}``, the configs in
     ``WEIGHTED_CONFIGS`` order; each entry equals the ``feature`` of the
-    matching ``neuron_activeness`` request with ``summarize="max"``.  The
-    p = 1 and p = 2 seeds at the final layer go down together, so one sweep
-    serves the "last" score of every target; a "next" score is the layer
-    score at t+1 and needs no sweep.  Each target then takes one gamma hop
-    over all four stacked scores.
+    matching ``neuron_activeness`` request with ``summarize="max"``.
     """
-    for t in targets:
-        validate_request(spec, ActivenessRequest(target_layer=t))
-
-    def p_stack(x):  # the p = 1 and p = 2 layer scores of x, on a stack axis
-        return np.stack([_score_array(x, p) for p in (1, 2)], axis=2)
-
-    L = len(spec.layers)
-    need = {t + 1 for t in targets}
-    last = {}
-    for j, score in reverse_sweep(spec, acts, pres, p_stack(acts[L]), L):
-        if j in need:
-            last[j] = score
-            if len(last) == len(need):
-                break
     features = {}
-    for t in targets:
-        # next-p1, next-p2, last-p1, last-p2; passed unnamed, so the stack is
-        # freed as soon as the hop has masked it
-        gamma = _gamma_hop(
-            spec.layers[t], acts[t], acts[t + 1], np.concatenate([p_stack(acts[t + 1]), last[t + 1]], axis=2)
-        )
+    for t, _, gamma in gamma_stacks(spec, acts, pres, targets, WEIGHTED_CONFIGS):
         gamma *= _lift(acts[t], gamma)
         features[t] = gamma.max(axis=(0, 1))
     return features
-
-
-def interactive_feature_stack(
-    spec: NetworkSpec, trace: ForwardTrace, requests: list[ActivenessRequest]
-) -> ChannelVector:
-    """Concatenated feature vectors of several requests, in request order."""
-    if not requests:
-        raise ValueError("request list must be nonempty")
-    parts = [neuron_activeness(spec, trace, r).feature.values for r in requests]
-    return ChannelVector(np.concatenate(parts))

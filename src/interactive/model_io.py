@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ConvLayer, NetworkSpec, PoolLayer, infer_shapes
+from .tensor import ShapeError
 
 MAGIC = "interactive-model/1"
 
@@ -36,6 +37,12 @@ SHAPE_GUARD = 1 << 22
 
 class ModelFormatError(ValueError):
     """Raised for malformed, truncated or unsupported model files."""
+
+
+def check_size(name: str, shape) -> None:
+    """Reject an input or layer output of more than ``SHAPE_GUARD`` elements."""
+    if math.prod(shape) > SHAPE_GUARD:
+        raise ShapeError(f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard")
 
 
 def save_model(spec: NetworkSpec, path) -> None:
@@ -147,7 +154,7 @@ def load_model(path) -> NetworkSpec:
     layers = []
     offset = 0
     scalars = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    try:  # the layer and network constructors reject NaN weights and impossible shapes
+    try:  # the constructors reject NaN weights and impossible shapes, the guard huge ones
         for desc in descriptors:
             if desc["kind"] == "conv":
                 shape = desc["kernel_shape"]
@@ -161,13 +168,10 @@ def load_model(path) -> NetworkSpec:
                 layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
         names = tuple(desc["name"] for desc in descriptors)
         spec = NetworkSpec(layers=tuple(layers), input_shape=tuple(input_shape), names=names)
+        for name, shape in zip(["input", *names], [spec.input_shape, *infer_shapes(spec)]):
+            check_size(name, shape)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    for name, shape in zip(["input", *names], [spec.input_shape, *infer_shapes(spec)]):
-        if math.prod(shape) > SHAPE_GUARD:
-            raise ModelFormatError(
-                f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard"
-            )
     return spec
 
 
@@ -249,7 +253,8 @@ def generate_model(
 
     Kernel weights are standard normal draws scaled by 1/sqrt(fan-in) and
     quantized to float32 so the spec round-trips the model file exactly;
-    biases are the constant ``BIAS_INIT``.
+    biases are the constant ``BIAS_INIT``.  The input and every layer
+    output pass the loader's size guard before any kernel exists.
     """
     if arch not in ARCHITECTURES:
         raise KeyError(f"unknown architecture {arch!r}; available: {', '.join(sorted(ARCHITECTURES))}")
@@ -260,13 +265,17 @@ def generate_model(
     layers = []
     names = []
     w, h, d_in = shape
+    check_size("input", shape)
     for i, bp in enumerate(template.blueprint):
         names.append(bp.name)
         if isinstance(bp, ConvBlueprint):
             kw, kh = (w, h) if bp.full_extent else (bp.kernel, bp.kernel)
             padding = 0 if bp.full_extent else bp.padding
-            rng = _layer_rng(seed, i)
             fan_in = kw * kh * d_in
+            w = (w + 2 * padding - kw) // bp.stride + 1
+            h = (h + 2 * padding - kh) // bp.stride + 1
+            check_size(bp.name, (w, h, bp.out_channels))
+            rng = _layer_rng(seed, i)
             kernel = rng.standard_normal((kw, kh, d_in, bp.out_channels))
             kernel = (kernel / math.sqrt(fan_in)).astype(np.float32).astype(np.float64)
             bias = np.full(bp.out_channels, BIAS_INIT)
@@ -275,8 +284,6 @@ def generate_model(
                     kernel=kernel, bias=bias, stride=bp.stride, padding=padding, apply_relu=bp.relu
                 )
             )
-            w = (w + 2 * padding - kw) // bp.stride + 1
-            h = (h + 2 * padding - kh) // bp.stride + 1
             d_in = bp.out_channels
         else:
             layers.append(PoolLayer(window=bp.window, stride=bp.stride, mode=bp.mode))

@@ -13,13 +13,12 @@ from interactive import (
     connection_activeness,
     forward,
     generate_model,
-    interactive_feature_stack,
     layer_score,
     log_likelihood,
     neuron_activeness,
     receptive_sets,
 )
-from interactive.activeness import validate_request
+from interactive.activeness import _conv_backward_input, gamma_stacks, trace_arrays, validate_request
 from interactive.oracle import FDSettings, fd_activation_score
 
 from conftest import random_input
@@ -333,21 +332,41 @@ class TestRequestValidation:
         assert validate_request(tiny_net, ActivenessRequest(target_layer=0, supervision="next")) == 1
 
 
-class TestFeatureStack:
-    def test_single_request_matches_feature(self, tiny_net, tiny_trace):
-        request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-        stacked = interactive_feature_stack(tiny_net, tiny_trace, [request])
-        single = neuron_activeness(tiny_net, tiny_trace, request).feature
-        npt.assert_array_equal(stacked.values, single.values)
+class TestGammaStacks:
+    def test_conv_backward_input_stack_axis_is_bit_identical(self):
+        rng = np.random.default_rng(0)
+        kernel = rng.standard_normal((3, 3, 5, 7))
+        grad = rng.standard_normal((64, 64, 7))
+        plain = _conv_backward_input(kernel, 1, 1, grad, (64, 64, 5))
+        stacked = _conv_backward_input(kernel, 1, 1, grad[:, :, None], (64, 64, 5))
+        assert stacked.shape == (64, 64, 1, 5)
+        npt.assert_array_equal(stacked[:, :, 0], plain)
 
-    def test_concatenation_length(self, tiny_net, tiny_trace):
-        requests = [
-            ActivenessRequest(target_layer=0, supervision="last", p=2),  # D = 3
-            ActivenessRequest(target_layer=2, supervision="last", p=2),  # D = 4
-        ]
-        stacked = interactive_feature_stack(tiny_net, tiny_trace, requests)
-        assert stacked.depth == 3 + 4
+    # Not tiny-fc: its 1x1 output makes a one-config product a single row,
+    # which numpy hands to a different BLAS routine than a four-row stack
+    # (the two differ in the last place).
+    @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-3conv"])
+    def test_one_config_equals_its_slice_of_four(self, arch):
+        spec = generate_model(arch, seed=1)
+        acts, pres = trace_arrays(spec, forward(spec, random_input(spec, seed=2)))
+        targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
+        configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
+        four = {t: (score, gamma) for t, score, gamma in gamma_stacks(spec, acts, pres, targets, configs)}
+        assert list(four) == sorted(targets, reverse=True)
+        for k, config in enumerate(configs):
+            for t, score, gamma in gamma_stacks(spec, acts, pres, targets, [config]):
+                assert score.shape[2] == gamma.shape[2] == 1
+                npt.assert_array_equal(score[:, :, 0], four[t][0][:, :, k])
+                npt.assert_array_equal(gamma[:, :, 0], four[t][1][:, :, k])
 
-    def test_empty_request_list(self, tiny_net, tiny_trace):
+    def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
+        acts, pres = trace_arrays(tiny_net, tiny_trace)
+        [(_, score, _)] = gamma_stacks(tiny_net, acts, pres, [0], [("last", 2)])
+        npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1).array)
+
+    def test_rejects_bad_targets_and_configs(self, tiny_net, tiny_trace):
+        acts, pres = trace_arrays(tiny_net, tiny_trace)
+        with pytest.raises(ShapeError):
+            list(gamma_stacks(tiny_net, acts, pres, [1], [("last", 2)]))  # pool successor
         with pytest.raises(ValueError):
-            interactive_feature_stack(tiny_net, tiny_trace, [])
+            list(gamma_stacks(tiny_net, acts, pres, [0], [("last", 3)]))

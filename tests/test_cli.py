@@ -8,6 +8,7 @@ from interactive import (
     ConvLayer,
     NetworkSpec,
     RasterImage,
+    connection_activeness,
     generate_model,
     read_image,
     save_model,
@@ -67,6 +68,18 @@ class TestGenModel:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert "1x1x10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("arch, size, layer", [
+        ("tiny-2conv", ("100000", "100000", "3"), "input"),
+        ("tiny-fc", ("100000", "100000", "3"), "input"),
+        ("tiny-fc", ("2000", "2000", "1"), "conv-1"),  # the input fits, conv-1's 2000x2000x4 does not
+    ])
+    def test_oversized_input_exits_2_before_any_kernel(self, tmp_path, capsys, arch, size, layer):
+        out = tmp_path / "huge.model"
+        assert main(["gen-model", "--arch", arch, "--input", *size, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {layer} shape ") and "guard" in err[0]
+        assert not out.exists()
 
     def test_log_env_var_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERACTIVE_LOG", "debug")
@@ -158,9 +171,10 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max relative error" in out and "PASS" in out
 
-    def test_corrupted_hop_fails(self, model_path):
-        code = main(["gradcheck", "--model", str(model_path), "--seed", "1", "--samples", "150",
-                     "--corrupt-hop"])
+    def test_corrupted_hop_fails(self, model_path, monkeypatch):
+        monkeypatch.setattr("interactive.cli.connection_activeness",
+                            lambda *args, **kwargs: connection_activeness(*args, **kwargs) * (1.0 + 1e-3))
+        code = main(["gradcheck", "--model", str(model_path), "--seed", "1", "--samples", "150"])
         assert code == EXIT_VERIFY
 
     def test_nothing_compared_fails(self, model_path, monkeypatch, capsys):

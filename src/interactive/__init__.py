@@ -28,7 +28,7 @@ from .net import (
     receptive_sets,
 )
 from .oracle import FDSettings, enumerate_gamma, fd_connection_score
-from .tensor import ChannelVector, ShapeError, Tensor3, hadamard, spatial_average, spatial_max
+from .tensor import ChannelVector, ShapeError, Tensor3, spatial_average, spatial_max
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "fd_connection_score",
     "forward",
     "generate_model",
-    "hadamard",
     "infer_shapes",
     "layer_score",
     "load_model",

@@ -63,15 +63,27 @@ class ActivenessResult:
     log_likelihood: float
 
 
+def target_name(spec: NetworkSpec, t: int) -> str:
+    """Name of activation X(t): "input", or the layer that produces it."""
+    return "input" if t == 0 else spec.names[t - 1]
+
+
 def validate_request(spec: NetworkSpec, request: ActivenessRequest) -> int:
-    """Check a request against a network; returns the supervision index T."""
+    """Check a request against a network; returns the supervision index T.
+
+    The one place that decides which activation indices are activeness
+    targets: those consumed by a conv layer."""
     t = request.target_layer
+    if 0 < t == len(spec.layers):
+        raise ShapeError(
+            f"layer {target_name(spec, t)!r} is the final layer; activeness needs a successor conv layer"
+        )
     if not 0 <= t < len(spec.layers):
         raise IndexError(f"target layer {t} outside 0..{len(spec.layers) - 1}")
     if not isinstance(spec.layers[t], ConvLayer):
         raise ShapeError(
-            f"activeness needs a conv successor, but layer {spec.names[t]} consuming "
-            f"X({t}) is a pooling layer"
+            f"layer {target_name(spec, t)!r} is followed by pooling layer {spec.names[t]!r}; activeness "
+            "targets must feed a conv layer (pick the pool output instead)"
         )
     if request.supervision not in SUPERVISION_MODES:
         raise ValueError(f"supervision must be one of {SUPERVISION_MODES}, got {request.supervision!r}")
@@ -232,11 +244,9 @@ def gamma_stacks(spec: NetworkSpec, acts: list, pres: list, targets: list[int], 
     X(t+1), gamma at X(t))`` per target, highest first, the configs in order
     on axis 2.  One reverse sweep, seeded with the final layer's scores for
     the "last" configs' p values, passes every target; a "next" score is the
-    layer score at X(t+1).  Each target then takes one gamma hop.
+    layer score at X(t+1).  Each target then takes one gamma hop.  Callers
+    pass targets and configs that ``validate_request`` accepts.
     """
-    for t in targets:
-        for sup, p in configs:
-            validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p))
     last_ps = [p for sup, p in configs if sup == "last"]
     if last_ps:
         seed = np.stack([_score_array(acts[-1], p) for p in last_ps], axis=2)

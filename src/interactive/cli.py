@@ -29,13 +29,14 @@ from .activeness import (
     gamma_stacks,
     neuron_activeness,
     trace_arrays,
+    validate_request,
 )
 from .evalharness import ToyDatasetSpec, compare_pipelines, valid_targets
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import ConvLayer, forward, infer_shapes, receptive_sets
 from .oracle import FDSettings, enumerate_gamma, fd_connection_check
-from .tensor import ShapeError, Tensor3
+from .tensor import Tensor3
 
 log = logging.getLogger("interactive")
 
@@ -46,11 +47,17 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# Upper bound of ``gradcheck --samples``: at two replays per sample, 100000 is
+# minutes of work, so a larger count is refused as a typo before any work starts.
+MAX_SAMPLES = 100_000
 
-def _positive_int(text: str) -> int:
+
+def _sample_count(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {text}")
     return value
 
 
@@ -65,17 +72,10 @@ def _setup_logging(verbose: int) -> None:
 
 
 def _resolve_target(spec, name: str) -> int:
-    """Map a layer name (or "input") to the activation index t it selects."""
+    """Map a layer name (or "input") to the activation index t it selects;
+    ``validate_request`` rejects a t that is no activeness target."""
     t = 0 if name == "input" else spec.layer_index(name) + 1
-    if t >= len(spec.layers):
-        raise ShapeError(
-            f"layer {name!r} is the final layer; activeness needs a successor conv layer"
-        )
-    if not isinstance(spec.layers[t], ConvLayer):
-        raise ShapeError(
-            f"layer {name!r} is followed by pooling layer {spec.names[t]!r}; activeness "
-            "targets must feed a conv layer (pick the pool output instead)"
-        )
+    validate_request(spec, ActivenessRequest(target_layer=t))
     return t
 
 
@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("gradcheck", help="verify the engine against the oracles")
     grad.add_argument("--model", required=True)
     grad.add_argument("--seed", type=int, default=None, help="input/sampling seed")
-    grad.add_argument("--samples", type=_positive_int, default=200, help="connections to sample")
+    grad.add_argument("--samples", type=_sample_count, default=200,
+                      help=f"connections to sample (at most {MAX_SAMPLES})")
     grad.set_defaults(func=cmd_gradcheck)
 
     bench = sub.add_parser("toybench", help="pipeline comparison table on the toy dataset")
@@ -271,7 +272,12 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = args.global_seed
     try:
-        return args.func(args)
+        # an overflow past the forward pass's own check ends in one line, not a numpy warning
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}; the input is out of numeric range", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

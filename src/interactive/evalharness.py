@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activeness import WEIGHTED_CONFIGS, neuron_activeness, weighted_features  # noqa: F401
+from .activeness import WEIGHTED_CONFIGS, ActivenessRequest, target_name, validate_request, weighted_features
+from .activeness import neuron_activeness  # noqa: F401
 from .image import RasterImage, to_input_tensor
 from .net import ConvLayer, NetworkSpec, forward, forward_arrays  # noqa: F401
 
@@ -145,13 +146,6 @@ def toy_samples(spec: ToyDatasetSpec) -> tuple[list[RasterImage], np.ndarray, tu
     return images, np.array(labels), tuple(train_idx), tuple(test_idx)
 
 
-def l2_normalize(row: np.ndarray) -> np.ndarray:
-    """Unit-norm copy of a vector; all-zero rows pass through unchanged."""
-    row = np.asarray(row, dtype=np.float64)
-    norm = np.linalg.norm(row)
-    return row.copy() if norm == 0.0 else row / norm
-
-
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Unit-norm copy of every row (last axis) of a (..., D) array."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -232,10 +226,6 @@ def valid_targets(spec: NetworkSpec) -> list[int]:
     return [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
 
 
-def target_name(spec: NetworkSpec, t: int) -> str:
-    return "input" if t == 0 else spec.names[t - 1]
-
-
 def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:
     """Feature rows of every (target, config) for a (W, H, N, D) image stack."""
     acts, pres = forward_arrays(spec, x)
@@ -305,6 +295,8 @@ def compare_pipelines(
         targets = valid_targets(spec)
     if not targets:
         raise ValueError("no valid target layers (need a conv layer)")
+    for t in targets:
+        validate_request(spec, ActivenessRequest(target_layer=t))
 
     images, labels, train_idx, test_idx = toy_samples(dataset)
     mean = [INPUT_MEAN] * dataset.channels
@@ -337,32 +329,3 @@ def compare_pipelines(
         train_size=len(train_idx),
         test_size=len(test_idx),
     )
-
-
-def save_feature_set(features: np.ndarray, labels: np.ndarray, path) -> None:
-    """Write features+labels: ASCII "N D K" line, f32 LE rows, then i32 LE labels."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n, d = features.shape
-    k = int(labels.max()) + 1 if labels.size else 0
-    with open(path, "wb") as fh:
-        fh.write(f"{n} {d} {k}\n".encode("ascii"))
-        fh.write(features.astype("<f4").tobytes())
-        fh.write(labels.astype("<i4").tobytes())
-
-
-def load_feature_set(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read the feature-file format back: (features, labels, num_classes)."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        try:
-            n, d, k = (int(v) for v in header.split())
-        except ValueError:
-            raise ValueError(f"malformed feature header {header!r}") from None
-        body = fh.read()
-    need = 4 * n * d + 4 * n
-    if len(body) != need:
-        raise ValueError(f"feature payload length {len(body)} != expected {need}")
-    feats = np.frombuffer(body[: 4 * n * d], dtype="<f4").astype(np.float64).reshape(n, d)
-    labels = np.frombuffer(body[4 * n * d :], dtype="<i4").astype(np.int64)
-    return feats, labels, k

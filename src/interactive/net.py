@@ -63,14 +63,6 @@ class ConvLayer:
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "bias", b)
 
-    @property
-    def d_in(self) -> int:
-        return self.kernel.shape[2]
-
-    @property
-    def d_out(self) -> int:
-        return self.kernel.shape[3]
-
 
 @dataclass(frozen=True)
 class PoolLayer:
@@ -167,9 +159,6 @@ class ForwardTrace:
             return self.input
         return self.activations[index - 1]
 
-    def __len__(self) -> int:
-        return len(self.activations)
-
 
 def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
     """Yield ``(a, b, tap)`` for every kernel offset, w-outer and h-inner (the
@@ -229,22 +218,24 @@ def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> tuple[list, list]:
     is ``x``) and ``pres[i]`` is layer i's pre-ReLU output, None for pool
     layers.  Every array keeps the batch axes of ``x`` between its spatial
     axes and its channel axis.  Each layer output is checked for NaN/Inf
-    once, and a failure names the layer.
+    once, and a failure names the layer; numpy's own overflow warnings are
+    silenced, since that check reports the same fault with the layer's name.
     """
     if x.ndim < 3 or (*x.shape[:2], x.shape[-1]) != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != network input {spec.input_shape}")
     acts, pres = [x], []
-    for name, layer in zip(spec.names, spec.layers):
-        if isinstance(layer, ConvLayer):
-            pre = out = apply_conv(layer, acts[-1])
-            if layer.apply_relu:
-                out = np.maximum(pre, 0.0)
-        else:
-            pre, out = None, apply_pool(layer, acts[-1])
-        if not np.isfinite(out if pre is None else pre).all():
-            raise ValueError(f"layer {name}: output contains NaN or Inf")
-        acts.append(out)
-        pres.append(pre)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, layer in zip(spec.names, spec.layers):
+            if isinstance(layer, ConvLayer):
+                pre = out = apply_conv(layer, acts[-1])
+                if layer.apply_relu:
+                    out = np.maximum(pre, 0.0)
+            else:
+                pre, out = None, apply_pool(layer, acts[-1])
+            if not np.isfinite(out if pre is None else pre).all():
+                raise ValueError(f"layer {name}: output contains NaN or Inf")
+            acts.append(out)
+            pres.append(pre)
     return acts, pres
 
 
@@ -308,8 +299,7 @@ class ConvConnectivity:
     def connected(self, w: int, h: int, d: int, wp: int, hp: int, dp: int) -> bool:
         self._check_in(w, h, d)
         self._check_out(wp, hp, dp)
-        kw = w - wp * self.stride + self.padding
-        kh = h - hp * self.stride + self.padding
+        kw, kh = self.kernel_offset(w, h, wp, hp)
         return 0 <= kw < self.kernel_w and 0 <= kh < self.kernel_h
 
     def kernel_offset(self, w: int, h: int, wp: int, hp: int) -> tuple[int, int]:

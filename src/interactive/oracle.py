@@ -1,9 +1,9 @@
 """Slow, independent verifiers: finite differences and explicit enumeration.
 
 Nothing here reuses the engine's backward path.  Central differences
-recompute the forward pass twice per probe; ``enumerate_gamma`` walks
-every connectivity set literally.  Both ship in the library so the CLI
-can expose a user-facing gradient check.
+replay the forward pass above the probed weight twice per probe;
+``enumerate_gamma`` walks every connectivity set literally.  Both ship in
+the library so the CLI can expose a user-facing gradient check.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: the ``kink_guard`` threshold skips probes whose
@@ -81,7 +81,8 @@ def _perturbed_pass(
 ):
     """-ln f at T after rerunning layers t..T-1 with one connection weight bumped.
 
-    The bumped weight applies to the single connection only: the affected
+    The bumped weight applies to the single connection only: the hop's
+    pre-activations are copied from the forward trace, and the affected
     output entry is recomputed from its receptive window against a kernel
     copy with the one entry changed.
     """
@@ -90,7 +91,7 @@ def _perturbed_pass(
     w, h, d, wp, hp, dp = connection
     kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
     x = trace.activation(t).array
-    pre = apply_conv(hop, x)
+    pre = trace.pre_activations[t].array.copy()
 
     kw, kh, _, _ = hop.kernel.shape
     pad = hop.padding

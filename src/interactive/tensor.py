@@ -69,25 +69,8 @@ class Tensor3:
         raise AttributeError("Tensor3 is immutable")
 
     @property
-    def width(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def depth(self) -> int:
-        return self.array.shape[2]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat view in the canonical (w-major, then h, then d) order."""
-        return self.array.reshape(-1)
 
     def __getitem__(self, idx):
         return self.array[idx]
@@ -96,7 +79,7 @@ class Tensor3:
         return isinstance(other, Tensor3) and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
-        return f"Tensor3({self.width}x{self.height}x{self.depth})"
+        return f"Tensor3({'x'.join(map(str, self.shape))})"
 
 
 class ChannelVector:
@@ -114,10 +97,6 @@ class ChannelVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChannelVector is immutable")
-
-    @property
-    def depth(self) -> int:
-        return self.values.size
 
     def __getitem__(self, idx):
         return self.values[idx]
@@ -140,10 +119,3 @@ def spatial_average(t: Tensor3) -> ChannelVector:
 def spatial_max(t: Tensor3) -> ChannelVector:
     """Maximum response per channel over all spatial positions."""
     return ChannelVector(t.array.max(axis=(0, 1)))
-
-
-def hadamard(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Elementwise product; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor3.from_array(a.array * b.array)

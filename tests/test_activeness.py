@@ -47,11 +47,11 @@ class TestLayerScore:
 
     def test_p2_single_position(self):
         t = Tensor3(1, 1, 2, [3.0, 4.0])
-        npt.assert_array_equal(layer_score(t, p=2).data, [6.0, 8.0])
+        npt.assert_array_equal(layer_score(t, p=2).array.reshape(-1), [6.0, 8.0])
 
     def test_p2_broadcasts_channel_average(self):
         t = Tensor3(2, 1, 1, [1.0, 3.0])  # mean 2, W*H = 2
-        npt.assert_array_equal(layer_score(t, p=2).data, [2.0, 2.0])
+        npt.assert_array_equal(layer_score(t, p=2).array.reshape(-1), [2.0, 2.0])
 
     def test_rejects_other_norms(self):
         with pytest.raises(ValueError):
@@ -363,10 +363,3 @@ class TestGammaStacks:
         acts, pres = trace_arrays(tiny_net, tiny_trace)
         [(_, score, _)] = gamma_stacks(tiny_net, acts, pres, [0], [("last", 2)])
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1).array)
-
-    def test_rejects_bad_targets_and_configs(self, tiny_net, tiny_trace):
-        acts, pres = trace_arrays(tiny_net, tiny_trace)
-        with pytest.raises(ShapeError):
-            list(gamma_stacks(tiny_net, acts, pres, [1], [("last", 2)]))  # pool successor
-        with pytest.raises(ValueError):
-            list(gamma_stacks(tiny_net, acts, pres, [0], [("last", 3)]))

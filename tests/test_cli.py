@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from interactive import (
     save_model,
     write_image,
 )
-from interactive.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, main
+from interactive.activeness import gamma_stacks
+from interactive.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, main
 
 
 @pytest.fixture()
@@ -148,11 +150,29 @@ class TestActiveness:
     def test_pool_successor_exits_2_with_explanation(self, model_path, image_path, tmp_path, capsys):
         code, _, _ = self.run(model_path, image_path, tmp_path, "--layer", "conv-1")
         assert code == EXIT_USAGE
-        assert "pool" in capsys.readouterr().err
+        assert "layer 'conv-1' is followed by pooling layer 'pool-1'" in capsys.readouterr().err
 
-    def test_final_layer_exits_2(self, model_path, image_path, tmp_path):
+    def test_final_layer_exits_2(self, model_path, image_path, tmp_path, capsys):
         code, _, _ = self.run(model_path, image_path, tmp_path, "--layer", "conv-2")
         assert code == EXIT_USAGE
+        assert "layer 'conv-2' is the final layer" in capsys.readouterr().err
+
+    # on toy-cnn, +-1e308 overflows in conv-1 and 1e200 only in the weighted response
+    @pytest.mark.parametrize("mean, message", [
+        ("1e308", "error: layer conv-1: output contains NaN or Inf"),
+        ("1e200", "error: overflow encountered in multiply"),
+        ("-1e308", "error: layer conv-1: output contains NaN or Inf"),
+    ], ids=["1e308", "1e200", "-1e308"])
+    def test_numeric_overflow_exits_2_with_one_line(self, image_path, tmp_path, capsys, mean, message):
+        model = tmp_path / "toy.model"
+        save_model(generate_model("toy-cnn", seed=3), model)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", f"--mean={mean}")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert caught == []
 
     def test_missing_model_exits_3(self, tmp_path, image_path):
         code, _, _ = self.run(tmp_path / "absent.model", image_path, tmp_path, "--layer", "pool-1")
@@ -183,6 +203,29 @@ class TestGradcheck:
         assert code == EXIT_VERIFY
         out = capsys.readouterr().out
         assert "compared 0, kink-skipped 20" in out and "gradcheck FAIL" in out
+
+    def test_gamma_off_in_one_input_channel_fails(self, tmp_path, monkeypatch, capsys):
+        # an error this small passes the finite-difference check; only the
+        # per-channel enumeration sees it
+        model = tmp_path / "toy.model"
+        save_model(generate_model("toy-cnn", seed=3), model)
+        def corrupted(*args):
+            for t, score, gamma in gamma_stacks(*args):
+                gamma[..., 0] += 1e-6
+                yield t, score, gamma
+
+        monkeypatch.setattr("interactive.cli.gamma_stacks", corrupted)
+        code = main(["gradcheck", "--model", str(model), "--seed", "1", "--samples", "50"])
+        assert code == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "enumeration|:          1.000e-06" in out and "gradcheck FAIL" in out
+
+    def test_samples_above_cap_exits_2(self, model_path, monkeypatch, capsys):
+        monkeypatch.setattr("interactive.cli.cmd_gradcheck", lambda args: pytest.fail("gradcheck ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--model", str(model_path), "--samples", str(MAX_SAMPLES + 1)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
 
     def test_zero_samples_exits_2(self, model_path):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 import interactive.evalharness as evalharness
 from interactive import (
     ActivenessRequest,
+    ShapeError,
     forward,
     generate_model,
     neuron_activeness,
@@ -20,9 +21,6 @@ from interactive.evalharness import (
     ToyDatasetSpec,
     accuracy,
     compare_pipelines,
-    l2_normalize,
-    load_feature_set,
-    save_feature_set,
     toy_image,
     toy_samples,
     train_linear,
@@ -38,23 +36,6 @@ SEED3_SNAPSHOT = [
     ("pool-1", "orig-avg", 13), ("pool-1", "orig-max", 18), ("pool-1", "next-p1", 12),
     ("pool-1", "next-p2", 11), ("pool-1", "last-p1", 12), ("pool-1", "last-p2", 11),
 ]
-
-
-class TestL2Normalize:
-    def test_examples(self):
-        npt.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
-        npt.assert_array_equal(l2_normalize(np.zeros(4)), np.zeros(4))
-        unit = np.array([1.0, 0.0, 0.0])
-        npt.assert_array_equal(l2_normalize(unit), unit)
-
-    def test_idempotent_and_scale_invariant(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            v = rng.standard_normal(6)
-            n1 = l2_normalize(v)
-            npt.assert_allclose(l2_normalize(n1), n1, atol=1e-14)
-            c = float(rng.uniform(0.1, 50.0))
-            npt.assert_allclose(l2_normalize(c * v), n1, atol=1e-14)
 
 
 def two_blob_set(n_per_class=20, separation=4.0, seed=0, shuffle_labels=False):
@@ -207,6 +188,15 @@ class TestComparePipelines:
         with pytest.raises(ValueError, match="fit"):
             compare_pipelines(dataset, spec)
 
+    def test_rejects_bad_targets_before_any_forward_pass(self, monkeypatch):
+        spec = generate_model("tiny-2conv", seed=3)  # conv-1, pool-1, conv-2
+        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+        monkeypatch.setattr(evalharness, "forward_arrays", lambda *args: pytest.fail("forward pass ran"))
+        with pytest.raises(ShapeError, match="followed by pooling layer 'pool-1'"):
+            compare_pipelines(dataset, spec, targets=[0, 1])
+        with pytest.raises(ShapeError, match="final layer"):
+            compare_pipelines(dataset, spec, targets=[3])
+
     def test_group_size_does_not_change_report(self, seed3_report, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)
         dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
@@ -229,7 +219,7 @@ class TestComparePipelines:
 
         images = toy_samples(dataset)[0]
         for t, batched in zip(targets, seen):
-            assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].d_in)
+            assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):
                 trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d))
                 x_t = trace.activation(t)
@@ -247,25 +237,3 @@ class TestComparePipelines:
         lines = seed3_report.to_text().splitlines()
         assert len(lines) == 2 + 12  # header lines + 6 configs x 2 layers
         assert lines[1].split() == ["layer", "config", "dims", "accuracy"]
-
-
-def test_feature_file_round_trip(tmp_path):
-    rng = np.random.default_rng(77)
-    feats = rng.standard_normal((5, 3)).astype(np.float32).astype(np.float64)
-    labels = np.array([0, 2, 1, 1, 0])
-    path = tmp_path / "features.bin"
-    save_feature_set(feats, labels, path)
-    got_feats, got_labels, k = load_feature_set(path)
-    npt.assert_array_equal(got_feats, feats)
-    npt.assert_array_equal(got_labels, labels)
-    assert k == 3
-    header = path.read_bytes().split(b"\n", 1)[0]
-    assert header == b"5 3 3"
-
-
-def test_feature_file_length_check(tmp_path):
-    path = tmp_path / "bad.bin"
-    save_feature_set(np.zeros((2, 2)), np.array([0, 1]), path)
-    path.write_bytes(path.read_bytes()[:-2])
-    with pytest.raises(ValueError, match="length"):
-        load_feature_set(path)

@@ -168,7 +168,7 @@ class TestToInputTensor:
     def test_rgb_mean_subtraction(self):
         img = RasterImage(pixels=np.array([[[10, 20, 30]]], dtype=np.uint8))
         t = to_input_tensor(img, [1.0, 2.0, 3.0])
-        npt.assert_array_equal(t.data, [9.0, 18.0, 27.0])
+        npt.assert_array_equal(t.array.reshape(-1), [9.0, 18.0, 27.0])
 
     def test_mean_length_mismatch(self):
         img = gradient_image(2, 2, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from interactive import ChannelVector, ShapeError, Tensor3, hadamard, spatial_average, spatial_max
+from interactive import ChannelVector, ShapeError, Tensor3, spatial_average, spatial_max
 
 
 def test_flat_layout_is_w_major():
@@ -11,7 +11,7 @@ def test_flat_layout_is_w_major():
         for h in range(2):
             for d in range(2):
                 assert t[w, h, d] == (w * 2 + h) * 2 + d
-    npt.assert_array_equal(t.data, np.arange(8.0))
+    npt.assert_array_equal(t.array.reshape(-1), np.arange(8.0))
 
 
 def test_construction_rejects_bad_input():
@@ -47,23 +47,6 @@ def test_spatial_max_examples():
     npt.assert_array_equal(spatial_max(t).values, [5.0, 0.0])
 
 
-def test_hadamard_examples():
-    ones = Tensor3(1, 1, 2, [1.0, 1.0])
-    b = Tensor3(1, 1, 2, [4.0, 5.0])
-    assert hadamard(ones, b) == b
-    zeros = Tensor3(1, 1, 2, [0.0, 0.0])
-    assert hadamard(zeros, b) == zeros
-    a = Tensor3(1, 1, 2, [2.0, 3.0])
-    npt.assert_array_equal(hadamard(a, b).data, [8.0, 15.0])
-
-
-def test_hadamard_shape_mismatch_names_both_shapes():
-    a = Tensor3(1, 1, 2, [1.0, 2.0])
-    b = Tensor3(2, 1, 1, [1.0, 2.0])
-    with pytest.raises(ShapeError, match=r"\(1, 1, 2\).*\(2, 1, 1\)"):
-        hadamard(a, b)
-
-
 def test_average_times_area_equals_sum():
     rng = np.random.default_rng(42)
     for _ in range(50):
@@ -82,20 +65,9 @@ def test_max_dominates_average_for_nonnegative():
         assert np.all(spatial_max(t).values >= spatial_average(t).values - 1e-15)
 
 
-def test_hadamard_commutative_with_ones_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        shape = tuple(rng.integers(1, 5, size=3))
-        a = Tensor3.from_array(rng.standard_normal(shape))
-        b = Tensor3.from_array(rng.standard_normal(shape))
-        assert hadamard(a, b) == hadamard(b, a)
-        ones = Tensor3.from_array(np.ones(shape))
-        assert hadamard(ones, a) == a
-
-
 def test_channel_vector():
     v = ChannelVector([1.0, 2.0, 3.0])
-    assert v.depth == 3 and len(v) == 3 and v[1] == 2.0
+    assert len(v) == 3 and v[1] == 2.0
     with pytest.raises(ValueError):
         ChannelVector([np.nan])
     with pytest.raises(ShapeError):

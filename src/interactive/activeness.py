@@ -166,8 +166,8 @@ def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
 
 
-def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple[list, list]:
-    """Check a trace against the network; returns its (acts, pres) arrays."""
+def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> list:
+    """Check a trace against the network; returns its activation arrays."""
     if len(trace.activations) != len(spec.layers):
         raise ShapeError(
             f"trace has {len(trace.activations)} activations for {len(spec.layers)} layers"
@@ -177,22 +177,22 @@ def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple[list, list]:
     for i, shape in enumerate(infer_shapes(spec)):
         if trace.activations[i].shape != shape:
             raise ShapeError(f"trace activation {i} has shape {trace.activations[i].shape}, expected {shape}")
-    acts = [trace.input.array] + [a.array for a in trace.activations]
-    pres = [None if pre is None else pre.array for pre in trace.pre_activations]
-    return acts, pres
+    return [trace.input.array] + [a.array for a in trace.activations]
 
 
-def reverse_sweep(spec: NetworkSpec, acts: list, pres: list, seed: np.ndarray, T: int):
+def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
     """Push a stacked score seed at activation T down to the input.
 
-    ``acts``/``pres`` come from ``forward_arrays``; ``seed`` is shaped
+    ``acts`` comes from ``forward_arrays``; ``seed`` is shaped
     (W_T, H_T, *stack, *batch, D_T), any number of stacked seeds (p values,
     say) ahead of the trace's batch axes.  Yields ``(j, score at X(j))``
     for j = T, T-1, ..., 0; stop iterating once the lowest index needed has
-    come.  Standard reverse mode: conv layers mask by their pre-ReLU sign
-    and apply the transposed kernel, pool layers route by argmax or split
-    uniformly.  The masks and argmaxes depend on the trace only, so the
-    sweep is linear in the seed and every stacked seed is exact.
+    come.  Standard reverse mode: conv layers mask by the conv output's
+    sign, read off their ReLU output (``X(i+1) > 0`` exactly where the
+    conv output is positive), and apply the transposed kernel; pool
+    layers route by argmax or split uniformly.  The masks and argmaxes
+    depend on the trace only, so the sweep is linear in the seed and every
+    stacked seed is exact.
     """
     grad = seed
     yield T, grad
@@ -200,7 +200,7 @@ def reverse_sweep(spec: NetworkSpec, acts: list, pres: list, seed: np.ndarray, T
         layer = spec.layers[i]
         if isinstance(layer, ConvLayer):
             if layer.apply_relu:
-                grad = grad * _lift(pres[i] > 0, grad)
+                grad = grad * _lift(acts[i + 1] > 0, grad)
             grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, acts[i].shape)
         else:
             grad = _pool_backward(layer, _lift(acts[i], grad), grad)
@@ -217,8 +217,8 @@ def backprop_score(
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
-    acts, pres = trace_arrays(spec, trace)
-    for j, score in reverse_sweep(spec, acts, pres, _score_array(acts[T], p), T):
+    acts = trace_arrays(spec, trace)
+    for j, score in reverse_sweep(spec, acts, _score_array(acts[T], p), T):
         if j == down_to:
             return Tensor3.from_array(score)
 
@@ -237,10 +237,10 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
     return _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, hop_score, x_t.shape)
 
 
-def gamma_stacks(spec: NetworkSpec, acts: list, pres: list, targets: list[int], configs):
+def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
     """gamma of several targets under several (supervision, p) configs.
 
-    ``acts``/``pres`` come from ``forward_arrays``.  Yields ``(t, score at
+    ``acts`` comes from ``forward_arrays``.  Yields ``(t, score at
     X(t+1), gamma at X(t))`` per target, highest first, the configs in order
     on axis 2.  One reverse sweep, seeded with the final layer's scores for
     the "last" configs' p values, passes every target; a "next" score is the
@@ -250,7 +250,7 @@ def gamma_stacks(spec: NetworkSpec, acts: list, pres: list, targets: list[int], 
     last_ps = [p for sup, p in configs if sup == "last"]
     if last_ps:
         seed = np.stack([_score_array(acts[-1], p) for p in last_ps], axis=2)
-        sweep = reverse_sweep(spec, acts, pres, seed, len(spec.layers))
+        sweep = reverse_sweep(spec, acts, seed, len(spec.layers))
         del seed  # the sweep holds it until it is closed
     order = sorted(set(targets), reverse=True)
     for t in order:
@@ -309,8 +309,8 @@ def neuron_activeness(
     """
     T = validate_request(spec, request)
     t = request.target_layer
-    acts, pres = trace_arrays(spec, trace)
-    [(_, _, stack)] = gamma_stacks(spec, acts, pres, [t], [(request.supervision, request.p)])
+    acts = trace_arrays(spec, trace)
+    [(_, _, stack)] = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])
     gamma = Tensor3.wrap(stack[:, :, 0])
     activeness = Tensor3.wrap(acts[t] * gamma.array)
     map2d = gamma.array.sum(axis=2)
@@ -323,7 +323,7 @@ def neuron_activeness(
     )
 
 
-def weighted_features(spec: NetworkSpec, acts: list, pres: list, targets: list[int]) -> dict:
+def weighted_features(spec: NetworkSpec, acts: list, targets: list[int]) -> dict:
     """Max-summarized activeness features of several targets under every
     (supervision, p) of ``WEIGHTED_CONFIGS``, from one ``gamma_stacks`` pass.
 
@@ -332,7 +332,7 @@ def weighted_features(spec: NetworkSpec, acts: list, pres: list, targets: list[i
     matching ``neuron_activeness`` request with ``summarize="max"``.
     """
     features = {}
-    for t, _, gamma in gamma_stacks(spec, acts, pres, targets, WEIGHTED_CONFIGS):
+    for t, _, gamma in gamma_stacks(spec, acts, targets, WEIGHTED_CONFIGS):
         gamma *= _lift(acts[t], gamma)
         features[t] = gamma.max(axis=(0, 1))
     return features

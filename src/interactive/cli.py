@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import struct
 import sys
 
@@ -59,6 +60,20 @@ def _sample_count(text: str) -> int:
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {text}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in one ``error:`` line and
+    exit 2, with no usage block.  A value in exponent form (``-1e308``,
+    ``-.5e3``) counts as a negative number, not as an option, as ``-1``
+    already does.  Subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _setup_logging(verbose: int) -> None:
@@ -152,10 +167,10 @@ def cmd_gradcheck(args) -> int:
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
     # one pass gives every (target, sup, p) hop score and gamma, as in toybench
-    acts, pres = trace_arrays(spec, trace)
+    acts = trace_arrays(spec, trace)
     hop_scores = {}
     enum_max = 0.0
-    for t, scores, gammas in gamma_stacks(spec, acts, pres, targets, combos):
+    for t, scores, gammas in gamma_stacks(spec, acts, targets, combos):
         for k, (sup, p) in enumerate(combos):
             hop_scores[(t, sup, p)] = scores[:, :, k]
             enum = enumerate_gamma(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p)).array
@@ -218,7 +233,7 @@ def cmd_toybench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="interactive",
         description="Activeness-weighted deep features and heatmaps for small conv nets.",
     )

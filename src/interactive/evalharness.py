@@ -165,7 +165,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def train_linear(
     train: LabeledFeatureSet,
-    reg: float | None = None,
     epochs: int = 300,
     lr: float = 1.0,
     track_loss: list | None = None,
@@ -189,8 +188,7 @@ def train_linear(
         raise ValueError("training split must contain at least two classes")
     k = train.num_classes
     c, n, d = X.shape
-    if reg is None:
-        reg = 1.0 / (SLACK_C * n)
+    reg = 1.0 / (SLACK_C * n)
     Xb = np.concatenate([X, np.ones((c, n, 1))], axis=2)
     Y = (y[:, None] == np.arange(k)[None, :]).astype(np.float64)
     W = np.zeros((c, k, d + 1))
@@ -228,8 +226,8 @@ def valid_targets(spec: NetworkSpec) -> list[int]:
 
 def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:
     """Feature rows of every (target, config) for a (W, H, N, D) image stack."""
-    acts, pres = forward_arrays(spec, x)
-    weighted = weighted_features(spec, acts, pres, targets)
+    acts = forward_arrays(spec, x)
+    weighted = weighted_features(spec, acts, targets)
     vectors = {}
     for t in targets:
         vectors[(t, "orig-avg")] = acts[t].mean(axis=(0, 1))
@@ -276,8 +274,6 @@ def compare_pipelines(
     dataset: ToyDatasetSpec,
     spec: NetworkSpec,
     targets: list[int] | None = None,
-    epochs: int = 300,
-    lr: float = 1.0,
 ) -> PipelineReport:
     """Test accuracy of original vs activeness-weighted features per layer.
 
@@ -319,7 +315,7 @@ def compare_pipelines(
             train_idx=train_idx,
             test_idx=test_idx,
         )
-        weights = train_linear(fs, epochs=epochs, lr=lr)
+        weights = train_linear(fs)
         for config, acc in zip(PIPELINE_CONFIGS, accuracy(weights, fs, test_idx)):
             rows.append((target_name(spec, t), config, feats.shape[2], float(acc)))
     return PipelineReport(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, PoolLayer, infer_shapes
+from .net import ConvLayer, NetworkSpec, PoolLayer, _out_dim, infer_shapes
 from .tensor import ShapeError
 
 MAGIC = "interactive-model/1"
@@ -272,8 +272,7 @@ def generate_model(
             kw, kh = (w, h) if bp.full_extent else (bp.kernel, bp.kernel)
             padding = 0 if bp.full_extent else bp.padding
             fan_in = kw * kh * d_in
-            w = (w + 2 * padding - kw) // bp.stride + 1
-            h = (h + 2 * padding - kh) // bp.stride + 1
+            w, h = _out_dim(w, kw, bp.stride, padding), _out_dim(h, kh, bp.stride, padding)
             check_size(bp.name, (w, h, bp.out_channels))
             rng = _layer_rng(seed, i)
             kernel = rng.standard_normal((kw, kh, d_in, bp.out_channels))
@@ -287,6 +286,5 @@ def generate_model(
             d_in = bp.out_channels
         else:
             layers.append(PoolLayer(window=bp.window, stride=bp.stride, mode=bp.mode))
-            w = (w - bp.window) // bp.stride + 1
-            h = (h - bp.window) // bp.stride + 1
+            w, h = _out_dim(w, bp.window, bp.stride, 0), _out_dim(h, bp.window, bp.stride, 0)
     return NetworkSpec(layers=tuple(layers), input_shape=shape, names=tuple(names))

@@ -6,6 +6,10 @@ produces ``X(i+1)``.  ``X(0)`` is the input tensor, so activation indices
 run 0..L.  Fully-connected layers are expressed as conv layers whose
 kernel spans the full spatial extent, so there is a single code path.
 
+The forward pass keeps one array per activation and no pre-ReLU copy.  A
+ReLU output is positive exactly where its input is, so ``X(i+1) > 0`` is
+the whole activation indicator that backward code needs.
+
 Every conv and pool kernel walks its windows through ``window_taps``: one
 whole-array step per kernel offset, on a strided view of the input, never
 a loop over output positions.  Unlike im2col, whose patch matrix holds
@@ -145,14 +149,13 @@ class ForwardTrace:
     """Everything one forward pass produced.
 
     ``activations[i]`` is X(i+1), post-ReLU where the layer applies one;
-    ``pre_activations[i]`` is the pre-ReLU tensor for conv layers and None
-    for pool layers.  ``activation(j)`` resolves activation index j, with
-    j = 0 being the input.
+    no pre-ReLU copy is kept (``X(i+1) > 0`` is the ReLU's indicator).
+    ``activation(j)`` resolves activation index j, with j = 0 being the
+    input.
     """
 
     input: Tensor3
     activations: tuple
-    pre_activations: tuple
 
     def activation(self, index: int) -> Tensor3:
         if index == 0:
@@ -211,42 +214,36 @@ def pool_argmax(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
     return idx
 
 
-def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> tuple[list, list]:
+def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> list:
     """Run the network on a (W, H, *batch, D) array.
 
-    Returns ``(acts, pres)``: ``acts[j]`` is X(j) for j = 0..L (``acts[0]``
-    is ``x``) and ``pres[i]`` is layer i's pre-ReLU output, None for pool
-    layers.  Every array keeps the batch axes of ``x`` between its spatial
+    Returns ``acts``: ``acts[j]`` is X(j) for j = 0..L (``acts[0]`` is
+    ``x``).  Every array keeps the batch axes of ``x`` between its spatial
     axes and its channel axis.  Each layer output is checked for NaN/Inf
-    once, and a failure names the layer; numpy's own overflow warnings are
-    silenced, since that check reports the same fault with the layer's name.
+    once, before any ReLU (which would turn a -inf into 0), and a failure
+    names the layer; numpy's own overflow warnings are silenced, since that
+    check reports the same fault with the layer's name.  The ReLU then
+    runs in place, so a layer keeps one array.
     """
     if x.ndim < 3 or (*x.shape[:2], x.shape[-1]) != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != network input {spec.input_shape}")
-    acts, pres = [x], []
+    acts = [x]
     with np.errstate(over="ignore", invalid="ignore"):
         for name, layer in zip(spec.names, spec.layers):
-            if isinstance(layer, ConvLayer):
-                pre = out = apply_conv(layer, acts[-1])
-                if layer.apply_relu:
-                    out = np.maximum(pre, 0.0)
-            else:
-                pre, out = None, apply_pool(layer, acts[-1])
-            if not np.isfinite(out if pre is None else pre).all():
+            conv = isinstance(layer, ConvLayer)
+            out = apply_conv(layer, acts[-1]) if conv else apply_pool(layer, acts[-1])
+            if not np.isfinite(out).all():
                 raise ValueError(f"layer {name}: output contains NaN or Inf")
+            if conv and layer.apply_relu:
+                np.maximum(out, 0.0, out=out)
             acts.append(out)
-            pres.append(pre)
-    return acts, pres
+    return acts
 
 
 def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:
-    """Run the network on one image, caching every pre- and post-activation tensor."""
-    acts, pres = forward_arrays(spec, x0.array)
-    return ForwardTrace(
-        input=x0,
-        activations=tuple(Tensor3.wrap(a) for a in acts[1:]),
-        pre_activations=tuple(None if p is None else Tensor3.wrap(p) for p in pres),
-    )
+    """Run the network on one image, caching every activation tensor."""
+    acts = forward_arrays(spec, x0.array)
+    return ForwardTrace(input=x0, activations=tuple(Tensor3.wrap(a) for a in acts[1:]))
 
 
 @dataclass(frozen=True)

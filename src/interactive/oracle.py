@@ -70,46 +70,56 @@ def _neg_log_f(xT: np.ndarray, p: int) -> float:
     return float(xbar.sum() if p == 1 else (xbar * xbar).sum())
 
 
-def _perturbed_pass(
+def _central_difference(
     spec: NetworkSpec,
     trace: ForwardTrace,
-    t: int,
+    request: ActivenessRequest,
     T: int,
-    p: int,
     connection,
-    delta: float,
-):
-    """-ln f at T after rerunning layers t..T-1 with one connection weight bumped.
+    settings: FDSettings,
+    skip_kinks: bool,
+) -> float | None:
+    """Central difference of -ln f in one connection weight of layer t.
 
-    The bumped weight applies to the single connection only: the hop's
-    pre-activations are copied from the forward trace, and the affected
-    output entry is recomputed from its receptive window against a kernel
-    copy with the one entry changed.
+    ``connection`` is (w, h, d, w', h', d') and must name a real kernel
+    entry feeding (w', h', d') from (w, h, d).  The bumped weight applies
+    to the single connection only: X(t+1) is copied from the forward
+    trace, and the one entry the weight feeds is recomputed from its
+    zero-padded receptive window (cut once per probe) against a kernel
+    column with the weight changed.  With ``skip_kinks``,
+    returns None when that entry's unbumped pre-activation magnitude is
+    below ``kink_guard`` or when the two passes land on different linear
+    pieces.  Only the bumped entry differs from the trace, so its sign is
+    the hop layer's whole share of the activation pattern.
     """
+    t = request.target_layer
     hop = spec.layers[t]
-    conn = receptive_sets(spec, t)
     w, h, d, wp, hp, dp = connection
-    kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
-    x = trace.activation(t).array
-    pre = trace.pre_activations[t].array.copy()
-
+    conn = receptive_sets(spec, t)
+    if not conn.connected(w, h, d, wp, hp, dp):
+        raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     kw, kh, _, _ = hop.kernel.shape
-    pad = hop.padding
+    s, pad = hop.stride, hop.padding
+    x = trace.activation(t).array
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0))) if pad else x
-    patch = xp[wp * hop.stride : wp * hop.stride + kw, hp * hop.stride : hp * hop.stride + kh, :]
-    column = hop.kernel[:, :, :, dp].copy()
-    column[kw_off, kh_off, d] += delta
-    pre[wp, hp, dp] = (patch * column).sum() + hop.bias[dp]
-
-    pattern = []
-    if hop.apply_relu:
-        mask = pre > 0
-        pattern.append(mask.tobytes())
-        x = np.where(mask, pre, 0.0)
-    else:
-        x = pre
-    x, rest = _run_from(spec, x, t + 1, T)
-    return _neg_log_f(x, p), tuple(pattern) + rest
+    window = xp[wp * s : wp * s + kw, hp * s : hp * s + kh, :]
+    if skip_kinks and hop.apply_relu:
+        if abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < settings.kink_guard:
+            return None
+    kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
+    values, patterns = [], []
+    for delta in (+settings.step, -settings.step):
+        column = hop.kernel[:, :, :, dp].copy()
+        column[kw_off, kh_off, d] += delta
+        pre = (window * column).sum() + hop.bias[dp]
+        x_next = trace.activation(t + 1).array.copy()
+        x_next[wp, hp, dp] = pre if pre > 0 or not hop.apply_relu else 0.0
+        xT, pattern = _run_from(spec, x_next, t + 1, T)
+        values.append(_neg_log_f(xT, request.p))
+        patterns.append((hop.apply_relu and pre > 0, pattern))
+    if skip_kinks and patterns[0] != patterns[1]:
+        return None
+    return (values[0] - values[1]) / (2.0 * settings.step)
 
 
 def fd_connection_score(
@@ -126,16 +136,9 @@ def fd_connection_score(
     entry feeding (w', h', d') from (w, h, d).
     """
     T = validate_request(spec, request)
-    t = request.target_layer
-    conn = receptive_sets(spec, t)
-    w, h, d, wp, hp, dp = connection
-    if not conn.connected(w, h, d, wp, hp, dp):
-        raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     if trace is None:
         trace = forward(spec, x0)
-    plus, _ = _perturbed_pass(spec, trace, t, T, request.p, connection, +settings.step)
-    minus, _ = _perturbed_pass(spec, trace, t, T, request.p, connection, -settings.step)
-    return (plus - minus) / (2.0 * settings.step)
+    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=False)
 
 
 def fd_connection_check(
@@ -147,23 +150,13 @@ def fd_connection_check(
 ) -> float | None:
     """FD estimate for a connection, or None when the probe sits at a kink.
 
-    Skips when the directly hit neuron's pre-activation magnitude is below
-    ``kink_guard`` or when the two perturbed passes land on different
-    linear pieces.
+    Skips when the directly hit neuron's pre-activation magnitude, summed
+    here from its receptive window, is below ``kink_guard`` or when the two
+    perturbed passes land on different linear pieces.  A connection that
+    does not exist raises ``ValueError``.
     """
     T = validate_request(spec, request)
-    t = request.target_layer
-    w, h, d, wp, hp, dp = connection
-    hop = spec.layers[t]
-    if hop.apply_relu:
-        pre = trace.pre_activations[t][wp, hp, dp]
-        if abs(pre) < settings.kink_guard:
-            return None
-    plus, pat_plus = _perturbed_pass(spec, trace, t, T, request.p, connection, +settings.step)
-    minus, pat_minus = _perturbed_pass(spec, trace, t, T, request.p, connection, -settings.step)
-    if pat_plus != pat_minus:
-        return None
-    return (plus - minus) / (2.0 * settings.step)
+    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True)
 
 
 def fd_activation_score(

@@ -19,6 +19,7 @@ from interactive import (
     receptive_sets,
 )
 from interactive.activeness import _conv_backward_input, gamma_stacks, trace_arrays, validate_request
+from interactive.net import apply_conv
 from interactive.oracle import FDSettings, fd_activation_score
 
 from conftest import random_input
@@ -66,16 +67,25 @@ class TestBackpropScore:
             npt.assert_array_equal(got.array, want.array)
 
     def test_one_by_one_conv_chain_rule(self):
-        # x -> conv(w, b) with positive pre-activation; score at T=1 back to input
-        w, b, x = 3.0, 0.5, 2.0
-        spec = NetworkSpec(
-            layers=(ConvLayer(kernel=np.full((1, 1, 1, 1), w), bias=np.array([b])),),
-            input_shape=(1, 1, 1),
-            names=("conv-1",),
-        )
-        trace = forward(spec, Tensor3(1, 1, 1, [x]))
-        got = backprop_score(spec, trace, T=1, p=2, down_to=0)
-        assert got[0, 0, 0] == pytest.approx(2.0 * (w * x + b) * w, rel=1e-14)
+        # x -> conv(w, b); score at T=1 back to input
+        w, x = 3.0, 2.0
+
+        def input_score(b, p):
+            spec = NetworkSpec(
+                layers=(ConvLayer(kernel=np.full((1, 1, 1, 1), w), bias=np.array([b])),),
+                input_shape=(1, 1, 1),
+                names=("conv-1",),
+            )
+            trace = forward(spec, Tensor3(1, 1, 1, [x]))
+            return backprop_score(spec, trace, T=1, p=p, down_to=0)[0, 0, 0]
+
+        # positive pre-activation
+        assert input_score(0.5, 2) == pytest.approx(2.0 * (w * x + 0.5) * w, rel=1e-14)
+        # the p = 1 score is 1 at the output; the ReLU passes it only where the
+        # conv output is positive, so a pre-activation of exactly 0 (b = -6) is masked
+        assert input_score(0.5, 1) == w
+        assert input_score(-6.0, 1) == 0.0
+        assert input_score(-7.0, 1) == 0.0
 
     def test_matches_finite_differences(self):
         # >= 100 coordinates across >= 3 seeded nets, both norms, rel err <= 1e-4
@@ -125,7 +135,7 @@ class TestConnectionActiveness:
 
     def test_clamped_downstream_neuron(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-        pre = tiny_trace.pre_activations[0].array
+        pre = apply_conv(tiny_net.layers[0], tiny_trace.input.array)
         wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
         assert pre[wp, hp, dp] < 0
         conn = receptive_sets(tiny_net, 0)
@@ -348,18 +358,18 @@ class TestGammaStacks:
     @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-3conv"])
     def test_one_config_equals_its_slice_of_four(self, arch):
         spec = generate_model(arch, seed=1)
-        acts, pres = trace_arrays(spec, forward(spec, random_input(spec, seed=2)))
+        acts = trace_arrays(spec, forward(spec, random_input(spec, seed=2)))
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
-        four = {t: (score, gamma) for t, score, gamma in gamma_stacks(spec, acts, pres, targets, configs)}
+        four = {t: (score, gamma) for t, score, gamma in gamma_stacks(spec, acts, targets, configs)}
         assert list(four) == sorted(targets, reverse=True)
         for k, config in enumerate(configs):
-            for t, score, gamma in gamma_stacks(spec, acts, pres, targets, [config]):
+            for t, score, gamma in gamma_stacks(spec, acts, targets, [config]):
                 assert score.shape[2] == gamma.shape[2] == 1
                 npt.assert_array_equal(score[:, :, 0], four[t][0][:, :, k])
                 npt.assert_array_equal(gamma[:, :, 0], four[t][1][:, :, k])
 
     def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
-        acts, pres = trace_arrays(tiny_net, tiny_trace)
-        [(_, score, _)] = gamma_stacks(tiny_net, acts, pres, [0], [("last", 2)])
+        acts = trace_arrays(tiny_net, tiny_trace)
+        [(_, score, _)] = gamma_stacks(tiny_net, acts, [0], [("last", 2)])
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1).array)

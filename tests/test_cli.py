@@ -16,7 +16,9 @@ from interactive import (
     write_image,
 )
 from interactive.activeness import gamma_stacks
-from interactive.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, main
+from interactive.cli import (
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
+)
 
 
 @pytest.fixture()
@@ -52,7 +54,9 @@ class TestGenModel:
         with pytest.raises(SystemExit) as exc:
             main(["gen-model", "--arch", "bogus", "--out", str(tmp_path / "x.model")])
         assert exc.value.code == EXIT_USAGE
-        assert "tiny-2conv" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument --arch: invalid choice")
+        assert "tiny-2conv" in err[0]
 
     def test_global_seed_fallback(self, tmp_path):
         a, b = tmp_path / "a.model", tmp_path / "b.model"
@@ -174,6 +178,15 @@ class TestActiveness:
         assert len(err) == 1 and err[0].startswith(message)
         assert caught == []
 
+    def test_negative_exponent_mean_parses_with_a_space(self, image_path, tmp_path, capsys):
+        model = tmp_path / "toy.model"
+        save_model(generate_model("toy-cnn", seed=3), model)
+        results = []
+        for flag in (["--mean=-1e308"], ["--mean", "-1e308"]):
+            code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", *flag)
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1] == (EXIT_USAGE, "error: layer conv-1: output contains NaN or Inf\n")
+
     def test_missing_model_exits_3(self, tmp_path, image_path):
         code, _, _ = self.run(tmp_path / "absent.model", image_path, tmp_path, "--layer", "pool-1")
         assert code == EXIT_IO
@@ -266,6 +279,21 @@ class TestToybench:
         code = main(["toybench", "--model", str(model_path), "--layers", "nope",
                      "--out", str(tmp_path / "r.txt")])
         assert code == EXIT_USAGE
+
+
+def test_unknown_flag_exits_2_with_one_line(model_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--model", str(model_path), "--bogus"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+
+def test_negative_exponent_values_parse_as_values():
+    parser = build_parser()
+    for text, value in (("-1e308", -1e308), ("-.5e3", -500.0), ("-1", -1.0)):
+        args = parser.parse_args(["activeness", "--model", "m", "--image", "i", "--layer", "input",
+                                  "--mean", text])
+        assert args.mean == value
 
 
 def test_help_exits_zero():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +17,7 @@ from interactive import (
     neuron_activeness,
     receptive_sets,
 )
+from interactive.net import apply_conv
 from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_connection_check
 
 from conftest import random_input
@@ -40,7 +44,7 @@ def test_fd_zero_upstream_activation(tiny_net):
 
 def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-    pre = tiny_trace.pre_activations[0].array
+    pre = apply_conv(tiny_net.layers[0], tiny_trace.input.array)
     wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
     margin = -pre[wp, hp, dp]
     conn = receptive_sets(tiny_net, 0)
@@ -85,6 +89,10 @@ def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     with pytest.raises(ValueError, match="does not exist"):
         fd_connection_score(tiny_net, tiny_trace.input, request, (0, 0, 0, 7, 7, 0), trace=tiny_trace)
+    # one step outside the 3x3 pad-1 window: kernel offset -1, which must not
+    # wrap around to the kernel's far column and probe another weight
+    with pytest.raises(ValueError, match="does not exist"):
+        fd_connection_check(tiny_net, tiny_trace, request, (4, 4, 0, 6, 6, 0))
 
 
 def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
@@ -146,3 +154,24 @@ class TestEnumerateGamma:
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         with pytest.raises(ValueError, match="guard"):
             enumerate_gamma(spec, trace, request)
+
+
+# The engine's backward path.  The oracles check it, so they must not run it.
+ENGINE_BACKWARD = {
+    "reverse_sweep", "gamma_stacks", "_gamma_hop", "_conv_backward_input",
+    "_pool_backward", "_lift", "weighted_features", "window_taps",
+}
+
+
+def test_oracle_imports_nothing_of_the_engine_backward_path():
+    import interactive.oracle
+
+    tree = ast.parse(Path(interactive.oracle.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "*" not in used
+    assert not used & ENGINE_BACKWARD

@@ -4,8 +4,8 @@ The supervision layer T carries an unsupervised likelihood over its
 channel-averaged response vector xbar:  f(xbar) = C_p * exp(-||xbar||_p^p),
 p in {1, 2}.  The gradient of the log-likelihood is backpropagated to
 measure how sensitive f is to each connection, and a neuron's activeness
-is the sum over its downstream connections of those sensitivities times
-the neuron's own response.
+is the sum over its downstream connections of those sensitivities (gamma,
+one field over positions, shared by all channels) times its own response.
 
 SIGN CONVENTION.  The literal gradient of ln f carries a leading minus,
 which would make every weight nonpositive and invert max-based
@@ -54,7 +54,8 @@ class ActivenessRequest:
 
 @dataclass(frozen=True)
 class ActivenessResult:
-    """gamma weights, weighted responses, the 2-D map and the pooled feature."""
+    """gamma (one weight per position, a read-only view broadcast over the D
+    channels), weighted responses, the 2-D map (D times gamma) and the pooled feature."""
 
     gamma: Tensor3
     activeness: Tensor3
@@ -228,13 +229,15 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
 
     The activated-neuron indicator of the hop layer's output tests the
     post-activation response exactly as the score function prescribes (a
-    conv layer without fused ReLU carries no indicator).  Because the hop
-    itself is a differentiation in the connection weights, the
-    accumulation is weight-free: kernel entries replaced by 1.
+    conv layer without fused ReLU carries no indicator).  The hop is a
+    differentiation in the connection weights, hence weight-free, and no
+    downstream set depends on the input channel: the masked score, summed
+    over output channels, is box-summed into a one-channel field.
     """
     if hop.apply_relu:
         hop_score = hop_score * _lift(x_next > 0, hop_score)
-    return _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, hop_score, x_t.shape)
+    field = hop_score.sum(axis=-1, keepdims=True)
+    return _conv_backward_input(np.ones(hop.kernel.shape[:2] + (1, 1)), hop.stride, hop.padding, field, x_t.shape)
 
 
 def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
@@ -244,8 +247,8 @@ def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
     X(t+1), gamma at X(t))`` per target, highest first, the configs in order
     on axis 2.  One reverse sweep, seeded with the final layer's scores for
     the "last" configs' p values, passes every target; a "next" score is the
-    layer score at X(t+1).  Each target then takes one gamma hop.  Callers
-    pass targets and configs that ``validate_request`` accepts.
+    layer score at X(t+1).  Each target then takes one hop to its one-channel
+    gamma field.  Callers pass targets and configs ``validate_request`` accepts.
     """
     last_ps = [p for sup, p in configs if sup == "last"]
     if last_ps:
@@ -311,9 +314,9 @@ def neuron_activeness(
     t = request.target_layer
     acts = trace_arrays(spec, trace)
     [(_, _, stack)] = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])
-    gamma = Tensor3.wrap(stack[:, :, 0])
+    gamma = Tensor3.wrap(np.broadcast_to(stack[:, :, 0], acts[t].shape))
     activeness = Tensor3.wrap(acts[t] * gamma.array)
-    map2d = gamma.array.sum(axis=2)
+    map2d = acts[t].shape[2] * stack[:, :, 0, 0]
     map2d.flags.writeable = False
     summarize = spatial_max if request.summarize == "max" else spatial_average
     feature = summarize(activeness)
@@ -327,12 +330,11 @@ def weighted_features(spec: NetworkSpec, acts: list, targets: list[int]) -> dict
     """Max-summarized activeness features of several targets under every
     (supervision, p) of ``WEIGHTED_CONFIGS``, from one ``gamma_stacks`` pass.
 
-    Returns ``{t: array (4, *batch, D_t)}``, the configs in
-    ``WEIGHTED_CONFIGS`` order; each entry equals the ``feature`` of the
-    matching ``neuron_activeness`` request with ``summarize="max"``.
+    Returns ``{t: array (4, *batch, D_t)}`` in ``WEIGHTED_CONFIGS`` order:
+    X(t) times its broadcast gamma field, maxed over (w, h), which equals the
+    ``feature`` of the matching ``neuron_activeness`` request with ``summarize="max"``.
     """
     features = {}
     for t, _, gamma in gamma_stacks(spec, acts, targets, WEIGHTED_CONFIGS):
-        gamma *= _lift(acts[t], gamma)
-        features[t] = gamma.max(axis=(0, 1))
+        features[t] = (gamma * _lift(acts[t], gamma)).max(axis=(0, 1))
     return features

@@ -65,12 +65,15 @@ def _sample_count(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end in one ``error:`` line and
     exit 2, with no usage block.  A value in exponent form (``-1e308``,
-    ``-.5e3``) counts as a negative number, not as an option, as ``-1``
-    already does.  Subparsers are built from the same class."""
+    ``-.5e3``) or a negative infinity or NaN (``-inf``, ``-Infinity``,
+    ``-nan``, any case) counts as a negative number, not as an option, as
+    ``-1`` already does.  Subparsers are built from the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")

@@ -171,11 +171,14 @@ def fd_activation_score(
     """Central difference of -ln f in one entry of activation X(layer_index).
 
     Cross-checks ``backprop_score``.  Returns None when the two perturbed
-    passes straddle a kink.
+    passes straddle a kink.  A ``coord`` outside the activation raises
+    ``IndexError``; a negative one does not wrap around.
     """
     if not 0 <= layer_index <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= layer_index <= T <= {len(spec.layers)}")
     base = trace.activation(layer_index).array
+    if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
+        raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     results = []
     patterns = []
     for delta in (+settings.step, -settings.step):

@@ -18,8 +18,8 @@ from interactive import (
     neuron_activeness,
     receptive_sets,
 )
-from interactive.activeness import _conv_backward_input, gamma_stacks, trace_arrays, validate_request
-from interactive.net import apply_conv
+from interactive.activeness import _conv_backward_input, _lift, gamma_stacks, trace_arrays, validate_request
+from interactive.net import apply_conv, forward_arrays
 from interactive.oracle import FDSettings, fd_activation_score
 
 from conftest import random_input
@@ -373,3 +373,33 @@ class TestGammaStacks:
         acts = trace_arrays(tiny_net, tiny_trace)
         [(_, score, _)] = gamma_stacks(tiny_net, acts, [0], [("last", 2)])
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1).array)
+
+    @pytest.mark.parametrize("arch, batch", [
+        ("toy-cnn", ()), ("tiny-2conv", ()), ("tiny-3conv", ()), ("tiny-fc", ()), ("toy-cnn", (3,)),
+    ], ids=["toy-cnn", "tiny-2conv", "tiny-3conv", "tiny-fc", "toy-cnn-batch"])
+    def test_gamma_field_matches_ones_kernel_reference(self, arch, batch):
+        # the D-channel formulation the field replaces: the masked score
+        # through an all-ones (kw, kh, d_in, d_out) kernel
+        spec = generate_model(arch, seed=1)
+        w, h, d = spec.input_shape
+        x = np.random.default_rng(2).standard_normal((w, h, *batch, d))
+        acts = forward_arrays(spec, x)
+        targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
+        configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
+        for t, score, gamma in gamma_stacks(spec, acts, targets, configs):
+            hop = spec.layers[t]
+            masked = score * _lift(acts[t + 1] > 0, score) if hop.apply_relu else score
+            reference = _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, masked, acts[t].shape)
+            assert gamma.shape == (*acts[t].shape[:2], len(configs), *batch, 1)
+            npt.assert_allclose(np.broadcast_to(gamma, reference.shape), reference, rtol=1e-12, atol=0)
+
+    def test_result_gamma_is_a_read_only_broadcast_field(self, tiny_net, tiny_trace):
+        for t in (0, 2):
+            result = neuron_activeness(tiny_net, tiny_trace, ActivenessRequest(target_layer=t))
+            gamma = result.gamma.array
+            assert gamma.shape == tiny_trace.activation(t).shape
+            assert not gamma.flags.writeable
+            with pytest.raises(ValueError):
+                gamma[0, 0, 0] = 1.0
+            assert np.ptp(gamma, axis=2).max() == 0.0
+            npt.assert_array_equal(result.map2d, gamma.shape[2] * gamma[:, :, 0])

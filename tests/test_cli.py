@@ -181,11 +181,13 @@ class TestActiveness:
     def test_negative_exponent_mean_parses_with_a_space(self, image_path, tmp_path, capsys):
         model = tmp_path / "toy.model"
         save_model(generate_model("toy-cnn", seed=3), model)
-        results = []
-        for flag in (["--mean=-1e308"], ["--mean", "-1e308"]):
-            code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", *flag)
-            results.append((code, capsys.readouterr().err))
-        assert results[0] == results[1] == (EXIT_USAGE, "error: layer conv-1: output contains NaN or Inf\n")
+        for mean, message in (("-1e308", "error: layer conv-1: output contains NaN or Inf\n"),
+                              ("-inf", "error: tensor data contains NaN or Inf\n")):
+            results = []
+            for flag in ([f"--mean={mean}"], ["--mean", mean]):
+                code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", *flag)
+                results.append((code, capsys.readouterr().err))
+            assert results[0] == results[1] == (EXIT_USAGE, message)
 
     def test_missing_model_exits_3(self, tmp_path, image_path):
         code, _, _ = self.run(tmp_path / "absent.model", image_path, tmp_path, "--layer", "pool-1")
@@ -217,13 +219,15 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "compared 0, kink-skipped 20" in out and "gradcheck FAIL" in out
 
-    def test_gamma_off_in_one_input_channel_fails(self, tmp_path, monkeypatch, capsys):
+    def _gradcheck_with_gamma_shifted(self, tmp_path, monkeypatch, capsys, spread):
         # an error this small passes the finite-difference check; only the
         # per-channel enumeration sees it
         model = tmp_path / "toy.model"
         save_model(generate_model("toy-cnn", seed=3), model)
-        def corrupted(*args):
-            for t, score, gamma in gamma_stacks(*args):
+        def corrupted(spec, acts, targets, configs):
+            for t, score, gamma in gamma_stacks(spec, acts, targets, configs):
+                if spread:
+                    gamma = np.repeat(gamma, acts[t].shape[-1], axis=-1)
                 gamma[..., 0] += 1e-6
                 yield t, score, gamma
 
@@ -232,6 +236,14 @@ class TestGradcheck:
         assert code == EXIT_VERIFY
         out = capsys.readouterr().out
         assert "enumeration|:          1.000e-06" in out and "gradcheck FAIL" in out
+
+    def test_gamma_off_in_one_input_channel_fails(self, tmp_path, monkeypatch, capsys):
+        # gamma is one field broadcast over the input channels: its channel 0 is all of it
+        self._gradcheck_with_gamma_shifted(tmp_path, monkeypatch, capsys, spread=False)
+
+    def test_gamma_off_in_input_channel_0_of_d_fails(self, tmp_path, monkeypatch, capsys):
+        # spread to the D input channels, then shift channel 0 alone
+        self._gradcheck_with_gamma_shifted(tmp_path, monkeypatch, capsys, spread=True)
 
     def test_samples_above_cap_exits_2(self, model_path, monkeypatch, capsys):
         monkeypatch.setattr("interactive.cli.cmd_gradcheck", lambda args: pytest.fail("gradcheck ran"))
@@ -288,12 +300,18 @@ def test_unknown_flag_exits_2_with_one_line(model_path, capsys):
     assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
 
-def test_negative_exponent_values_parse_as_values():
+def test_negative_exponent_values_parse_as_values(capsys):
     parser = build_parser()
-    for text, value in (("-1e308", -1e308), ("-.5e3", -500.0), ("-1", -1.0)):
-        args = parser.parse_args(["activeness", "--model", "m", "--image", "i", "--layer", "input",
-                                  "--mean", text])
-        assert args.mean == value
+    argv = ["activeness", "--model", "m", "--image", "i", "--layer", "input", "--mean"]
+    for text, value in (("-1e308", -1e308), ("-.5e3", -500.0), ("-1", -1.0), ("-inf", -np.inf),
+                        ("-Infinity", -np.inf), ("-INF", -np.inf)):
+        assert parser.parse_args(argv + [text]).mean == value
+    for text in ("-nan", "-NaN"):
+        assert np.isnan(parser.parse_args(argv + [text]).mean)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv + ["-infx"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: argument --mean: expected one argument\n"
 
 
 def test_help_exits_zero():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,12 @@ from interactive import (
     enumerate_gamma,
     fd_connection_score,
     forward,
+    generate_model,
     neuron_activeness,
     receptive_sets,
 )
 from interactive.net import apply_conv
-from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_connection_check
+from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_activation_score, fd_connection_check
 
 from conftest import random_input
 
@@ -113,6 +115,17 @@ def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
             continue
         samples += 1
         assert abs(e_h - e_h2) <= max(1e-8, 1e-6 * abs(e_h))
+
+
+def test_fd_activation_score_rejects_coords_outside_the_activation():
+    spec = generate_model("tiny-2conv", seed=1)
+    trace = forward(spec, random_input(spec, seed=0))
+    L = len(spec.layers)
+    # on the 8x8x3 input, (-5, -5, -2) would wrap around and probe (3, 3, 1)
+    assert fd_activation_score(spec, trace, L, 2, 0, (3, 3, 1)) == pytest.approx(-0.0360596, abs=1e-7)
+    for coord in ((-5, -5, -2), (8, 0, 0), (0, 0, 3), (0, 0)):
+        with pytest.raises(IndexError, match=re.escape(f"coord {coord} outside activation 0 of shape (8, 8, 3)")):
+            fd_activation_score(spec, trace, L, 2, 0, coord)
 
 
 class TestEnumerateGamma:

@@ -136,7 +136,7 @@ def _write_heatmap(map2d: np.ndarray, out_w: int, out_h: int, path) -> None:
 
 
 def cmd_activeness(args) -> int:
-    if not args.heatmap and not args.features:
+    if args.heatmap is None and args.features is None:
         raise ValueError("nothing to do: pass --heatmap and/or --features")
     spec = load_model(args.model)
     img = read_image(args.image)
@@ -145,10 +145,10 @@ def cmd_activeness(args) -> int:
     x0 = _prepare_input(img, spec, args.mean)
     trace = forward(spec, x0)
     result = neuron_activeness(spec, trace, request)
-    if args.heatmap:
+    if args.heatmap is not None:
         _write_heatmap(np.asarray(result.map2d), img.width, img.height, args.heatmap)
         print(f"heatmap written to {args.heatmap} ({img.width}x{img.height})")
-    if args.features:
+    if args.features is not None:
         values = result.feature.values.astype("<f4")
         with open(args.features, "wb") as fh:
             fh.write(FEATURE_MAGIC + struct.pack("<I", values.size) + b"\x00" * 4)
@@ -217,7 +217,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_toybench(args) -> int:
     spec = load_model(args.model)
-    if args.layers:
+    if args.layers is not None:
         targets = [_resolve_target(spec, name.strip()) for name in args.layers.split(",")]
     else:
         targets = valid_targets(spec)
@@ -227,7 +227,7 @@ def cmd_toybench(args) -> int:
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(report.to_text())
     print(f"report written to {args.out}")
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="ascii") as fh:
             json.dump(report.to_json_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -39,14 +39,7 @@ INPUT_MEAN = 128.0
 # image larger than the budget is a group of one.
 GROUP_INPUT_ELEMENTS = 8 * 16 * 16 * 3
 
-PIPELINE_CONFIGS = (
-    "orig-avg",
-    "orig-max",
-    "next-p1",
-    "next-p2",
-    "last-p1",
-    "last-p2",
-)
+PIPELINE_CONFIGS = ("orig-avg", "orig-max", *(f"{sup}-p{p}" for sup, p in WEIGHTED_CONFIGS))
 
 
 @dataclass(frozen=True)
@@ -225,16 +218,14 @@ def valid_targets(spec: NetworkSpec) -> list[int]:
 
 
 def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:
-    """Feature rows of every (target, config) for a (W, H, N, D) image stack."""
+    """Feature rows for a (W, H, N, D) image stack: ``{t: array (6, N, D_t)}``
+    in ``PIPELINE_CONFIGS`` order."""
     acts = forward_arrays(spec, x)
     weighted = weighted_features(spec, acts, targets)
-    vectors = {}
-    for t in targets:
-        vectors[(t, "orig-avg")] = acts[t].mean(axis=(0, 1))
-        vectors[(t, "orig-max")] = acts[t].max(axis=(0, 1))
-        for (sup, p), rows in zip(WEIGHTED_CONFIGS, weighted[t]):
-            vectors[(t, f"{sup}-p{p}")] = rows
-    return vectors
+    return {
+        t: np.stack([acts[t].mean(axis=(0, 1)), acts[t].max(axis=(0, 1)), *weighted[t]])
+        for t in targets
+    }
 
 
 @dataclass(frozen=True)
@@ -293,6 +284,8 @@ def compare_pipelines(
         raise ValueError("no valid target layers (need a conv layer)")
     for t in targets:
         validate_request(spec, ActivenessRequest(target_layer=t))
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"repeated target layers in {[target_name(spec, t) for t in targets]}")
 
     images, labels, train_idx, test_idx = toy_samples(dataset)
     mean = [INPUT_MEAN] * dataset.channels
@@ -308,7 +301,7 @@ def compare_pipelines(
     rows = []
     for t in targets:
         # the six configs of a target share a feature dimension and train as one stack
-        feats = np.stack([np.concatenate([g[(t, config)] for g in groups]) for config in PIPELINE_CONFIGS])
+        feats = np.concatenate([g[t] for g in groups], axis=1)
         fs = LabeledFeatureSet(
             features=l2_normalize_rows(feats),
             labels=labels,

@@ -149,27 +149,19 @@ def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Pixel centers are aligned (source position = (i + 0.5) * in/out - 0.5)
     and coordinates are clamped at the edges; equal sizes reproduce the
-    input exactly.
+    input exactly.  One 1-D pass per axis, width then height, is exact: the
+    weights factor per axis, and ``(1-fy)*r0 + fy*r1`` over the width pass's rows
+    ``r = (1-fx)*a0 + fx*a1`` is the four-corner formula, in the same order.
     """
-    arr = np.asarray(arr, dtype=np.float64)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    in_h, in_w = arr.shape[:2]
-    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
-    a00 = arr[np.ix_(y0, x0)]
-    a01 = arr[np.ix_(y0, x1)]
-    a10 = arr[np.ix_(y1, x0)]
-    a11 = arr[np.ix_(y1, x1)]
-    out = (1 - fy) * ((1 - fx) * a00 + fx * a01) + fy * ((1 - fx) * a10 + fx * a11)
-    return out[:, :, 0] if squeeze else out
+    out = np.asarray(arr, dtype=np.float64)
+    for axis, size in ((1, out_w), (0, out_h)):
+        n = out.shape[axis]
+        pos = np.clip((np.arange(size) + 0.5) * (n / size) - 0.5, 0, n - 1)
+        i0 = np.floor(pos).astype(np.int64)
+        i1 = np.minimum(i0 + 1, n - 1)
+        f = (pos - i0).reshape((-1,) + (1,) * (out.ndim - axis - 1))
+        out = (1 - f) * out.take(i0, axis) + f * out.take(i1, axis)
+    return out
 
 
 def resize_to_area(

@@ -198,6 +198,16 @@ class TestActiveness:
                      "--layer", "pool-1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [["--heatmap", "", "--features", "f.bin"], ["--features", ""]],
+                             ids=["heatmap", "features"])
+    def test_empty_output_path_exits_3_with_one_line(self, model_path, image_path, tmp_path, capsys,
+                                                     monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        code = main(["activeness", "--model", str(model_path), "--image", str(image_path),
+                     "--layer", "pool-1", *flags])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
 
 class TestGradcheck:
     def test_passes_on_generated_model(self, model_path, capsys):
@@ -291,6 +301,26 @@ class TestToybench:
         code = main(["toybench", "--model", str(model_path), "--layers", "nope",
                      "--out", str(tmp_path / "r.txt")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("layers, message", [
+        ("", "error: no layer named ''"),
+        ("input,input", "error: repeated target layers in ['input', 'input']"),
+    ], ids=["empty", "repeated"])
+    def test_bad_layer_list_exits_2_before_any_forward_pass(self, model_path, tmp_path, capsys, monkeypatch,
+                                                             layers, message):
+        monkeypatch.setattr("interactive.evalharness.forward_arrays",
+                            lambda *args: pytest.fail("forward pass ran"))
+        out = tmp_path / "r.txt"
+        assert main(["toybench", "--model", str(model_path), "--layers", layers, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--out", ""], ["--out", "r.txt", "--json", ""]], ids=["out", "json"])
+    def test_empty_output_path_exits_3_with_one_line(self, model_path, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(["toybench", "--model", str(model_path), "--layers", "pool-1", *flags]) == EXIT_IO
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_unknown_flag_exits_2_with_one_line(model_path, capsys):

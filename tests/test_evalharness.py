@@ -196,6 +196,8 @@ class TestComparePipelines:
             compare_pipelines(dataset, spec, targets=[0, 1])
         with pytest.raises(ShapeError, match="final layer"):
             compare_pipelines(dataset, spec, targets=[3])
+        with pytest.raises(ValueError, match=r"repeated target layers in \['input', 'pool-1', 'input'\]"):
+            compare_pipelines(dataset, spec, targets=[0, 2, 0])
 
     def test_group_size_does_not_change_report(self, seed3_report, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)

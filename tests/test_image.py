@@ -34,6 +34,29 @@ def reference_bilinear(arr, out_h, out_w):
     return out
 
 
+def four_corner_bilinear(arr, out_h, out_w):
+    """The resampler's former one-step form: gather the four corner arrays,
+    then blend them, over (h, w, c) with a 2-D input lifted to one channel."""
+    squeeze = arr.ndim == 2
+    if squeeze:
+        arr = arr[:, :, None]
+    in_h, in_w = arr.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0, in_h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0, in_w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    a00 = arr[np.ix_(y0, x0)]
+    a01 = arr[np.ix_(y0, x1)]
+    a10 = arr[np.ix_(y1, x0)]
+    a11 = arr[np.ix_(y1, x1)]
+    out = (1 - fy) * ((1 - fx) * a00 + fx * a01) + fy * ((1 - fx) * a10 + fx * a11)
+    return out[:, :, 0] if squeeze else out
+
+
 def gradient_image(w, h, channels=1, seed=0):
     rng = np.random.default_rng(seed)
     px = rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8)
@@ -140,6 +163,23 @@ class TestBilinear:
             npt.assert_allclose(
                 bilinear_resize(arr, out_h, out_w), reference_bilinear(arr, out_h, out_w), atol=1e-12
             )
+
+    @pytest.mark.parametrize("channels", [None, 1, 3], ids=["2d", "1ch", "3ch"])
+    @pytest.mark.parametrize("in_hw, out_hw", [
+        ((5, 9), (13, 4)),  # height up, width down
+        ((17, 3), (6, 11)),  # height down, width up
+        ((1, 1), (7, 5)),
+        ((1, 6), (4, 1)),
+        ((8, 1), (1, 9)),
+        ((6, 7), (6, 7)),
+        ((59, 44), (79, 23)),
+    ])
+    def test_equals_four_corner_formula_bit_for_bit(self, channels, in_hw, out_hw):
+        rng = np.random.default_rng(sum(in_hw) * 100 + sum(out_hw))
+        arr = rng.uniform(-300, 300, size=in_hw + ((channels,) if channels else ()))
+        out = bilinear_resize(arr, *out_hw)
+        assert out.shape == out_hw + arr.shape[2:]
+        npt.assert_array_equal(out, four_corner_bilinear(arr, *out_hw))
 
     def test_identity_at_same_size(self):
         rng = np.random.default_rng(31)

@@ -127,7 +127,7 @@ def layer_score(XT: Tensor3, p: int) -> Tensor3:
     with 0**0 taken as 1 so the p = 1 score is exactly the uniform field
     1/(W*H).
     """
-    return Tensor3.from_array(_score_array(XT.array, p))
+    return Tensor3.wrap(_score_array(XT.array, p))
 
 
 def _conv_backward_input(
@@ -221,7 +221,7 @@ def backprop_score(
     acts = trace_arrays(spec, trace)
     for j, score in reverse_sweep(spec, acts, _score_array(acts[T], p), T):
         if j == down_to:
-            return Tensor3.from_array(score)
+            return Tensor3.wrap(score)
 
 
 def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:

@@ -53,13 +53,22 @@ EXIT_IO = 3
 MAX_SAMPLES = 100_000
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {text}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type for an integer flag that must lie in low..high (no
+    upper bound when ``high`` is None); argparse names the flag in the error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Activeness-weighted deep features and heatmaps for small conv nets.",
     )
     parser.add_argument(
-        "--seed", dest="global_seed", type=int, default=0,
+        "--seed", dest="global_seed", type=_bounded_int(0), default=0,
         help="global seed (subcommand --seed overrides)",
     )
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
@@ -249,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-model", help="generate and save a seeded random model")
     gen.add_argument("--arch", required=True, choices=sorted(ARCHITECTURES), help="architecture template")
-    gen.add_argument("--seed", type=int, default=None, help="generator seed")
-    gen.add_argument("--input", type=int, nargs=3, metavar=("W", "H", "C"), help="override input shape")
+    gen.add_argument("--seed", type=_bounded_int(0), default=None, help="generator seed")
+    gen.add_argument("--input", type=_bounded_int(1), nargs=3, metavar=("W", "H", "C"),
+                     help="override input shape")
     gen.add_argument("--out", required=True, help="output model path")
     gen.set_defaults(func=cmd_gen_model)
 
@@ -268,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="verify the engine against the oracles")
     grad.add_argument("--model", required=True)
-    grad.add_argument("--seed", type=int, default=None, help="input/sampling seed")
-    grad.add_argument("--samples", type=_sample_count, default=200,
+    grad.add_argument("--seed", type=_bounded_int(0), default=None, help="input/sampling seed")
+    grad.add_argument("--samples", type=_bounded_int(1, MAX_SAMPLES), default=200,
                       help=f"connections to sample (at most {MAX_SAMPLES})")
     grad.set_defaults(func=cmd_gradcheck)
 
     bench = sub.add_parser("toybench", help="pipeline comparison table on the toy dataset")
     bench.add_argument("--model", required=True)
-    bench.add_argument("--dataset-seed", type=int, default=0)
+    bench.add_argument("--dataset-seed", type=_bounded_int(0), default=0)
     bench.add_argument("--layers", help="comma-separated layer names (default: all valid targets)")
     bench.add_argument("--out", required=True, help="plain-text report path")
     bench.add_argument("--json", help="also write the report as JSON here")

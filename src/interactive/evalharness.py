@@ -31,6 +31,11 @@ from .net import ConvLayer, NetworkSpec, forward, forward_arrays  # noqa: F401
 SLACK_C = 10.0
 INPUT_MEAN = 128.0
 
+# The toy dataset's fixed blob width, noise level and jitter (``ToyDatasetSpec``)
+BLOB_SIGMA = 2.0
+NOISE_LEVEL = 60
+JITTER = 1
+
 # Input elements per image group in ``compare_pipelines``: 8 toy-cnn images
 # at 16x16x3.  Every intermediate of the forward pass and the reverse sweep
 # grows with the group: after three in-process toy-cnn toybench runs the
@@ -43,41 +48,6 @@ PIPELINE_CONFIGS = ("orig-avg", "orig-max", *(f"{sup}-p{p}" for sup, p in WEIGHT
 
 
 @dataclass(frozen=True)
-class LabeledFeatureSet:
-    """Feature rows with labels and a fixed train/test split.
-
-    ``features`` is (N, D), or (C, N, D) for a stack of C feature sets
-    that share the labels and the split.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    train_idx: tuple[int, ...]
-    test_idx: tuple[int, ...]
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim not in (2, 3) or labels.ndim != 1 or feats.shape[-2] != labels.shape[0]:
-            raise ValueError(f"features {feats.shape} do not match labels {labels.shape}")
-        if labels.size and labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
-        train, test = set(self.train_idx), set(self.test_idx)
-        if train & test:
-            raise ValueError("train and test splits overlap")
-        if train | test != set(range(labels.shape[0])):
-            raise ValueError("splits must cover every row exactly once")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "train_idx", tuple(self.train_idx))
-        object.__setattr__(self, "test_idx", tuple(self.test_idx))
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
-
-@dataclass(frozen=True)
 class ToyDatasetSpec:
     """Deterministic image-classification toy problem.
 
@@ -85,8 +55,9 @@ class ToyDatasetSpec:
     position, textured by a ripple whose frequency and orientation encode
     the class; the blob's color profile is the same for every class, so
     nothing global (mean color, total energy) separates them.  The rest of
-    the canvas is uniform noise; per-sample jitter moves the blob by up to
-    ``jitter`` pixels.
+    the canvas is uniform noise in [0, ``NOISE_LEVEL``); the blob's sigma is
+    ``BLOB_SIGMA`` pixels and per-sample jitter moves it by up to ``JITTER``
+    pixels.  These three are module constants, the same for every dataset.
     """
 
     seed: int = 0
@@ -94,9 +65,6 @@ class ToyDatasetSpec:
     samples_per_class: int = 16
     image_size: tuple[int, int] = (16, 16)
     channels: int = 3
-    blob_sigma: float = 2.0
-    noise_level: int = 60
-    jitter: int = 1
 
     def __post_init__(self):
         if self.classes < 2:
@@ -111,13 +79,13 @@ def toy_image(spec: ToyDatasetSpec, label: int, sample: int) -> RasterImage:
     """One deterministic sample of the toy dataset."""
     w, h = spec.image_size
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, label, sample])))
-    canvas = rng.uniform(0.0, spec.noise_level, size=(h, w, spec.channels))
+    canvas = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, spec.channels))
 
     angle = 2.0 * math.pi * label / spec.classes
-    cx = w * (0.5 + 0.27 * math.cos(angle)) + rng.integers(-spec.jitter, spec.jitter + 1)
-    cy = h * (0.5 + 0.27 * math.sin(angle)) + rng.integers(-spec.jitter, spec.jitter + 1)
+    cx = w * (0.5 + 0.27 * math.cos(angle)) + rng.integers(-JITTER, JITTER + 1)
+    cy = h * (0.5 + 0.27 * math.sin(angle)) + rng.integers(-JITTER, JITTER + 1)
     ys, xs = np.mgrid[0:h, 0:w]
-    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * spec.blob_sigma**2))
+    bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * BLOB_SIGMA**2))
     freq = 1.5 + 1.25 * label
     orient = math.pi * label / spec.classes
     phase = math.cos(orient) * (xs - cx) + math.sin(orient) * (ys - cy)
@@ -127,8 +95,8 @@ def toy_image(spec: ToyDatasetSpec, label: int, sample: int) -> RasterImage:
     return RasterImage(pixels=np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
 
 
-def toy_samples(spec: ToyDatasetSpec) -> tuple[list[RasterImage], np.ndarray, tuple, tuple]:
-    """All images, labels, and a stratified half/half train/test split."""
+def toy_samples(spec: ToyDatasetSpec) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
+    """All images, labels, and a stratified half/half train/test split as index arrays."""
     images, labels, train_idx, test_idx = [], [], [], []
     for label in range(spec.classes):
         for sample in range(spec.samples_per_class):
@@ -136,12 +104,11 @@ def toy_samples(spec: ToyDatasetSpec) -> tuple[list[RasterImage], np.ndarray, tu
             images.append(toy_image(spec, label, sample))
             labels.append(label)
             (train_idx if sample < spec.samples_per_class // 2 else test_idx).append(idx)
-    return images, np.array(labels), tuple(train_idx), tuple(test_idx)
+    return images, np.array(labels), np.array(train_idx), np.array(test_idx)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Unit-norm copy of every row (last axis) of a (..., D) array."""
-    matrix = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return matrix / safe
@@ -157,29 +124,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def train_linear(
-    train: LabeledFeatureSet,
+    X: np.ndarray,
+    y: np.ndarray,
     epochs: int = 300,
     lr: float = 1.0,
     track_loss: list | None = None,
 ) -> np.ndarray:
     """One-vs-rest logistic regression by full-batch gradient descent.
 
-    Returns a (K, D+1) weight matrix, last column the intercept (which is
-    not regularized); for a (C, N, D) stack of feature sets, a (C, K, D+1)
-    tensor of C independent fits.  An (N, D) set runs as the C = 1 stack.
-    Deterministic: zero init, fixed iteration count.  ``track_loss`` gets
-    the loss per epoch (a length-C array for a stack).
+    ``X`` is a (C, N, D) stack of C training sets that share the N labels
+    ``y``; returns a (C, K, D+1) tensor of C independent fits, K = y.max() + 1,
+    last column the intercept (which is not regularized).  Deterministic:
+    zero init, fixed iteration count.  ``track_loss`` gets the length-C loss
+    array per epoch.
     """
-    stacked = train.features.ndim == 3
-    X = train.features[..., list(train.train_idx), :]
-    X = X if stacked else X[None]
-    y = train.labels[list(train.train_idx)]
     if y.size == 0:
         raise ValueError("empty training split")
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("training split must contain at least two classes")
-    k = train.num_classes
+    k = int(y.max()) + 1
     c, n, d = X.shape
     reg = 1.0 / (SLACK_C * n)
     Xb = np.concatenate([X, np.ones((c, n, 1))], axis=2)
@@ -193,23 +157,17 @@ def train_linear(
             eps = 1e-12
             bce = -(Y * np.log(S + eps) + (1 - Y) * np.log(1 - S + eps)).sum(axis=2).mean(axis=1)
             loss = bce + reg * ((W * mask) ** 2).sum(axis=(1, 2))
-            track_loss.append(loss if stacked else float(loss[0]))
+            track_loss.append(loss)
         grad = (S - Y).transpose(0, 2, 1) @ Xb / n + 2.0 * reg * (W * mask)
         W = W - lr * grad
-    return W if stacked else W[0]
+    return W
 
 
-def predict_linear(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Class per row; (K, D+1) weights and (N, D) rows, or a (C, ...) stack of both."""
-    Xb = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
-    return (Xb @ np.swapaxes(weights, -1, -2)).argmax(axis=-1)
-
-
-def accuracy(weights: np.ndarray, fs: LabeledFeatureSet, idx):
-    """Fraction of rows ``idx`` classified correctly: a float, or one per stacked set."""
-    idx = list(idx)
-    hits = (predict_linear(weights, fs.features[..., idx, :]) == fs.labels[idx]).mean(axis=-1)
-    return float(hits) if hits.ndim == 0 else hits
+def accuracy(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fraction of the rows of each stacked set in ``X`` (C, N, D) that the
+    (C, K, D+1) ``weights`` classify as ``y``: one value per set, shape (C,)."""
+    Xb = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    return ((Xb @ np.swapaxes(weights, -1, -2)).argmax(axis=-1) == y).mean(axis=-1)
 
 
 def valid_targets(spec: NetworkSpec) -> list[int]:
@@ -287,7 +245,7 @@ def compare_pipelines(
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated target layers in {[target_name(spec, t) for t in targets]}")
 
-    images, labels, train_idx, test_idx = toy_samples(dataset)
+    images, labels, train, test = toy_samples(dataset)
     mean = [INPUT_MEAN] * dataset.channels
 
     # One forward and one reverse sweep per group of images, stacked on a
@@ -301,20 +259,14 @@ def compare_pipelines(
     rows = []
     for t in targets:
         # the six configs of a target share a feature dimension and train as one stack
-        feats = np.concatenate([g[t] for g in groups], axis=1)
-        fs = LabeledFeatureSet(
-            features=l2_normalize_rows(feats),
-            labels=labels,
-            train_idx=train_idx,
-            test_idx=test_idx,
-        )
-        weights = train_linear(fs)
-        for config, acc in zip(PIPELINE_CONFIGS, accuracy(weights, fs, test_idx)):
+        feats = l2_normalize_rows(np.concatenate([g[t] for g in groups], axis=1))
+        weights = train_linear(feats[:, train], labels[train])
+        for config, acc in zip(PIPELINE_CONFIGS, accuracy(weights, feats[:, test], labels[test])):
             rows.append((target_name(spec, t), config, feats.shape[2], float(acc)))
     return PipelineReport(
         rows=tuple(rows),
         dataset_seed=dataset.seed,
         classes=dataset.classes,
-        train_size=len(train_idx),
-        test_size=len(test_idx),
+        train_size=len(train),
+        test_size=len(test),
     )

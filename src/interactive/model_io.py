@@ -253,8 +253,9 @@ def generate_model(
 
     Kernel weights are standard normal draws scaled by 1/sqrt(fan-in) and
     quantized to float32 so the spec round-trips the model file exactly;
-    biases are the constant ``BIAS_INIT``.  The input and every layer
-    output pass the loader's size guard before any kernel exists.
+    biases are the constant ``BIAS_INIT``.  An input dimension < 1 is
+    rejected first; the input and every layer output then pass the loader's
+    size guard before any kernel exists.
     """
     if arch not in ARCHITECTURES:
         raise KeyError(f"unknown architecture {arch!r}; available: {', '.join(sorted(ARCHITECTURES))}")
@@ -262,6 +263,8 @@ def generate_model(
         raise ValueError(f"seed must be >= 0, got {seed}")
     template = ARCHITECTURES[arch]
     shape = tuple(input_shape) if input_shape is not None else template.input_shape
+    if min(shape) < 1:  # a negative product would pass the size guard
+        raise ShapeError(f"bad input shape {shape}")
     layers = []
     names = []
     w, h, d_in = shape

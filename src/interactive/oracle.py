@@ -1,9 +1,13 @@
-"""Slow, independent verifiers: finite differences and explicit enumeration.
+"""Slow verifiers: finite differences and explicit enumeration.
 
-Nothing here reuses the engine's backward path.  Central differences
-replay the forward pass above the probed weight twice per probe;
-``enumerate_gamma`` walks every connectivity set literally.  Both ship in
-the library so the CLI can expose a user-facing gradient check.
+The finite-difference (FD) probes replay the forward pass only: central
+differences rerun the layers above the probed weight twice per probe and
+differentiate the ln f the engine reports (``log_likelihood``); they never
+use the engine's backward path.  ``enumerate_gamma`` checks the hop: it
+takes the engine's score at X(t+1) (``backprop_score``) and applies the
+activation indicator and the U-set sums by walking every connectivity set
+literally.  Both ship in the library so the CLI can expose a user-facing
+gradient check.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: the ``kink_guard`` threshold skips probes whose
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activeness import ActivenessRequest, backprop_score, validate_request
+from .activeness import ActivenessRequest, backprop_score, log_likelihood, validate_request
 from .net import (
     ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
 )
-from .tensor import Tensor3
+from .tensor import ChannelVector, Tensor3
 
 ENUMERATION_GUARD = 10**7
 
@@ -63,11 +67,6 @@ def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
                 pattern.append(pool_argmax(layer, x).tobytes())
             x = apply_pool(layer, x)
     return x, tuple(pattern)
-
-
-def _neg_log_f(xT: np.ndarray, p: int) -> float:
-    xbar = xT.mean(axis=(0, 1))
-    return float(xbar.sum() if p == 1 else (xbar * xbar).sum())
 
 
 def _central_difference(
@@ -115,7 +114,7 @@ def _central_difference(
         x_next = trace.activation(t + 1).array.copy()
         x_next[wp, hp, dp] = pre if pre > 0 or not hop.apply_relu else 0.0
         xT, pattern = _run_from(spec, x_next, t + 1, T)
-        values.append(_neg_log_f(xT, request.p))
+        values.append(-log_likelihood(ChannelVector(xT.mean(axis=(0, 1))), request.p))
         patterns.append((hop.apply_relu and pre > 0, pattern))
     if skip_kinks and patterns[0] != patterns[1]:
         return None
@@ -185,7 +184,7 @@ def fd_activation_score(
         x = base.copy()
         x[coord] += delta
         xT, pattern = _run_from(spec, x, layer_index, T)
-        results.append(_neg_log_f(xT, p))
+        results.append(-log_likelihood(ChannelVector(xT.mean(axis=(0, 1))), p))
         patterns.append(pattern)
     if patterns[0] != patterns[1]:
         return None
@@ -220,4 +219,4 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessR
                         continue
                     total += score[wp, hp, dp]
                 gamma[w, h, d] = total
-    return Tensor3.from_array(gamma)
+    return Tensor3.wrap(gamma)

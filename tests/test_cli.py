@@ -330,6 +330,31 @@ def test_unknown_flag_exits_2_with_one_line(model_path, capsys):
     assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
 
+GEN = ["gen-model", "--arch", "tiny-2conv", "--out", "@out"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (GEN + ["--input", "5", "5", "-1"], "argument --input: must be >= 1, got -1"),
+    (GEN + ["--input", "-100000", "-100000", "3"], "argument --input: must be >= 1, got -100000"),
+    (GEN + ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["--seed", "-2"] + GEN, "argument --seed: must be >= 0, got -2"),
+    (["toybench", "--model", "@model", "--out", "@out", "--dataset-seed", "-1"],
+     "argument --dataset-seed: must be >= 0, got -1"),
+    (["gradcheck", "--model", "@model", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["gradcheck", "--model", "@model", "--samples", "x"], "argument --samples: must be an integer, got 'x'"),
+    (["gradcheck", "--model", "@model", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
+], ids=["input-negative", "input-huge-negative", "gen-model-seed", "global-seed", "dataset-seed",
+        "gradcheck-seed", "samples-not-an-integer", "samples-zero"])
+def test_bad_integer_flag_exits_2_naming_the_flag(model_path, tmp_path, capsys, argv, line):
+    out = tmp_path / "x.out"
+    paths = {"@model": str(model_path), "@out": str(out)}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_negative_exponent_values_parse_as_values(capsys):
     parser = build_parser()
     argv = ["activeness", "--model", "m", "--image", "i", "--layer", "input", "--mean"]

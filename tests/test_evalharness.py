@@ -16,7 +16,6 @@ from interactive import (
 )
 from interactive.evalharness import (
     INPUT_MEAN,
-    LabeledFeatureSet,
     PIPELINE_CONFIGS,
     ToyDatasetSpec,
     accuracy,
@@ -39,6 +38,7 @@ SEED3_SNAPSHOT = [
 
 
 def two_blob_set(n_per_class=20, separation=4.0, seed=0, shuffle_labels=False):
+    """(X_train, y_train, X_test, y_test), the rows as (1, N, 2) stacks."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n_per_class, 2)) + [separation, 0.0]
     b = rng.standard_normal((n_per_class, 2)) - [separation, 0.0]
@@ -48,86 +48,63 @@ def two_blob_set(n_per_class=20, separation=4.0, seed=0, shuffle_labels=False):
         labels = rng.permutation(labels)
     idx = rng.permutation(2 * n_per_class)
     train, test = idx[: n_per_class], idx[n_per_class :]
-    return LabeledFeatureSet(features=feats, labels=labels, train_idx=tuple(train), test_idx=tuple(test))
+    return feats[None, train], labels[train], feats[None, test], labels[test]
 
 
 class TestTrainLinear:
     def test_separable_classes_reach_full_accuracy(self):
-        fs = two_blob_set()
-        w = train_linear(fs, epochs=400, lr=1.0)
-        assert accuracy(w, fs, fs.test_idx) == 1.0
+        X, y, X_test, y_test = two_blob_set()
+        w = train_linear(X, y, epochs=400, lr=1.0)
+        assert accuracy(w, X_test, y_test).tolist() == [1.0]
 
     def test_shuffled_labels_sit_at_chance(self):
         accs = []
         for seed in range(5):
-            fs = two_blob_set(seed=seed, shuffle_labels=True)
-            w = train_linear(fs, epochs=200, lr=1.0)
-            accs.append(accuracy(w, fs, fs.test_idx))
+            X, y, X_test, y_test = two_blob_set(seed=seed, shuffle_labels=True)
+            w = train_linear(X, y, epochs=200, lr=1.0)
+            accs.append(accuracy(w, X_test, y_test)[0])
         assert 0.4 <= float(np.mean(accs)) <= 0.6
 
     def test_identical_rows_stay_at_chance(self):
-        feats = np.ones((30, 4))
+        feats = np.ones((1, 30, 4))
         labels = np.array([0, 1, 2] * 10)
-        fs = LabeledFeatureSet(
-            features=feats, labels=labels, train_idx=tuple(range(15)), test_idx=tuple(range(15, 30))
-        )
-        w = train_linear(fs, epochs=100, lr=1.0)
-        assert accuracy(w, fs, fs.test_idx) == pytest.approx(1.0 / 3.0)
+        w = train_linear(feats[:, :15], labels[:15], epochs=100, lr=1.0)
+        assert accuracy(w, feats[:, 15:], labels[15:])[0] == pytest.approx(1.0 / 3.0)
 
     def test_loss_monotone_nonincreasing(self):
-        fs = two_blob_set(separation=1.0, seed=3)
+        X, y, _, _ = two_blob_set(separation=1.0, seed=3)
         losses = []
-        train_linear(fs, epochs=150, lr=1.0, track_loss=losses)
-        diffs = np.diff(losses)
+        train_linear(X, y, epochs=150, lr=1.0, track_loss=losses)
+        diffs = np.diff([loss[0] for loss in losses])
         assert np.all(diffs <= 1e-12)
 
     def test_single_class_rejected(self):
-        fs = LabeledFeatureSet(
-            features=np.random.default_rng(0).standard_normal((6, 2)),
-            labels=np.zeros(6, dtype=int),
-            train_idx=(0, 1, 2),
-            test_idx=(3, 4, 5),
-        )
+        X = np.random.default_rng(0).standard_normal((1, 3, 2))
         with pytest.raises(ValueError, match="two classes"):
-            train_linear(fs)
+            train_linear(X, np.zeros(3, dtype=int))
 
     def test_deterministic(self):
-        fs = two_blob_set(seed=5)
-        w1 = train_linear(fs, epochs=50, lr=0.5)
-        w2 = train_linear(fs, epochs=50, lr=0.5)
+        X, y, _, _ = two_blob_set(seed=5)
+        w1 = train_linear(X, y, epochs=50, lr=0.5)
+        w2 = train_linear(X, y, epochs=50, lr=0.5)
         assert np.array_equal(w1, w2)
-
 
     def test_stacked_fit_equals_separate_fits(self):
         sets = [two_blob_set(separation=s, seed=7) for s in (0.5, 1.0, 3.0)]
-        stack = LabeledFeatureSet(
-            features=np.stack([fs.features for fs in sets]),
-            labels=sets[0].labels,
-            train_idx=sets[0].train_idx,
-            test_idx=sets[0].test_idx,
-        )
+        X = np.concatenate([X for X, _, _, _ in sets])
+        X_test = np.concatenate([X_test for _, _, X_test, _ in sets])
+        _, y, _, y_test = sets[0]
         losses = []
-        weights = train_linear(stack, epochs=60, lr=0.7, track_loss=losses)
+        weights = train_linear(X, y, epochs=60, lr=0.7, track_loss=losses)
         assert weights.shape == (3, 2, 3) and losses[0].shape == (3,)
-        accs = accuracy(weights, stack, stack.test_idx)
-        for c, fs in enumerate(sets):
+        accs = accuracy(weights, X_test, y_test)
+        for c, (X_c, y_c, X_test_c, y_test_c) in enumerate(sets):
             single = []
-            alone = train_linear(fs, epochs=60, lr=0.7, track_loss=single)
-            npt.assert_allclose(weights[c], alone, rtol=0, atol=1e-12)
-            npt.assert_allclose([loss[c] for loss in losses], single, rtol=0, atol=1e-12)
-            assert accs[c] == accuracy(weights[c], fs, fs.test_idx)
-
-
-class TestLabeledFeatureSet:
-    def test_split_validation(self):
-        feats = np.zeros((4, 2))
-        labels = np.array([0, 1, 0, 1])
-        with pytest.raises(ValueError, match="overlap"):
-            LabeledFeatureSet(features=feats, labels=labels, train_idx=(0, 1), test_idx=(1, 2, 3))
-        with pytest.raises(ValueError, match="cover"):
-            LabeledFeatureSet(features=feats, labels=labels, train_idx=(0,), test_idx=(1, 2))
-        with pytest.raises(ValueError, match="match"):
-            LabeledFeatureSet(features=feats, labels=labels[:3], train_idx=(0, 1), test_idx=(2, 3))
+            alone = train_linear(X_c, y_c, epochs=60, lr=0.7, track_loss=single)
+            assert alone.shape == (1, 2, 3) and single[0].shape == (1,)
+            npt.assert_allclose(weights[c], alone[0], rtol=0, atol=1e-12)
+            npt.assert_allclose([loss[c] for loss in losses], [loss[0] for loss in single], rtol=0, atol=1e-12)
+            assert accs[c] == accuracy(weights[c : c + 1], X_test_c, y_test_c)[0]
 
 
 class TestToyDataset:

@@ -7,6 +7,7 @@ from interactive import (
     ARCHITECTURES,
     ConvLayer,
     NetworkSpec,
+    ShapeError,
     forward,
     generate_model,
     infer_shapes,
@@ -92,6 +93,12 @@ def test_unknown_arch_and_bad_seed():
         generate_model("nope", seed=0)
     with pytest.raises(ValueError):
         generate_model("tiny-2conv", seed=-1)
+
+
+@pytest.mark.parametrize("shape", [(5, 5, -1), (-100000, -100000, 3)])
+def test_nonpositive_input_dimension_rejected_before_size_guard(shape):
+    with pytest.raises(ShapeError, match=rf"^bad input shape \({shape[0]}, {shape[1]}, {shape[2]}\)$"):
+        generate_model("tiny-2conv", seed=0, input_shape=shape)
 
 
 def test_generated_models_light_up_relus():

@@ -28,7 +28,7 @@ from .net import (
     receptive_sets,
 )
 from .oracle import FDSettings, enumerate_gamma, fd_connection_score
-from .tensor import ChannelVector, ShapeError, Tensor3, spatial_average, spatial_max
+from .tensor import ShapeError, Tensor3
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ActivenessRequest",
     "ActivenessResult",
     "ARCHITECTURES",
-    "ChannelVector",
     "ConvLayer",
     "FDSettings",
     "ForwardTrace",
@@ -60,8 +59,6 @@ __all__ = [
     "read_image",
     "receptive_sets",
     "save_model",
-    "spatial_average",
-    "spatial_max",
     "to_input_tensor",
     "write_image",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ConvLayer, ForwardTrace, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
-from .tensor import ChannelVector, ShapeError, Tensor3, spatial_average, spatial_max
+from .tensor import ShapeError
 
 SUPERVISION_MODES = ("last", "next")
 SUMMARIZE_MODES = ("max", "average")
@@ -54,13 +54,15 @@ class ActivenessRequest:
 
 @dataclass(frozen=True)
 class ActivenessResult:
-    """gamma (one weight per position, a read-only view broadcast over the D
-    channels), weighted responses, the 2-D map (D times gamma) and the pooled feature."""
+    """Read-only arrays: gamma (W, H, D), one weight per position as a view
+    broadcast over the D channels; the weighted responses x(t) * gamma; the
+    (W, H) map, D times gamma; and the (D,) feature, the weighted responses
+    maxed or averaged over (w, h).  Plus ln f at the supervision layer."""
 
-    gamma: Tensor3
-    activeness: Tensor3
+    gamma: np.ndarray
+    activeness: np.ndarray
     map2d: np.ndarray
-    feature: ChannelVector
+    feature: np.ndarray
     log_likelihood: float
 
 
@@ -95,21 +97,26 @@ def validate_request(spec: NetworkSpec, request: ActivenessRequest) -> int:
     return len(spec.layers) if request.supervision == "last" else t + 1
 
 
-def log_likelihood(xT: ChannelVector, p: int) -> float:
+def log_likelihood(xbar: np.ndarray, p: int) -> float:
     """ln f at the supervision layer, up to the dropped constant ln C_p.
 
-    Computed as the negative power sum -sum(v**p), which equals
-    -||v||_p^p on the nonnegative (post-ReLU) domain and stays smooth and
+    ``xbar`` is the supervision layer's (D,) channel-mean array.  Computed
+    as the negative power sum -sum(v**p), which equals -||v||_p^p on the
+    nonnegative (post-ReLU) domain and stays smooth and
     finite-difference-consistent everywhere.
     """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
-    v = xT.values
-    return float(-(v.sum() if p == 1 else (v * v).sum()))
+    return float(-(xbar.sum() if p == 1 else (xbar * xbar).sum()))
 
 
-def _score_array(xT: np.ndarray, p: int) -> np.ndarray:
-    """``layer_score`` of a (W, H, *batch, D) supervision array."""
+def layer_score(xT: np.ndarray, p: int) -> np.ndarray:
+    """Gradient of -ln f with respect to a (W, H, *batch, D) supervision array.
+
+    Every spatial position of channel d receives p/(W*H) * xbar_d**(p-1),
+    with 0**0 taken as 1 so the p = 1 score is exactly the uniform field
+    1/(W*H).  The result is a fresh array, writable by the caller.
+    """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
     w, h = xT.shape[:2]
@@ -118,16 +125,6 @@ def _score_array(xT: np.ndarray, p: int) -> np.ndarray:
         return np.full(xT.shape, scale)
     xbar = xT.mean(axis=(0, 1))
     return np.broadcast_to(2.0 * scale * xbar, xT.shape).copy()
-
-
-def layer_score(XT: Tensor3, p: int) -> Tensor3:
-    """Gradient of -ln f with respect to the supervision-layer responses.
-
-    Every spatial position of channel d receives p/(W*H) * xbar_d**(p-1),
-    with 0**0 taken as 1 so the p = 1 score is exactly the uniform field
-    1/(W*H).
-    """
-    return Tensor3.wrap(_score_array(XT.array, p))
 
 
 def _conv_backward_input(
@@ -167,18 +164,12 @@ def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
 
 
-def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> list:
+def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple:
     """Check a trace against the network; returns its activation arrays."""
-    if len(trace.activations) != len(spec.layers):
-        raise ShapeError(
-            f"trace has {len(trace.activations)} activations for {len(spec.layers)} layers"
-        )
-    if trace.input.shape != spec.input_shape:
-        raise ShapeError(f"trace input {trace.input.shape} != network input {spec.input_shape}")
-    for i, shape in enumerate(infer_shapes(spec)):
-        if trace.activations[i].shape != shape:
-            raise ShapeError(f"trace activation {i} has shape {trace.activations[i].shape}, expected {shape}")
-    return [trace.input.array] + [a.array for a in trace.activations]
+    shapes, expected = [a.shape for a in trace.acts], [spec.input_shape, *infer_shapes(spec)]
+    if shapes != expected:
+        raise ShapeError(f"trace activation shapes {shapes} != network shapes {expected}")
+    return trace.acts
 
 
 def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
@@ -210,18 +201,18 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
 
 def backprop_score(
     spec: NetworkSpec, trace: ForwardTrace, T: int, p: int, down_to: int
-) -> Tensor3:
+) -> np.ndarray:
     """Gradient of -ln f (likelihood at activation T) wrt activation ``down_to``.
 
     The layer score seeds ``reverse_sweep`` at T; the sweep stops at
-    ``down_to``.
+    ``down_to``.  The result is a fresh array, writable by the caller.
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
     acts = trace_arrays(spec, trace)
-    for j, score in reverse_sweep(spec, acts, _score_array(acts[T], p), T):
+    for j, score in reverse_sweep(spec, acts, layer_score(acts[T], p), T):
         if j == down_to:
-            return Tensor3.wrap(score)
+            return score
 
 
 def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:
@@ -252,7 +243,7 @@ def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
     """
     last_ps = [p for sup, p in configs if sup == "last"]
     if last_ps:
-        seed = np.stack([_score_array(acts[-1], p) for p in last_ps], axis=2)
+        seed = np.stack([layer_score(acts[-1], p) for p in last_ps], axis=2)
         sweep = reverse_sweep(spec, acts, seed, len(spec.layers))
         del seed  # the sweep holds it until it is closed
     order = sorted(set(targets), reverse=True)
@@ -262,7 +253,7 @@ def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
             lasts = iter(np.split(next(g for j, g in sweep if j == t + 1), len(last_ps), axis=2))
             if t == order[-1]:
                 sweep.close()  # the views in ``lasts`` keep what the stack needs
-        parts = [next(lasts) if sup == "last" else _score_array(acts[t + 1], p)[:, :, None]
+        parts = [next(lasts) if sup == "last" else layer_score(acts[t + 1], p)[:, :, None]
                  for sup, p in configs]
         score = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
         del lasts, parts  # a stacked copy leaves the swept array free for the hop
@@ -274,7 +265,7 @@ def connection_activeness(
     trace: ForwardTrace,
     request: ActivenessRequest,
     sample: tuple[int, int, int, int, int, int],
-    hop_score: Tensor3 | np.ndarray | None = None,
+    hop_score: np.ndarray | None = None,
 ) -> float:
     """Activeness of one connection (w, h, d) -> (w', h', d') through layer t.
 
@@ -294,10 +285,10 @@ def connection_activeness(
     if hop_score is None:
         hop_score = backprop_score(spec, trace, T, request.p, t + 1)
     hop = spec.layers[t]
-    if hop.apply_relu and not trace.activation(t + 1)[wp, hp, dp] > 0:
+    if hop.apply_relu and not trace.acts[t + 1][wp, hp, dp] > 0:
         return 0.0
     alpha = hop_score[wp, hp, dp]
-    return float(trace.activation(t)[w, h, d] * alpha)
+    return float(trace.acts[t][w, h, d] * alpha)
 
 
 def neuron_activeness(
@@ -308,19 +299,20 @@ def neuron_activeness(
     gamma sums the backpropagated score of every activated downstream
     neuron over the hop layer's connectivity (``gamma_stacks`` with one
     config).  The weighted response x(t) * gamma is the activeness
-    tensor, summarized per channel into the feature vector.
+    array, summarized per channel into the feature vector.
     """
     T = validate_request(spec, request)
     t = request.target_layer
     acts = trace_arrays(spec, trace)
     [(_, _, stack)] = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])
-    gamma = Tensor3.wrap(np.broadcast_to(stack[:, :, 0], acts[t].shape))
-    activeness = Tensor3.wrap(acts[t] * gamma.array)
+    gamma = np.broadcast_to(stack[:, :, 0], acts[t].shape)  # a read-only view
+    activeness = acts[t] * gamma
     map2d = acts[t].shape[2] * stack[:, :, 0, 0]
-    map2d.flags.writeable = False
-    summarize = spatial_max if request.summarize == "max" else spatial_average
-    feature = summarize(activeness)
-    ll = log_likelihood(spatial_average(trace.activation(T)), request.p)
+    summarize = np.max if request.summarize == "max" else np.mean
+    feature = summarize(activeness, axis=(0, 1))
+    for arr in (activeness, map2d, feature):
+        arr.flags.writeable = False
+    ll = log_likelihood(acts[T].mean(axis=(0, 1)), request.p)
     return ActivenessResult(
         gamma=gamma, activeness=activeness, map2d=map2d, feature=feature, log_likelihood=ll
     )

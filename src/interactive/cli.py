@@ -29,7 +29,6 @@ from .activeness import (
     connection_activeness,
     gamma_stacks,
     neuron_activeness,
-    trace_arrays,
     validate_request,
 )
 from .evalharness import ToyDatasetSpec, compare_pipelines, valid_targets
@@ -155,10 +154,10 @@ def cmd_activeness(args) -> int:
     trace = forward(spec, x0)
     result = neuron_activeness(spec, trace, request)
     if args.heatmap is not None:
-        _write_heatmap(np.asarray(result.map2d), img.width, img.height, args.heatmap)
+        _write_heatmap(result.map2d, img.width, img.height, args.heatmap)
         print(f"heatmap written to {args.heatmap} ({img.width}x{img.height})")
     if args.features is not None:
-        values = result.feature.values.astype("<f4")
+        values = result.feature.astype("<f4")
         with open(args.features, "wb") as fh:
             fh.write(FEATURE_MAGIC + struct.pack("<I", values.size) + b"\x00" * 4)
             fh.write(values.tobytes())
@@ -179,13 +178,12 @@ def cmd_gradcheck(args) -> int:
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
     # one pass gives every (target, sup, p) hop score and gamma, as in toybench
-    acts = trace_arrays(spec, trace)
     hop_scores = {}
     enum_max = 0.0
-    for t, scores, gammas in gamma_stacks(spec, acts, targets, combos):
+    for t, scores, gammas in gamma_stacks(spec, trace.acts, targets, combos):
         for k, (sup, p) in enumerate(combos):
             hop_scores[(t, sup, p)] = scores[:, :, k]
-            enum = enumerate_gamma(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p)).array
+            enum = enumerate_gamma(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p))
             enum_max = max(enum_max, float(np.abs(gammas[:, :, k] - enum).max()))
 
     max_rel = 0.0

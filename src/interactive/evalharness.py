@@ -67,6 +67,8 @@ class ToyDatasetSpec:
     channels: int = 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.classes < 2:
             raise ValueError("need at least two classes")
         if self.samples_per_class < 2:

@@ -148,19 +148,13 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
 class ForwardTrace:
     """Everything one forward pass produced.
 
-    ``activations[i]`` is X(i+1), post-ReLU where the layer applies one;
-    no pre-ReLU copy is kept (``X(i+1) > 0`` is the ReLU's indicator).
-    ``activation(j)`` resolves activation index j, with j = 0 being the
-    input.
+    ``acts[j]`` is X(j) for j = 0..L as a read-only (W, H, D) array:
+    ``acts[0]`` is the input, ``acts[i+1]`` the output of layer i,
+    post-ReLU where the layer applies one; no pre-ReLU copy is kept
+    (``X(i+1) > 0`` is the ReLU's indicator).
     """
 
-    input: Tensor3
-    activations: tuple
-
-    def activation(self, index: int) -> Tensor3:
-        if index == 0:
-            return self.input
-        return self.activations[index - 1]
+    acts: tuple
 
 
 def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
@@ -241,9 +235,11 @@ def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> list:
 
 
 def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:
-    """Run the network on one image, caching every activation tensor."""
+    """Run the network on one image, caching every activation, read-only."""
     acts = forward_arrays(spec, x0.array)
-    return ForwardTrace(input=x0, activations=tuple(Tensor3.wrap(a) for a in acts[1:]))
+    for a in acts:
+        a.flags.writeable = False
+    return ForwardTrace(acts=tuple(acts))
 
 
 @dataclass(frozen=True)

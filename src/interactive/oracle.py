@@ -26,7 +26,7 @@ from .activeness import ActivenessRequest, backprop_score, log_likelihood, valid
 from .net import (
     ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
 )
-from .tensor import ChannelVector, Tensor3
+from .tensor import Tensor3
 
 ENUMERATION_GUARD = 10**7
 
@@ -99,7 +99,7 @@ def _central_difference(
         raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     kw, kh, _, _ = hop.kernel.shape
     s, pad = hop.stride, hop.padding
-    x = trace.activation(t).array
+    x = trace.acts[t]
     xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0))) if pad else x
     window = xp[wp * s : wp * s + kw, hp * s : hp * s + kh, :]
     if skip_kinks and hop.apply_relu:
@@ -111,10 +111,10 @@ def _central_difference(
         column = hop.kernel[:, :, :, dp].copy()
         column[kw_off, kh_off, d] += delta
         pre = (window * column).sum() + hop.bias[dp]
-        x_next = trace.activation(t + 1).array.copy()
+        x_next = trace.acts[t + 1].copy()
         x_next[wp, hp, dp] = pre if pre > 0 or not hop.apply_relu else 0.0
         xT, pattern = _run_from(spec, x_next, t + 1, T)
-        values.append(-log_likelihood(ChannelVector(xT.mean(axis=(0, 1))), request.p))
+        values.append(-log_likelihood(xT.mean(axis=(0, 1)), request.p))
         patterns.append((hop.apply_relu and pre > 0, pattern))
     if skip_kinks and patterns[0] != patterns[1]:
         return None
@@ -175,7 +175,7 @@ def fd_activation_score(
     """
     if not 0 <= layer_index <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= layer_index <= T <= {len(spec.layers)}")
-    base = trace.activation(layer_index).array
+    base = trace.acts[layer_index]
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     results = []
@@ -184,18 +184,19 @@ def fd_activation_score(
         x = base.copy()
         x[coord] += delta
         xT, pattern = _run_from(spec, x, layer_index, T)
-        results.append(-log_likelihood(ChannelVector(xT.mean(axis=(0, 1))), p))
+        results.append(-log_likelihood(xT.mean(axis=(0, 1)), p))
         patterns.append(pattern)
     if patterns[0] != patterns[1]:
         return None
     return (results[0] - results[1]) / (2.0 * settings.step)
 
 
-def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessRequest) -> Tensor3:
+def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessRequest) -> np.ndarray:
     """gamma by literal summation over every neuron's downstream set.
 
-    Asymptotically slow; guarded against nets with more than
-    ``ENUMERATION_GUARD`` connections through the hop layer.
+    Returns a fresh (W, H, D) array, writable by the caller.  Asymptotically
+    slow; guarded against nets with more than ``ENUMERATION_GUARD``
+    connections through the hop layer.
     """
     T = validate_request(spec, request)
     t = request.target_layer
@@ -206,8 +207,8 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessR
             f"enumeration is guarded at {ENUMERATION_GUARD}"
         )
     hop = spec.layers[t]
-    score = backprop_score(spec, trace, T, request.p, t + 1).array
-    act_next = trace.activation(t + 1).array
+    score = backprop_score(spec, trace, T, request.p, t + 1)
+    act_next = trace.acts[t + 1]
     w_in, h_in, d_in = conn.in_shape
     gamma = np.zeros((w_in, h_in, d_in))
     for w in range(w_in):
@@ -219,4 +220,4 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessR
                         continue
                     total += score[wp, hp, dp]
                 gamma[w, h, d] = total
-    return Tensor3.wrap(gamma)
+    return gamma

@@ -16,7 +16,6 @@ import pytest
 import interactive
 from interactive import (
     ActivenessRequest,
-    Tensor3,
     backprop_score,
     connection_activeness,
     enumerate_gamma,
@@ -107,8 +106,8 @@ def test_criterion_2_enumeration_equivalence():
         for t in valid_targets(spec):
             for sup, p in COMBOS:
                 request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-                engine = neuron_activeness(spec, trace, request).gamma.array
-                brute = enumerate_gamma(spec, trace, request).array
+                engine = neuron_activeness(spec, trace, request).gamma
+                brute = enumerate_gamma(spec, trace, request)
                 diff = float(np.abs(engine - brute).max())
                 worst = max(worst, diff)
                 assert diff <= 1e-10, f"{arch} seed {seed}, t={t}, {sup}, p={p}: diff {diff:.2e}"
@@ -118,16 +117,16 @@ def test_criterion_2_enumeration_equivalence():
 def test_criterion_3_analytic_layer_score():
     """p=1 exactly uniform 1/(W*H); p=2 equals (2/(W*H)) * channel mean, 1e-12."""
     rng = np.random.default_rng(123)
-    tensors = [Tensor3.from_array(rng.uniform(0, 4, size=tuple(rng.integers(1, 7, size=3)))) for _ in range(20)]
+    tensors = [rng.uniform(0, 4, size=tuple(rng.integers(1, 7, size=3))) for _ in range(20)]
     for _, _, spec, trace in seeded_nets():
-        tensors.append(trace.activation(len(spec.layers)))
+        tensors.append(trace.acts[len(spec.layers)])
     for xt in tensors:
         w, h, d = xt.shape
-        uniform = layer_score(xt, p=1).array
+        uniform = layer_score(xt, p=1)
         assert np.all(uniform == 1.0 / (w * h))
-        xbar = xt.array.mean(axis=(0, 1))
+        xbar = xt.mean(axis=(0, 1))
         expected = np.broadcast_to(2.0 / (w * h) * xbar, (w, h, d))
-        assert np.abs(layer_score(xt, p=2).array - expected).max() <= 1e-12
+        assert np.abs(layer_score(xt, p=2) - expected).max() <= 1e-12
     print(f"\n[PASS] criterion 3: analytic layer score on {len(tensors)} tensors")
 
 
@@ -141,7 +140,7 @@ def test_criterion_4_structural_identity():
                 request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
                 result = neuron_activeness(spec, trace, request)
                 assert np.array_equal(
-                    result.activeness.array, trace.activation(t).array * result.gamma.array
+                    result.activeness, trace.acts[t] * result.gamma
                 )
                 T = validate_request(spec, request)
                 hop_score = backprop_score(spec, trace, T, p, t + 1)
@@ -164,7 +163,7 @@ def test_criterion_5_next_gamma_nonnegative():
         for t in targets:
             for p in (1, 2):
                 request = ActivenessRequest(target_layer=t, supervision="next", p=p)
-                assert neuron_activeness(spec, trace, request).gamma.array.min() >= 0.0
+                assert neuron_activeness(spec, trace, request).gamma.min() >= 0.0
     print("\n[PASS] criterion 5: next-config gamma nonnegative on 100 inputs")
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from interactive import (
     ActivenessRequest,
-    ChannelVector,
     ConvLayer,
+    ForwardTrace,
     NetworkSpec,
     ShapeError,
     Tensor3,
@@ -27,44 +27,44 @@ from conftest import random_input
 
 class TestLogLikelihood:
     def test_values(self):
-        assert log_likelihood(ChannelVector([3.0, 4.0]), p=2) == -25.0
-        assert log_likelihood(ChannelVector([3.0, 4.0]), p=1) == -7.0
-        assert log_likelihood(ChannelVector([0.0, 0.0, 0.0]), p=2) == 0.0
+        assert log_likelihood(np.array([3.0, 4.0]), p=2) == -25.0
+        assert log_likelihood(np.array([3.0, 4.0]), p=1) == -7.0
+        assert log_likelihood(np.array([0.0, 0.0, 0.0]), p=2) == 0.0
 
     def test_rejects_other_norms(self):
         with pytest.raises(ValueError):
-            log_likelihood(ChannelVector([1.0]), p=3)
+            log_likelihood(np.array([1.0]), p=3)
 
 
 class TestLayerScore:
     def test_p1_is_uniform(self):
         rng = np.random.default_rng(0)
-        t = Tensor3.from_array(rng.uniform(0, 5, size=(2, 2, 3)))
-        npt.assert_array_equal(layer_score(t, p=1).array, np.full((2, 2, 3), 0.25))
+        t = rng.uniform(0, 5, size=(2, 2, 3))
+        npt.assert_array_equal(layer_score(t, p=1), np.full((2, 2, 3), 0.25))
 
     def test_p1_handles_zero_channels(self):
-        t = Tensor3.from_array(np.zeros((2, 2, 3)))
-        npt.assert_array_equal(layer_score(t, p=1).array, np.full((2, 2, 3), 0.25))
+        t = np.zeros((2, 2, 3))
+        npt.assert_array_equal(layer_score(t, p=1), np.full((2, 2, 3), 0.25))
 
     def test_p2_single_position(self):
-        t = Tensor3(1, 1, 2, [3.0, 4.0])
-        npt.assert_array_equal(layer_score(t, p=2).array.reshape(-1), [6.0, 8.0])
+        t = np.array([3.0, 4.0]).reshape(1, 1, 2)
+        npt.assert_array_equal(layer_score(t, p=2).reshape(-1), [6.0, 8.0])
 
     def test_p2_broadcasts_channel_average(self):
-        t = Tensor3(2, 1, 1, [1.0, 3.0])  # mean 2, W*H = 2
-        npt.assert_array_equal(layer_score(t, p=2).array.reshape(-1), [2.0, 2.0])
+        t = np.array([1.0, 3.0]).reshape(2, 1, 1)  # mean 2, W*H = 2
+        npt.assert_array_equal(layer_score(t, p=2).reshape(-1), [2.0, 2.0])
 
     def test_rejects_other_norms(self):
         with pytest.raises(ValueError):
-            layer_score(Tensor3(1, 1, 1, [1.0]), p=0)
+            layer_score(np.ones((1, 1, 1)), p=0)
 
 
 class TestBackpropScore:
     def test_empty_chain_returns_layer_score(self, tiny_net, tiny_trace):
         for p in (1, 2):
             got = backprop_score(tiny_net, tiny_trace, T=3, p=p, down_to=3)
-            want = layer_score(tiny_trace.activation(3), p)
-            npt.assert_array_equal(got.array, want.array)
+            want = layer_score(tiny_trace.acts[3], p)
+            npt.assert_array_equal(got, want)
 
     def test_one_by_one_conv_chain_rule(self):
         # x -> conv(w, b); score at T=1 back to input
@@ -99,7 +99,7 @@ class TestBackpropScore:
             for _ in range(40):
                 p = int(rng.integers(1, 3))
                 ell = int(rng.integers(0, L + 1))
-                shape = trace.activation(ell).shape
+                shape = trace.acts[ell].shape
                 coord = tuple(int(rng.integers(s)) for s in shape)
                 engine = backprop_score(spec, trace, T=L, p=p, down_to=ell)[coord]
                 fd = fd_activation_score(spec, trace, L, p, ell, coord, settings)
@@ -123,6 +123,28 @@ class TestBackpropScore:
             backprop_score(other, tiny_trace, T=1, p=1, down_to=0)
 
 
+class TestTraceBoundary:
+    """Every public function that takes a trace rejects one that does not
+    fit the network it is given."""
+
+    CALLS = {
+        "neuron_activeness": lambda spec, trace: neuron_activeness(spec, trace, ActivenessRequest(target_layer=0)),
+        "backprop_score": lambda spec, trace: backprop_score(spec, trace, T=2, p=2, down_to=0),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_trace_of_another_network(self, tiny_net, call):
+        other = generate_model("tiny-3conv", seed=5)
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            self.CALLS[call](other, forward(tiny_net, random_input(tiny_net, seed=1)))
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_trace_with_an_activation_dropped(self, tiny_net, tiny_trace, call):
+        dropped = ForwardTrace(acts=tiny_trace.acts[:1] + tiny_trace.acts[2:])
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            self.CALLS[call](tiny_net, dropped)
+
+
 class TestConnectionActiveness:
     def test_zero_upstream_neuron(self, tiny_net):
         x0 = Tensor3.from_array(np.zeros(tiny_net.input_shape))
@@ -135,7 +157,7 @@ class TestConnectionActiveness:
 
     def test_clamped_downstream_neuron(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-        pre = apply_conv(tiny_net.layers[0], tiny_trace.input.array)
+        pre = apply_conv(tiny_net.layers[0], tiny_trace.acts[0])
         wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
         assert pre[wp, hp, dp] < 0
         conn = receptive_sets(tiny_net, 0)
@@ -158,9 +180,9 @@ class TestNeuronActiveness:
         trace = forward(tiny_net, Tensor3.from_array(np.zeros(tiny_net.input_shape)))
         request = ActivenessRequest(target_layer=0, supervision="last", p=1)
         result = neuron_activeness(tiny_net, trace, request)
-        npt.assert_array_equal(result.activeness.array, 0.0)
-        npt.assert_array_equal(result.feature.values, 0.0)
-        assert result.gamma.array.max() > 0  # biases keep downstream neurons active
+        npt.assert_array_equal(result.activeness, 0.0)
+        npt.assert_array_equal(result.feature, 0.0)
+        assert result.gamma.max() > 0  # biases keep downstream neurons active
 
     def test_next_p1_uniform_hop_value(self):
         # 1x1 spatial, 1x1 conv, all outputs positive: gamma = D_next / (W*H) = dout
@@ -173,7 +195,7 @@ class TestNeuronActiveness:
         trace = forward(spec, Tensor3(1, 1, 2, [0.5, 0.25]))
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         result = neuron_activeness(spec, trace, request)
-        npt.assert_allclose(result.gamma.array, float(dout), atol=1e-12)
+        npt.assert_allclose(result.gamma, float(dout), atol=1e-12)
 
     def test_activeness_identity_and_map2d(self, tiny_net, tiny_trace):
         for sup in ("last", "next"):
@@ -182,11 +204,11 @@ class TestNeuronActiveness:
                     request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
                     result = neuron_activeness(tiny_net, tiny_trace, request)
                     npt.assert_array_equal(
-                        result.activeness.array,
-                        tiny_trace.activation(t).array * result.gamma.array,
+                        result.activeness,
+                        tiny_trace.acts[t] * result.gamma,
                     )
                     npt.assert_allclose(
-                        result.map2d, result.gamma.array.sum(axis=2), atol=0, rtol=0
+                        result.map2d, result.gamma.sum(axis=2), atol=0, rtol=0
                     )
 
     def test_connection_sum_equals_activeness_entry(self, tiny_net, tiny_trace):
@@ -214,23 +236,30 @@ class TestNeuronActiveness:
                 for t in (0, 2):
                     request = ActivenessRequest(target_layer=t, supervision="next", p=p)
                     result = neuron_activeness(tiny_net, trace, request)
-                    assert result.gamma.array.min() >= 0.0
+                    assert result.gamma.min() >= 0.0
 
     def test_summarize_modes(self, tiny_net, tiny_trace):
         req_max = ActivenessRequest(target_layer=2, supervision="last", p=2, summarize="max")
         req_avg = ActivenessRequest(target_layer=2, supervision="last", p=2, summarize="average")
         r_max = neuron_activeness(tiny_net, tiny_trace, req_max)
         r_avg = neuron_activeness(tiny_net, tiny_trace, req_avg)
-        x = r_max.activeness.array
-        npt.assert_array_equal(r_max.feature.values, x.max(axis=(0, 1)))
-        npt.assert_array_equal(r_avg.feature.values, x.mean(axis=(0, 1)))
+        x = r_max.activeness
+        npt.assert_array_equal(r_max.feature, x.max(axis=(0, 1)))
+        npt.assert_array_equal(r_avg.feature, x.mean(axis=(0, 1)))
+
+    def test_result_arrays_are_read_only(self, tiny_net, tiny_trace):
+        result = neuron_activeness(tiny_net, tiny_trace, ActivenessRequest(target_layer=2))
+        for name in ("gamma", "activeness", "map2d", "feature"):
+            arr = getattr(result, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
 
     def test_deterministic_bitwise(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
         a = neuron_activeness(tiny_net, tiny_trace, request)
         b = neuron_activeness(tiny_net, tiny_trace, request)
-        assert np.array_equal(a.gamma.array, b.gamma.array)
-        assert np.array_equal(a.feature.values, b.feature.values)
+        assert np.array_equal(a.gamma, b.gamma)
+        assert np.array_equal(a.feature, b.feature)
         assert a.log_likelihood == b.log_likelihood
 
     def test_input_scaling_keeps_map_argmax_for_bias_free_net(self):
@@ -278,7 +307,7 @@ class TestNonTemplatePaths:
         for _ in range(30):
             p = int(rng.integers(1, 3))
             ell = int(rng.integers(0, 3))
-            coord = tuple(int(rng.integers(s)) for s in trace.activation(ell).shape)
+            coord = tuple(int(rng.integers(s)) for s in trace.acts[ell].shape)
             engine = backprop_score(spec, trace, T=3, p=p, down_to=ell)[coord]
             fd = fd_activation_score(spec, trace, 3, p, ell, coord)
             if fd is None:
@@ -293,7 +322,7 @@ class TestNonTemplatePaths:
 
         spec = mixed_net(seed=5, relu_last=False)
         trace = forward(spec, random_input(spec, seed=6))
-        post = trace.activation(3).array
+        post = trace.acts[3]
         assert post.min() < 0  # genuinely linear layer
         request = ActivenessRequest(target_layer=2, supervision="last", p=2)
         conn = receptive_sets(spec, 2)
@@ -315,7 +344,7 @@ class TestNonTemplatePaths:
             names=("pool-1",),
         )
         trace = forward(spec, Tensor3.from_array(np.ones((4, 4, 1))))
-        grad = backprop_score(spec, trace, T=1, p=1, down_to=0).array
+        grad = backprop_score(spec, trace, T=1, p=1, down_to=0)
         # every 2x2 window ties; the (0, 0) window cell wins, weight 1/(2*2)
         expected = np.zeros((4, 4, 1))
         expected[::2, ::2, 0] = 0.25
@@ -372,7 +401,7 @@ class TestGammaStacks:
     def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
         acts = trace_arrays(tiny_net, tiny_trace)
         [(_, score, _)] = gamma_stacks(tiny_net, acts, [0], [("last", 2)])
-        npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1).array)
+        npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1))
 
     @pytest.mark.parametrize("arch, batch", [
         ("toy-cnn", ()), ("tiny-2conv", ()), ("tiny-3conv", ()), ("tiny-fc", ()), ("toy-cnn", (3,)),
@@ -396,8 +425,8 @@ class TestGammaStacks:
     def test_result_gamma_is_a_read_only_broadcast_field(self, tiny_net, tiny_trace):
         for t in (0, 2):
             result = neuron_activeness(tiny_net, tiny_trace, ActivenessRequest(target_layer=t))
-            gamma = result.gamma.array
-            assert gamma.shape == tiny_trace.activation(t).shape
+            gamma = result.gamma
+            assert gamma.shape == tiny_trace.acts[t].shape
             assert not gamma.flags.writeable
             with pytest.raises(ValueError):
                 gamma[0, 0, 0] = 1.0

@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from interactive.activeness import gamma_stacks
 from interactive.cli import (
     EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
 )
+from interactive.evalharness import ToyDatasetSpec, toy_image
+
+# ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
+# keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
+FROZEN_ACTIVENESS = json.loads((Path(__file__).parent / "data" / "activeness_toy_cnn_16.json").read_text())
 
 
 @pytest.fixture()
@@ -140,6 +146,24 @@ class TestActiveness:
         code, hm, _ = self.run(model, img, tmp_path, "--layer", "pool-1", "--mean", "0")
         assert code == EXIT_OK
         assert np.all(read_image(hm).pixels == 128)
+
+    @pytest.fixture(scope="class")
+    def toy_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("frozen")
+        save_model(generate_model("toy-cnn", seed=0), tmp / "toy.model")
+        write_image(toy_image(ToyDatasetSpec(), 0, 0), tmp / "toy.ppm")
+        return tmp / "toy.model", tmp / "toy.ppm"
+
+    @pytest.mark.parametrize("key", sorted(FROZEN_ACTIVENESS))
+    def test_outputs_match_frozen_record(self, toy_files, tmp_path, key):
+        layer, config, p = key.split("/")
+        code, hm, feat = self.run(*toy_files, tmp_path, "--layer", layer, "--config", config, "--p", p[1:])
+        assert code == EXIT_OK
+        want = FROZEN_ACTIVENESS[key]
+        np.testing.assert_allclose(np.frombuffer(feat.read_bytes()[16:], dtype="<f4"), want["feature"],
+                                   rtol=1e-9, atol=0)
+        frozen = np.array([list(bytes.fromhex(row)) for row in want["heatmap"]])
+        assert np.abs(read_image(hm).pixels[:, :, 0].astype(int) - frozen).max() <= 1
 
     def test_bad_norm_exits_2(self, model_path, image_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

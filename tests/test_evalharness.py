@@ -11,8 +11,6 @@ from interactive import (
     forward,
     generate_model,
     neuron_activeness,
-    spatial_average,
-    spatial_max,
 )
 from interactive.evalharness import (
     INPUT_MEAN,
@@ -132,6 +130,10 @@ class TestToyDataset:
         with pytest.raises(ValueError):
             ToyDatasetSpec(channels=2)
 
+    def test_negative_seed_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ToyDatasetSpec(seed=-1)
+
 
 @pytest.fixture(scope="module")
 def seed3_report():
@@ -201,12 +203,12 @@ class TestComparePipelines:
             assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):
                 trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d))
-                x_t = trace.activation(t)
-                expected = [spatial_average(x_t).values, spatial_max(x_t).values]
+                x_t = trace.acts[t]
+                expected = [x_t.mean(axis=(0, 1)), x_t.max(axis=(0, 1))]
                 for sup in ("next", "last"):
                     for p in (1, 2):
                         request = ActivenessRequest(target_layer=t, supervision=sup, p=p, summarize="max")
-                        expected.append(neuron_activeness(spec, trace, request).feature.values)
+                        expected.append(neuron_activeness(spec, trace, request).feature)
                 # relative: tiny-fc's 1x1 fc output takes numpy's vector-matrix product
                 # for one image and a matrix product for a stack, so its last bit
                 # may differ (1.8e-12 absolute on entries near 7.5e3 was seen)

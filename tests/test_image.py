@@ -198,7 +198,7 @@ class TestToInputTensor:
         assert t.shape == (3, 2, 1)
         for w in range(3):
             for h in range(2):
-                assert t[w, h, 0] == float(img.pixels[h, w, 0])
+                assert t.array[w, h, 0] == float(img.pixels[h, w, 0])
 
     def test_constant_mean_cancels(self):
         img = RasterImage(pixels=np.full((4, 4, 1), 128, dtype=np.uint8))

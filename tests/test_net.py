@@ -105,11 +105,11 @@ def test_pool_layer_validation():
 def test_forward_one_by_one_conv_relu():
     spec = conv_spec(np.full((1, 1, 1, 1), 3.0), np.array([-1.0]))
     trace = forward(spec, Tensor3(1, 1, 1, [2.0]))
-    assert trace.activations[0][0, 0, 0] == 5.0  # 2*3 - 1
+    assert trace.acts[1][0, 0, 0] == 5.0  # 2*3 - 1
 
     spec = conv_spec(np.full((1, 1, 1, 1), 3.0), np.array([-7.0]))
     trace = forward(spec, Tensor3(1, 1, 1, [2.0]))
-    assert trace.activations[0][0, 0, 0] == 0.0  # ReLU clamps 2*3 - 7
+    assert trace.acts[1][0, 0, 0] == 0.0  # ReLU clamps 2*3 - 7
 
 
 def test_forward_max_pool():
@@ -117,8 +117,8 @@ def test_forward_max_pool():
         layers=(PoolLayer(window=2, stride=2, mode="max"),), input_shape=(2, 2, 1), names=("pool-1",)
     )
     trace = forward(spec, Tensor3(2, 2, 1, [1, 2, 3, 4]))
-    assert trace.activations[0].shape == (1, 1, 1)
-    assert trace.activations[0][0, 0, 0] == 4.0
+    assert trace.acts[1].shape == (1, 1, 1)
+    assert trace.acts[1][0, 0, 0] == 4.0
 
 
 def test_forward_average_pool():
@@ -128,7 +128,7 @@ def test_forward_average_pool():
         names=("pool-1",),
     )
     trace = forward(spec, Tensor3(2, 2, 1, [1, 2, 3, 4]))
-    assert trace.activations[0][0, 0, 0] == 2.5
+    assert trace.acts[1][0, 0, 0] == 2.5
 
 
 def test_forward_shape_mismatch():
@@ -175,8 +175,8 @@ def test_forward_is_deterministic_bitwise(tiny_net):
     x = random_input(tiny_net, seed=5)
     t1 = forward(tiny_net, x)
     t2 = forward(tiny_net, x)
-    for a, b in zip(t1.activations, t2.activations):
-        assert np.array_equal(a.array, b.array)
+    for a, b in zip(t1.acts, t2.acts):
+        assert np.array_equal(a, b)
 
 
 def test_final_bias_change_is_local(tiny_net):
@@ -196,15 +196,22 @@ def test_final_bias_change_is_local(tiny_net):
         names=tiny_net.names,
     )
     other = forward(spec2, x)
-    for a, b in zip(base.activations[:-1], other.activations[:-1]):
-        assert np.array_equal(a.array, b.array)
-    assert not np.array_equal(base.activations[-1].array, other.activations[-1].array)
+    for a, b in zip(base.acts[:-1], other.acts[:-1]):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(base.acts[-1], other.acts[-1])
 
 
 def test_relu_idempotent_on_activations(tiny_net, tiny_trace):
-    for layer, act in zip(tiny_net.layers, tiny_trace.activations):
+    for layer, act in zip(tiny_net.layers, tiny_trace.acts[1:]):
         if isinstance(layer, ConvLayer) and layer.apply_relu:
-            npt.assert_array_equal(np.maximum(act.array, 0.0), act.array)
+            npt.assert_array_equal(np.maximum(act, 0.0), act)
+
+
+def test_trace_acts_are_read_only(tiny_net, tiny_trace):
+    assert len(tiny_trace.acts) == len(tiny_net.layers) + 1
+    for act in tiny_trace.acts:
+        with pytest.raises(ValueError, match="read-only"):
+            act[0, 0, 0] = 1.0
 
 
 def test_receptive_sets_one_by_one():

@@ -35,27 +35,29 @@ def test_settings_validation():
 
 
 def test_fd_zero_upstream_activation(tiny_net):
-    trace = forward(tiny_net, Tensor3.from_array(np.zeros(tiny_net.input_shape)))
+    x0 = Tensor3.from_array(np.zeros(tiny_net.input_shape))
+    trace = forward(tiny_net, x0)
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     conn = receptive_sets(tiny_net, 0)
     wp, hp, dp = 3, 3, 0
     w, h, d = conn.v_set(wp, hp, dp)[0]
-    fd = fd_connection_score(tiny_net, trace.input, request, (w, h, d, wp, hp, dp), trace=trace)
+    fd = fd_connection_score(tiny_net, x0, request, (w, h, d, wp, hp, dp), trace=trace)
     assert abs(fd) <= 1e-8
 
 
 def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-    pre = apply_conv(tiny_net.layers[0], tiny_trace.input.array)
+    pre = apply_conv(tiny_net.layers[0], tiny_trace.acts[0])
     wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
     margin = -pre[wp, hp, dp]
     conn = receptive_sets(tiny_net, 0)
     settings = FDSettings()
     # pick a source whose perturbation cannot cross the clamp boundary
+    x0 = Tensor3.from_array(tiny_trace.acts[0])
     for w, h, d in conn.v_set(wp, hp, dp):
-        x = tiny_trace.activation(0)[w, h, d]
+        x = tiny_trace.acts[0][w, h, d]
         if margin > settings.step * abs(x) * 10 and abs(x) > 0.1:
-            fd = fd_connection_score(tiny_net, tiny_trace.input, request, (w, h, d, wp, hp, dp))
+            fd = fd_connection_score(tiny_net, x0, request, (w, h, d, wp, hp, dp))
             assert abs(fd) <= 1e-8
             return
     pytest.fail("no safely clamped connection found")
@@ -90,7 +92,8 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
 def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_score(tiny_net, tiny_trace.input, request, (0, 0, 0, 7, 7, 0), trace=tiny_trace)
+        fd_connection_score(tiny_net, Tensor3.from_array(tiny_trace.acts[0]), request, (0, 0, 0, 7, 7, 0),
+                            trace=tiny_trace)
     # one step outside the 3x3 pad-1 window: kernel offset -1, which must not
     # wrap around to the kernel's far column and probe another weight
     with pytest.raises(ValueError, match="does not exist"):
@@ -139,11 +142,11 @@ class TestEnumerateGamma:
         )
         x = Tensor3(1, 1, 2, [1.0, 2.0])
         trace = forward(spec, x)
-        post = trace.activations[0].array[0, 0]
+        post = trace.acts[1][0, 0]
         expected = sum(2.0 * v for v in post if v > 0)
         request = ActivenessRequest(target_layer=0, supervision="next", p=2)
         got = enumerate_gamma(spec, trace, request)
-        npt.assert_allclose(got.array, expected, atol=1e-12)
+        npt.assert_allclose(got, expected, atol=1e-12)
 
     def test_matches_engine_all_configurations(self, tiny_net, tiny_trace):
         for sup in ("last", "next"):
@@ -152,7 +155,7 @@ class TestEnumerateGamma:
                     request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
                     enum = enumerate_gamma(tiny_net, tiny_trace, request)
                     engine = neuron_activeness(tiny_net, tiny_trace, request).gamma
-                    assert np.abs(enum.array - engine.array).max() <= 1e-10
+                    assert np.abs(enum - engine).max() <= 1e-10
 
     def test_guard_rejects_oversize_net(self):
         # 32x32 outputs x 60 channels x (up to 25 kernel cells) x 8 input channels > 1e7

@@ -25,6 +25,7 @@ A single image is the case with no batch axes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -266,12 +267,11 @@ class ConvConnectivity:
     def u_set(self, w: int, h: int, d: int) -> list[tuple[int, int, int]]:
         """Downstream (t+1)-layer neurons reading input neuron (w, h, d)."""
         self._check_in(w, h, d)
-        out = []
-        for wp in self._covering(w, self.kernel_w, self.out_shape[0]):
-            for hp in self._covering(h, self.kernel_h, self.out_shape[1]):
-                for dp in range(self.out_shape[2]):
-                    out.append((wp, hp, dp))
-        return out
+        return list(itertools.product(
+            self._covering(w, self.kernel_w, self.out_shape[0]),
+            self._covering(h, self.kernel_h, self.out_shape[1]),
+            range(self.out_shape[2]),
+        ))
 
     def v_set(self, wp: int, hp: int, dp: int) -> list[tuple[int, int, int]]:
         """Upstream t-layer neurons feeding output neuron (wp, hp, dp)."""

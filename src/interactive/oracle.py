@@ -3,11 +3,13 @@
 The finite-difference (FD) probes replay the forward pass only: central
 differences rerun the layers above the probed weight twice per probe and
 differentiate the ln f the engine reports (``log_likelihood``); they never
-use the engine's backward path.  ``enumerate_gamma`` checks the hop: it
-takes the engine's score at X(t+1) (``backprop_score``) and applies the
-activation indicator and the U-set sums by walking every connectivity set
-literally.  Both ship in the library so the CLI can expose a user-facing
-gradient check.
+use the engine's backward path.  ``enumerate_gamma`` checks the hop: for
+each requested (supervision, p) config it takes the engine's score at
+X(t+1) (``backprop_score``), then makes one literal walk of every
+connectivity set of the target, applying the activation indicator and
+adding each active consumer's scores to all the configs' sums at once.
+Both ship in the library so the CLI can expose a user-facing gradient
+check.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: the ``kink_guard`` threshold skips probes whose
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activeness import ActivenessRequest, backprop_score, log_likelihood, validate_request
+from .activeness import ActivenessRequest, backprop_score, log_likelihood, trace_arrays, validate_request
 from .net import (
-    ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
+    ConvConnectivity, ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax,
+    receptive_sets,
 )
 from .tensor import Tensor3
 
@@ -77,6 +80,7 @@ def _central_difference(
     connection,
     settings: FDSettings,
     skip_kinks: bool,
+    conn: ConvConnectivity | None = None,
 ) -> float | None:
     """Central difference of -ln f in one connection weight of layer t.
 
@@ -84,24 +88,30 @@ def _central_difference(
     entry feeding (w', h', d') from (w, h, d).  The bumped weight applies
     to the single connection only: X(t+1) is copied from the forward
     trace, and the one entry the weight feeds is recomputed from its
-    zero-padded receptive window (cut once per probe) against a kernel
-    column with the weight changed.  With ``skip_kinks``,
+    receptive window against a kernel column with the weight changed.  The
+    window is cut once per probe: its in-range part is copied into zeros,
+    which stand for the padding.  ``conn`` is ``receptive_sets(spec, t)``,
+    or None to build it here.  With ``skip_kinks``,
     returns None when that entry's unbumped pre-activation magnitude is
     below ``kink_guard`` or when the two passes land on different linear
     pieces.  Only the bumped entry differs from the trace, so its sign is
     the hop layer's whole share of the activation pattern.
     """
+    acts = trace_arrays(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
     w, h, d, wp, hp, dp = connection
-    conn = receptive_sets(spec, t)
+    if conn is None:
+        conn = receptive_sets(spec, t)
     if not conn.connected(w, h, d, wp, hp, dp):
         raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     kw, kh, _, _ = hop.kernel.shape
-    s, pad = hop.stride, hop.padding
-    x = trace.acts[t]
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0))) if pad else x
-    window = xp[wp * s : wp * s + kw, hp * s : hp * s + kh, :]
+    x = acts[t]
+    w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
+    w_lo, w_hi = max(w0, 0), min(w0 + kw, x.shape[0])
+    h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
+    window = np.zeros((kw, kh, x.shape[2]))
+    window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
     if skip_kinks and hop.apply_relu:
         if abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < settings.kink_guard:
             return None
@@ -111,7 +121,7 @@ def _central_difference(
         column = hop.kernel[:, :, :, dp].copy()
         column[kw_off, kh_off, d] += delta
         pre = (window * column).sum() + hop.bias[dp]
-        x_next = trace.acts[t + 1].copy()
+        x_next = acts[t + 1].copy()
         x_next[wp, hp, dp] = pre if pre > 0 or not hop.apply_relu else 0.0
         xT, pattern = _run_from(spec, x_next, t + 1, T)
         values.append(-log_likelihood(xT.mean(axis=(0, 1)), request.p))
@@ -132,7 +142,8 @@ def fd_connection_score(
     """Central difference of -ln f in one connection weight of layer t.
 
     ``connection`` is (w, h, d, w', h', d') and must name a real kernel
-    entry feeding (w', h', d') from (w, h, d).
+    entry feeding (w', h', d') from (w, h, d).  A ``trace`` passed in must
+    come from this network (``ShapeError`` otherwise).
     """
     T = validate_request(spec, request)
     if trace is None:
@@ -146,16 +157,19 @@ def fd_connection_check(
     request: ActivenessRequest,
     connection,
     settings: FDSettings = FDSettings(),
+    conn: ConvConnectivity | None = None,
 ) -> float | None:
     """FD estimate for a connection, or None when the probe sits at a kink.
 
     Skips when the directly hit neuron's pre-activation magnitude, summed
     here from its receptive window, is below ``kink_guard`` or when the two
     perturbed passes land on different linear pieces.  A connection that
-    does not exist raises ``ValueError``.
+    does not exist raises ``ValueError``; a trace of another network raises
+    ``ShapeError``.  A caller that probes one target many times passes its
+    ``receptive_sets(spec, t)`` as ``conn``, built once.
     """
     T = validate_request(spec, request)
-    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True)
+    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True, conn=conn)
 
 
 def fd_activation_score(
@@ -171,11 +185,13 @@ def fd_activation_score(
 
     Cross-checks ``backprop_score``.  Returns None when the two perturbed
     passes straddle a kink.  A ``coord`` outside the activation raises
-    ``IndexError``; a negative one does not wrap around.
+    ``IndexError``; a negative one does not wrap around.  A trace of another
+    network raises ``ShapeError``.
     """
+    acts = trace_arrays(spec, trace)
     if not 0 <= layer_index <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= layer_index <= T <= {len(spec.layers)}")
-    base = trace.acts[layer_index]
+    base = acts[layer_index]
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     results = []
@@ -191,15 +207,21 @@ def fd_activation_score(
     return (results[0] - results[1]) / (2.0 * settings.step)
 
 
-def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessRequest) -> np.ndarray:
-    """gamma by literal summation over every neuron's downstream set.
+def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> np.ndarray:
+    """gamma at X(t) under several (supervision, p) configs, by literal
+    summation over every neuron's downstream set.
 
-    Returns a fresh (W, H, D) array, writable by the caller.  Asymptotically
-    slow; guarded against nets with more than ``ENUMERATION_GUARD``
-    connections through the hop layer.
+    Returns a fresh (W, H, K, D) array, writable by the caller, with the K
+    configs on axis 2 in order, the layout of ``gamma_stacks``.  Each config
+    is checked by ``validate_request`` and takes its score at X(t+1) from its
+    own ``backprop_score`` call.  One walk visits every input neuron once and
+    goes through its U-set in order; each active consumer adds its K scores,
+    one to each config's running sum, so every sum adds the same terms in the
+    same order as a walk for that config alone.  Asymptotically slow; guarded
+    against nets with more than ``ENUMERATION_GUARD`` connections through the
+    hop layer.
     """
-    T = validate_request(spec, request)
-    t = request.target_layer
+    Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
     conn = receptive_sets(spec, t)
     if conn.connection_count() > ENUMERATION_GUARD:
         raise ValueError(
@@ -207,17 +229,20 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, request: ActivenessR
             f"enumeration is guarded at {ENUMERATION_GUARD}"
         )
     hop = spec.layers[t]
-    score = backprop_score(spec, trace, T, request.p, t + 1)
-    act_next = trace.acts[t + 1]
+    # nested lists: scores[w'][h'][d'] holds the K configs' scores at that consumer
+    scores = [backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)]
+    scores = np.stack(scores, axis=-1).tolist()
+    active = (trace.acts[t + 1] > 0).tolist()
     w_in, h_in, d_in = conn.in_shape
-    gamma = np.zeros((w_in, h_in, d_in))
+    gamma = np.zeros((w_in, h_in, len(Ts), d_in))
     for w in range(w_in):
         for h in range(h_in):
             for d in range(d_in):
-                total = 0.0
+                totals = [0.0] * len(Ts)
                 for wp, hp, dp in conn.u_set(w, h, d):
-                    if hop.apply_relu and not act_next[wp, hp, dp] > 0:
+                    if hop.apply_relu and not active[wp][hp][dp]:
                         continue
-                    total += score[wp, hp, dp]
-                gamma[w, h, d] = total
+                    for k, term in enumerate(scores[wp][hp][dp]):
+                        totals[k] += term
+                gamma[w, h, :, d] = totals
     return gamma

@@ -107,7 +107,7 @@ def test_criterion_2_enumeration_equivalence():
             for sup, p in COMBOS:
                 request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
                 engine = neuron_activeness(spec, trace, request).gamma
-                brute = enumerate_gamma(spec, trace, request)
+                brute = enumerate_gamma(spec, trace, t, [(sup, p)])[:, :, 0]
                 diff = float(np.abs(engine - brute).max())
                 worst = max(worst, diff)
                 assert diff <= 1e-10, f"{arch} seed {seed}, t={t}, {sup}, p={p}: diff {diff:.2e}"

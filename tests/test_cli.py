@@ -11,6 +11,7 @@ from interactive import (
     NetworkSpec,
     RasterImage,
     connection_activeness,
+    enumerate_gamma,
     generate_model,
     read_image,
     save_model,
@@ -20,11 +21,15 @@ from interactive.activeness import gamma_stacks
 from interactive.cli import (
     EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
 )
-from interactive.evalharness import ToyDatasetSpec, toy_image
+from interactive.evalharness import ToyDatasetSpec, toy_image, valid_targets
 
 # ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
 # keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
 FROZEN_ACTIVENESS = json.loads((Path(__file__).parent / "data" / "activeness_toy_cnn_16.json").read_text())
+# full ``gradcheck --samples 200`` stdout, keyed "arch/model seed/--seed", recorded
+# from an enumeration oracle that walked once per (target, config): the stacked
+# walk must reproduce every verdict line to the last printed digit
+GOLDEN_GRADCHECK = json.loads((Path(__file__).parent / "data" / "gradcheck_golden.json").read_text())
 
 
 @pytest.fixture()
@@ -279,6 +284,21 @@ class TestGradcheck:
         # spread to the D input channels, then shift channel 0 alone
         self._gradcheck_with_gamma_shifted(tmp_path, monkeypatch, capsys, spread=True)
 
+    def test_enumeration_walks_each_target_once(self, tmp_path, monkeypatch):
+        # one literal walk per target serves all four (supervision, p) configs
+        spec = generate_model("toy-cnn", seed=0)
+        model = tmp_path / "toy.model"
+        save_model(spec, model)
+        walked = []
+
+        def counted(spec, trace, t, configs):
+            walked.append(t)
+            return enumerate_gamma(spec, trace, t, configs)
+
+        monkeypatch.setattr("interactive.cli.enumerate_gamma", counted)
+        assert main(["gradcheck", "--model", str(model), "--seed", "0", "--samples", "20"]) == EXIT_OK
+        assert sorted(walked) == valid_targets(spec)  # one call per target, not one per config
+
     def test_samples_above_cap_exits_2(self, model_path, monkeypatch, capsys):
         monkeypatch.setattr("interactive.cli.cmd_gradcheck", lambda args: pytest.fail("gradcheck ran"))
         with pytest.raises(SystemExit) as exc:
@@ -290,6 +310,15 @@ class TestGradcheck:
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--model", str(model_path), "--samples", "0"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_GRADCHECK))
+    def test_stdout_matches_golden_record(self, key, tmp_path, capsys):
+        arch, model_seed, seed = key.split("/")
+        model = tmp_path / "m.model"
+        save_model(generate_model(arch, seed=int(model_seed)), model)
+        code = main(["gradcheck", "--model", str(model), "--seed", seed, "--samples", "200"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == GOLDEN_GRADCHECK[key]
 
     def test_deterministic_stdout(self, model_path, capsys):
         main(["gradcheck", "--model", str(model_path), "--seed", "4", "--samples", "60"])

@@ -10,6 +10,7 @@ from interactive import (
     ActivenessRequest,
     ConvLayer,
     NetworkSpec,
+    ShapeError,
     Tensor3,
     connection_activeness,
     enumerate_gamma,
@@ -23,6 +24,22 @@ from interactive.net import apply_conv
 from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_activation_score, fd_connection_check
 
 from conftest import random_input
+
+CONFIGS = [("last", 1), ("last", 2), ("next", 1), ("next", 2)]
+
+
+def _padded_stride2_net():
+    """A 5x5 conv with padding 2 and stride 2 on a 9x9x3 input, under a 3x3
+    conv: every output position but the centre row and column reads padding."""
+    rng = np.random.default_rng(21)
+    layers = (
+        ConvLayer(kernel=0.3 * rng.standard_normal((5, 5, 3, 4)), bias=0.1 * rng.standard_normal(4),
+                  stride=2, padding=2),
+        ConvLayer(kernel=0.3 * rng.standard_normal((3, 3, 4, 2)), bias=np.full(2, 0.05), padding=1),
+    )
+    spec = NetworkSpec(layers=layers, input_shape=(9, 9, 3), names=("conv-1", "conv-2"))
+    x0 = Tensor3.from_array(rng.standard_normal(spec.input_shape))
+    return spec, x0, forward(spec, x0)
 
 
 def test_settings_validation():
@@ -131,6 +148,81 @@ def test_fd_activation_score_rejects_coords_outside_the_activation():
             fd_activation_score(spec, trace, L, 2, 0, coord)
 
 
+class TestTraceOfAnotherNetwork:
+    # a toy-cnn trace at 20x20 has the right layers but not the 16x16 spec's shapes
+    @pytest.fixture()
+    def mismatch(self):
+        other = generate_model("toy-cnn", seed=0, input_shape=(20, 20, 3))
+        x0 = random_input(other, seed=0)
+        return generate_model("toy-cnn", seed=0), x0, forward(other, x0)
+
+    def test_fd_connection_check_rejects_it(self, mismatch):
+        spec, _, trace = mismatch
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            fd_connection_check(spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0))
+
+    def test_fd_connection_score_rejects_it(self, mismatch):
+        spec, x0, trace = mismatch
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            fd_connection_score(spec, x0, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0), trace=trace)
+
+    def test_fd_activation_score_rejects_it(self, mismatch):
+        spec, _, trace = mismatch
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            fd_activation_score(spec, trace, 5, 2, 0, (0, 0, 0))
+
+
+class TestWindowCutAtTheBorder:
+    def _border_positions(self, conn):
+        # output positions whose window reaches into the padding, with their window origin
+        ow, oh, _ = conn.out_shape
+        for wp in range(ow):
+            for hp in range(oh):
+                w0, h0 = wp * conn.stride - conn.padding, hp * conn.stride - conn.padding
+                over_w = w0 < 0 or w0 + conn.kernel_w > conn.in_shape[0]
+                over_h = h0 < 0 or h0 + conn.kernel_h > conn.in_shape[1]
+                if over_w or over_h:
+                    yield wp, hp, w0, h0
+
+    @staticmethod
+    def _corner(origin, extent, size):
+        # the in-range tap next to the padding (the low one when the window overruns neither side)
+        return min(origin + extent, size) - 1 if origin + extent > size else max(origin, 0)
+
+    def test_in_range_corner_taps_match_the_engine(self):
+        spec, x0, trace = _padded_stride2_net()
+        conn = receptive_sets(spec, 0)
+        positions = list(self._border_positions(conn))
+        assert len(positions) == 16
+        for sup, p in (("next", 2), ("last", 2)):
+            request = ActivenessRequest(target_layer=0, supervision=sup, p=p)
+            for k, (wp, hp, w0, h0) in enumerate(positions):
+                w = self._corner(w0, conn.kernel_w, conn.in_shape[0])
+                h = self._corner(h0, conn.kernel_h, conn.in_shape[1])
+                dp = int(trace.acts[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
+                connection = (w, h, k % 3, wp, hp, dp)
+                engine = connection_activeness(spec, trace, request, connection)
+                fd = fd_connection_score(spec, x0, request, connection, trace=trace)
+                assert engine != 0.0
+                assert abs(engine - fd) <= 1e-6 * max(abs(engine), abs(fd)), (sup, connection, engine, fd)
+
+    def test_padded_taps_do_not_wrap_around(self):
+        # the tap one step into the padding, indexed as a wrapped input coordinate
+        spec, x0, trace = _padded_stride2_net()
+        conn = receptive_sets(spec, 0)
+        request = ActivenessRequest(target_layer=0, supervision="next", p=2)
+        w_in, h_in, _ = conn.in_shape
+        for wp, hp, w0, h0 in self._border_positions(conn):
+            w = self._corner(w0, conn.kernel_w, w_in)
+            h = self._corner(h0, conn.kernel_h, h_in)
+            w += -1 if w0 < 0 else 1 if w0 + conn.kernel_w > w_in else 0
+            h += -1 if h0 < 0 else 1 if h0 + conn.kernel_h > h_in else 0
+            connection = (w % w_in, h % h_in, 0, wp, hp, 0)
+            assert not conn.connected(*connection)
+            with pytest.raises(ValueError, match="does not exist"):
+                fd_connection_score(spec, x0, request, connection, trace=trace)
+
+
 class TestEnumerateGamma:
     def test_closed_form_single_conv(self):
         # 1x1 spatial, 1x1 conv: gamma[d] = sum_dp 2 * post[dp] for active dp
@@ -145,7 +237,7 @@ class TestEnumerateGamma:
         post = trace.acts[1][0, 0]
         expected = sum(2.0 * v for v in post if v > 0)
         request = ActivenessRequest(target_layer=0, supervision="next", p=2)
-        got = enumerate_gamma(spec, trace, request)
+        got = enumerate_gamma(spec, trace, request.target_layer, [(request.supervision, request.p)])
         npt.assert_allclose(got, expected, atol=1e-12)
 
     def test_matches_engine_all_configurations(self, tiny_net, tiny_trace):
@@ -153,9 +245,23 @@ class TestEnumerateGamma:
             for p in (1, 2):
                 for t in (0, 2):
                     request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-                    enum = enumerate_gamma(tiny_net, tiny_trace, request)
+                    enum = enumerate_gamma(tiny_net, tiny_trace, t, [(sup, p)])[:, :, 0]
                     engine = neuron_activeness(tiny_net, tiny_trace, request).gamma
                     assert np.abs(enum - engine).max() <= 1e-10
+
+    def test_stacked_configs_equal_one_config_walks(self, tiny_net, tiny_trace):
+        for t in (0, 2):
+            stacked = enumerate_gamma(tiny_net, tiny_trace, t, CONFIGS)
+            assert stacked.shape == (*tiny_trace.acts[t].shape[:2], 4, tiny_trace.acts[t].shape[2])
+            for k, config in enumerate(CONFIGS):
+                assert np.array_equal(stacked[:, :, k], enumerate_gamma(tiny_net, tiny_trace, t, [config])[:, :, 0])
+
+    def test_matches_engine_on_padded_stride2_conv(self):
+        spec, _, trace = _padded_stride2_net()
+        stacked = enumerate_gamma(spec, trace, 0, CONFIGS)
+        for k, (sup, p) in enumerate(CONFIGS):
+            engine = neuron_activeness(spec, trace, ActivenessRequest(target_layer=0, supervision=sup, p=p)).gamma
+            assert np.abs(stacked[:, :, k] - engine).max() <= 1e-10
 
     def test_guard_rejects_oversize_net(self):
         # 32x32 outputs x 60 channels x (up to 25 kernel cells) x 8 input channels > 1e7
@@ -169,7 +275,7 @@ class TestEnumerateGamma:
         trace = forward(spec, Tensor3.from_array(np.zeros((32, 32, 8))))
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         with pytest.raises(ValueError, match="guard"):
-            enumerate_gamma(spec, trace, request)
+            enumerate_gamma(spec, trace, request.target_layer, [(request.supervision, request.p)])
 
 
 # The engine's backward path.  The oracles check it, so they must not run it.

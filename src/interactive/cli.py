@@ -203,7 +203,7 @@ def cmd_gradcheck(args) -> int:
         connection = (w, h, d, wp, hp, dp)
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
         engine = connection_activeness(spec, trace, request, connection, hop_score=hop_scores[(t, sup, p)])
-        fd = fd_connection_check(spec, trace, request, connection, settings, conn)
+        fd = fd_connection_check(spec, trace, request, connection, settings)
         if fd is None:
             skipped += 1
             continue

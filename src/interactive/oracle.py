@@ -80,7 +80,6 @@ def _central_difference(
     connection,
     settings: FDSettings,
     skip_kinks: bool,
-    conn: ConvConnectivity | None = None,
 ) -> float | None:
     """Central difference of -ln f in one connection weight of layer t.
 
@@ -90,23 +89,26 @@ def _central_difference(
     trace, and the one entry the weight feeds is recomputed from its
     receptive window against a kernel column with the weight changed.  The
     window is cut once per probe: its in-range part is copied into zeros,
-    which stand for the padding.  ``conn`` is ``receptive_sets(spec, t)``,
-    or None to build it here.  With ``skip_kinks``,
-    returns None when that entry's unbumped pre-activation magnitude is
-    below ``kink_guard`` or when the two passes land on different linear
-    pieces.  Only the bumped entry differs from the trace, so its sign is
-    the hop layer's whole share of the activation pattern.
+    which stand for the padding.  The connectivity is built from the
+    checked trace's shapes and the hop layer's geometry, so a probe runs no
+    shape inference beyond the trace check.  With ``skip_kinks``, returns
+    None when that entry's unbumped pre-activation magnitude is below
+    ``kink_guard`` or when the two passes land on different linear pieces.
+    Only the bumped entry differs from the trace, so its sign is the hop
+    layer's whole share of the activation pattern.
     """
     acts = trace_arrays(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
     w, h, d, wp, hp, dp = connection
-    if conn is None:
-        conn = receptive_sets(spec, t)
+    x = acts[t]
+    kw, kh, _, _ = hop.kernel.shape
+    conn = ConvConnectivity(
+        in_shape=x.shape, out_shape=acts[t + 1].shape,
+        kernel_w=kw, kernel_h=kh, stride=hop.stride, padding=hop.padding,
+    )
     if not conn.connected(w, h, d, wp, hp, dp):
         raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
-    kw, kh, _, _ = hop.kernel.shape
-    x = acts[t]
     w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
     w_lo, w_hi = max(w0, 0), min(w0 + kw, x.shape[0])
     h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
@@ -157,7 +159,6 @@ def fd_connection_check(
     request: ActivenessRequest,
     connection,
     settings: FDSettings = FDSettings(),
-    conn: ConvConnectivity | None = None,
 ) -> float | None:
     """FD estimate for a connection, or None when the probe sits at a kink.
 
@@ -165,11 +166,10 @@ def fd_connection_check(
     here from its receptive window, is below ``kink_guard`` or when the two
     perturbed passes land on different linear pieces.  A connection that
     does not exist raises ``ValueError``; a trace of another network raises
-    ``ShapeError``.  A caller that probes one target many times passes its
-    ``receptive_sets(spec, t)`` as ``conn``, built once.
+    ``ShapeError``.
     """
     T = validate_request(spec, request)
-    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True, conn=conn)
+    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True)
 
 
 def fd_activation_score(
@@ -217,9 +217,10 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
     own ``backprop_score`` call.  One walk visits every input neuron once and
     goes through its U-set in order; each active consumer adds its K scores,
     one to each config's running sum, so every sum adds the same terms in the
-    same order as a walk for that config alone.  Asymptotically slow; guarded
-    against nets with more than ``ENUMERATION_GUARD`` connections through the
-    hop layer.
+    same order as a walk for that config alone.  Memory: the K score arrays
+    at X(t+1) in numpy, plus, as Python lists, only the w' slabs that the
+    current input column reads.  Asymptotically slow; guarded against nets
+    with more than ``ENUMERATION_GUARD`` connections through the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
     conn = receptive_sets(spec, t)
@@ -229,20 +230,30 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
             f"enumeration is guarded at {ENUMERATION_GUARD}"
         )
     hop = spec.layers[t]
-    # nested lists: scores[w'][h'][d'] holds the K configs' scores at that consumer
-    scores = [backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)]
-    scores = np.stack(scores, axis=-1).tolist()
-    active = (trace.acts[t + 1] > 0).tolist()
+    scores = np.stack([backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)], axis=-1)
+    active = trace.acts[t + 1] > 0
+    # The walk reads X(t+1) as nested lists, one w' slab at a time: slab w' is
+    # converted when column w first reaches its window and dropped once w has
+    # passed it, so the lists never hold more than the slabs one column reads.
+    score_rows = [None] * conn.out_shape[0]
+    active_rows = [None] * conn.out_shape[0]
+    lo = hi = 0
     w_in, h_in, d_in = conn.in_shape
     gamma = np.zeros((w_in, h_in, len(Ts), d_in))
     for w in range(w_in):
+        while hi < conn.out_shape[0] and hi * conn.stride - conn.padding <= w:
+            score_rows[hi], active_rows[hi] = scores[hi].tolist(), active[hi].tolist()
+            hi += 1
+        while lo < hi and lo * conn.stride - conn.padding + conn.kernel_w <= w:
+            score_rows[lo] = active_rows[lo] = None
+            lo += 1
         for h in range(h_in):
             for d in range(d_in):
                 totals = [0.0] * len(Ts)
                 for wp, hp, dp in conn.u_set(w, h, d):
-                    if hop.apply_relu and not active[wp][hp][dp]:
+                    if hop.apply_relu and not active_rows[wp][hp][dp]:
                         continue
-                    for k, term in enumerate(scores[wp][hp][dp]):
+                    for k, term in enumerate(score_rows[wp][hp][dp]):
                         totals[k] += term
                 gamma[w, h, :, d] = totals
     return gamma

@@ -115,6 +115,11 @@ def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     # wrap around to the kernel's far column and probe another weight
     with pytest.raises(ValueError, match="does not exist"):
         fd_connection_check(tiny_net, tiny_trace, request, (4, 4, 0, 6, 6, 0))
+    # on a pad-2, stride-2 conv: the tap one step into the top-left padding of
+    # output (0, 0), given as its wrapped coordinate
+    spec, x0, trace = _padded_stride2_net()
+    with pytest.raises(ValueError, match="does not exist"):
+        fd_connection_score(spec, x0, request, (8, 8, 0, 0, 0, 0), trace=trace)
 
 
 def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
@@ -206,22 +211,6 @@ class TestWindowCutAtTheBorder:
                 assert engine != 0.0
                 assert abs(engine - fd) <= 1e-6 * max(abs(engine), abs(fd)), (sup, connection, engine, fd)
 
-    def test_padded_taps_do_not_wrap_around(self):
-        # the tap one step into the padding, indexed as a wrapped input coordinate
-        spec, x0, trace = _padded_stride2_net()
-        conn = receptive_sets(spec, 0)
-        request = ActivenessRequest(target_layer=0, supervision="next", p=2)
-        w_in, h_in, _ = conn.in_shape
-        for wp, hp, w0, h0 in self._border_positions(conn):
-            w = self._corner(w0, conn.kernel_w, w_in)
-            h = self._corner(h0, conn.kernel_h, h_in)
-            w += -1 if w0 < 0 else 1 if w0 + conn.kernel_w > w_in else 0
-            h += -1 if h0 < 0 else 1 if h0 + conn.kernel_h > h_in else 0
-            connection = (w % w_in, h % h_in, 0, wp, hp, 0)
-            assert not conn.connected(*connection)
-            with pytest.raises(ValueError, match="does not exist"):
-                fd_connection_score(spec, x0, request, connection, trace=trace)
-
 
 class TestEnumerateGamma:
     def test_closed_form_single_conv(self):
@@ -258,6 +247,20 @@ class TestEnumerateGamma:
 
     def test_matches_engine_on_padded_stride2_conv(self):
         spec, _, trace = _padded_stride2_net()
+        stacked = enumerate_gamma(spec, trace, 0, CONFIGS)
+        for k, (sup, p) in enumerate(CONFIGS):
+            engine = neuron_activeness(spec, trace, ActivenessRequest(target_layer=0, supervision=sup, p=p)).gamma
+            assert np.abs(stacked[:, :, k] - engine).max() <= 1e-10
+
+    def test_matches_engine_when_stride_exceeds_kernel(self):
+        # every other input column and row feeds no consumer
+        rng = np.random.default_rng(22)
+        spec = NetworkSpec(
+            layers=(ConvLayer(kernel=rng.standard_normal((1, 1, 2, 3)), bias=np.full(3, 0.1), stride=2),),
+            input_shape=(5, 5, 2),
+            names=("conv-1",),
+        )
+        trace = forward(spec, Tensor3.from_array(rng.standard_normal(spec.input_shape)))
         stacked = enumerate_gamma(spec, trace, 0, CONFIGS)
         for k, (sup, p) in enumerate(CONFIGS):
             engine = neuron_activeness(spec, trace, ActivenessRequest(target_layer=0, supervision=sup, p=p)).gamma

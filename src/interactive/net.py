@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,11 +92,14 @@ def _out_dim(size: int, extent: int, stride: int, padding: int) -> int:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """An ordered stack of layers with a fixed input shape and unique names."""
+    """An ordered stack of layers with a fixed input shape and unique names.
+
+    Its layer output shapes are inferred, and checked, once when it is built."""
 
     layers: tuple
     input_shape: tuple[int, int, int]
     names: tuple[str, ...]
+    _shapes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -108,7 +111,7 @@ class NetworkSpec:
             raise ShapeError("layer names must be unique")
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ShapeError(f"bad input shape {self.input_shape}")
-        infer_shapes(self)  # raises on any impossible layer
+        object.__setattr__(self, "_shapes", tuple(_infer_shapes(self)))
 
     def layer_index(self, name: str) -> int:
         try:
@@ -118,6 +121,11 @@ class NetworkSpec:
 
 
 def infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
+    """Output shape of every layer in order: a fresh list of the shapes the spec stored when built."""
+    return list(spec._shapes)
+
+
+def _infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
     """Output shape of every layer in order; rejects shapes with dims < 1."""
     shapes = []
     w, h, d = spec.input_shape
@@ -173,7 +181,10 @@ def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     kw, kh, _, dout = layer.kernel.shape
     s, p = layer.stride, layer.padding
     ow, oh = _out_dim(x.shape[0], kw, s, p), _out_dim(x.shape[1], kh, s, p)
-    xp = np.pad(x, ((p, p), (p, p)) + ((0, 0),) * (x.ndim - 2)) if p else x
+    xp = x
+    if p:
+        xp = np.zeros((x.shape[0] + 2 * p, x.shape[1] + 2 * p, *x.shape[2:]), x.dtype)
+        xp[p:-p, p:-p] = x
     out = np.zeros((ow, oh, *x.shape[2:-1], dout))
     for a, b, tap in window_taps(kw, kh, s, ow, oh):
         out += xp[tap] @ layer.kernel[a, b]
@@ -276,18 +287,12 @@ class ConvConnectivity:
     def v_set(self, wp: int, hp: int, dp: int) -> list[tuple[int, int, int]]:
         """Upstream t-layer neurons feeding output neuron (wp, hp, dp)."""
         self._check_out(wp, hp, dp)
-        out = []
-        for kw in range(self.kernel_w):
-            w = wp * self.stride + kw - self.padding
-            if not 0 <= w < self.in_shape[0]:
-                continue
-            for kh in range(self.kernel_h):
-                h = hp * self.stride + kh - self.padding
-                if not 0 <= h < self.in_shape[1]:
-                    continue
-                for d in range(self.in_shape[2]):
-                    out.append((w, h, d))
-        return out
+        w0, h0 = wp * self.stride - self.padding, hp * self.stride - self.padding
+        return list(itertools.product(
+            range(max(w0, 0), min(w0 + self.kernel_w, self.in_shape[0])),
+            range(max(h0, 0), min(h0 + self.kernel_h, self.in_shape[1])),
+            range(self.in_shape[2]),
+        ))
 
     def connected(self, w: int, h: int, d: int, wp: int, hp: int, dp: int) -> bool:
         self._check_in(w, h, d)

@@ -7,7 +7,8 @@ use the engine's backward path.  ``enumerate_gamma`` checks the hop: for
 each requested (supervision, p) config it takes the engine's score at
 X(t+1) (``backprop_score``), then makes one literal walk of every
 connectivity set of the target, applying the activation indicator and
-adding each active consumer's scores to all the configs' sums at once.
+adding each active consumer's scores to all the configs' sums at once; a
+U-set equal to the one just walked at the same (w, h) reuses its sums.
 Both ship in the library so the CLI can expose a user-facing gradient
 check.
 
@@ -217,10 +218,13 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
     own ``backprop_score`` call.  One walk visits every input neuron once and
     goes through its U-set in order; each active consumer adds its K scores,
     one to each config's running sum, so every sum adds the same terms in the
-    same order as a walk for that config alone.  Memory: the K score arrays
-    at X(t+1) in numpy, plus, as Python lists, only the w' slabs that the
-    current input column reads.  Asymptotically slow; guarded against nets
-    with more than ``ENUMERATION_GUARD`` connections through the hop layer.
+    same order as a walk for that config alone.  A U-set equal (as a list) to
+    the one walked last at the same (w, h) is not walked again: its channel
+    reuses that walk's K sums, the same terms in the same order.  Memory: the
+    K score arrays at X(t+1) in numpy, plus, as Python lists, only the w'
+    slabs that the current input column reads.  Asymptotically slow; guarded
+    against nets with more than ``ENUMERATION_GUARD`` connections through
+    the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
     conn = receptive_sets(spec, t)
@@ -248,12 +252,15 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
             score_rows[lo] = active_rows[lo] = None
             lo += 1
         for h in range(h_in):
+            walked = None
             for d in range(d_in):
-                totals = [0.0] * len(Ts)
-                for wp, hp, dp in conn.u_set(w, h, d):
-                    if hop.apply_relu and not active_rows[wp][hp][dp]:
-                        continue
-                    for k, term in enumerate(score_rows[wp][hp][dp]):
-                        totals[k] += term
+                u = conn.u_set(w, h, d)
+                if u != walked:
+                    walked, totals = u, [0.0] * len(Ts)
+                    for wp, hp, dp in u:
+                        if hop.apply_relu and not active_rows[wp][hp][dp]:
+                            continue
+                        for k, term in enumerate(score_rows[wp][hp][dp]):
+                            totals[k] += term
                 gamma[w, h, :, d] = totals
     return gamma

@@ -26,9 +26,11 @@ from interactive.evalharness import ToyDatasetSpec, toy_image, valid_targets
 # ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
 # keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
 FROZEN_ACTIVENESS = json.loads((Path(__file__).parent / "data" / "activeness_toy_cnn_16.json").read_text())
-# full ``gradcheck --samples 200`` stdout, keyed "arch/model seed/--seed", recorded
-# from an enumeration oracle that walked once per (target, config): the stacked
-# walk must reproduce every verdict line to the last printed digit
+# full ``gradcheck --samples 200`` stdout, keyed "arch/model seed/--seed": the
+# toy-cnn and tiny-fc records come from an enumeration oracle that walked once
+# per (target, config), the tiny-2conv and tiny-3conv ones from a stacked walk
+# that walked every U-set once per input channel; the current walk must
+# reproduce every verdict line to the last printed digit
 GOLDEN_GRADCHECK = json.loads((Path(__file__).parent / "data" / "gradcheck_golden.json").read_text())
 
 

@@ -105,6 +105,24 @@ class TestTrainLinear:
             assert accs[c] == accuracy(weights[c : c + 1], X_test_c, y_test_c)[0]
 
 
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    def masked_sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2]
+    grid = np.concatenate([edges, np.linspace(-40, 40, 801), 30 * rng.standard_normal(600)])
+    for z in (grid, grid.reshape(3, -1, 3)):
+        got, want = evalharness._sigmoid(z), masked_sigmoid(z)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestToyDataset:
     def test_deterministic_given_seed(self):
         spec = ToyDatasetSpec(seed=9)

@@ -15,7 +15,7 @@ from interactive import (
     receptive_sets,
 )
 from interactive.activeness import _conv_backward_input, _pool_backward
-from interactive.net import apply_conv, apply_pool, pool_argmax
+from interactive.net import ConvConnectivity, apply_conv, apply_pool, pool_argmax
 
 from conftest import random_input
 
@@ -57,6 +57,22 @@ def test_infer_shapes_examples():
         names=("conv-1", "pool-1"),
     )
     assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4)]
+
+
+def test_infer_shapes_returns_a_fresh_list_per_call():
+    layers = (ConvLayer(kernel=np.zeros((3, 3, 3, 4)), bias=np.zeros(4), padding=1), PoolLayer(window=2, stride=2))
+    spec = NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-1"))
+    first = infer_shapes(spec)
+    first.append((1, 1, 1))
+    first[0] = (0, 0, 0)
+    assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4)]
+    assert infer_shapes(spec) is not infer_shapes(spec)
+    # the stored shapes take no part in == or repr
+    twin = NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-1"))
+    assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert "_shapes" not in repr(spec)
+    assert twin != NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-2"))
+    assert NetworkSpec(layers=layers[:1], input_shape=(8, 8, 3), names=("conv-1",)) != spec
 
 
 def test_infer_shapes_rejects_oversized_kernel():
@@ -169,6 +185,21 @@ def test_conv_matches_naive_reference():
         npt.assert_allclose(
             apply_conv(layer, x), naive_conv(kernel, bias, stride, padding, x), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("padding", [1, 2])
+@pytest.mark.parametrize("shape", [(7, 6, 3), (7, 6, 4, 3)])
+def test_conv_padding_equals_np_pad_bitwise(padding, shape):
+    # reference: pad with np.pad, then run the same taps on the padded input unpadded
+    rng = np.random.default_rng(padding)
+    x = rng.standard_normal(shape)
+    layer = ConvLayer(kernel=rng.standard_normal((3, 2, 3, 5)), bias=rng.standard_normal(5), stride=2,
+                      padding=padding)
+    unpadded = ConvLayer(kernel=layer.kernel, bias=layer.bias, stride=2, padding=0)
+    reference = apply_conv(unpadded, np.pad(x, ((padding, padding),) * 2 + ((0, 0),) * (x.ndim - 2)))
+    got = apply_conv(layer, x)
+    assert got.shape == reference.shape and got.dtype == reference.dtype
+    assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
 def test_forward_is_deterministic_bitwise(tiny_net):
@@ -440,3 +471,35 @@ def test_connection_count_matches_literal_count():
             len(conn.v_set(wp, hp, dp)) for wp in range(ow) for hp in range(oh) for dp in range(dout)
         )
         assert conn.connection_count() == literal
+
+
+def test_v_set_matches_literal_nested_loops():
+    def literal_v_set(conn, wp, hp):
+        out = []
+        for a in range(conn.kernel_w):
+            w = wp * conn.stride + a - conn.padding
+            if 0 <= w < conn.in_shape[0]:
+                for b in range(conn.kernel_h):
+                    h = hp * conn.stride + b - conn.padding
+                    if 0 <= h < conn.in_shape[1]:
+                        out.extend((w, h, d) for d in range(conn.in_shape[2]))
+        return out
+
+    geometries = 0
+    for W in (1, 2, 5, 6):
+        for kw in (1, 2, 3, 4):
+            for stride in (1, 2, 3, 5):  # 5 exceeds every kernel
+                for padding in (0, 1, 2):
+                    ow = (W + 2 * padding - kw) // stride + 1
+                    if ow < 1:
+                        continue
+                    H, kh = W + 1, max(1, kw - 1)
+                    oh = (H + 2 * padding - kh) // stride + 1
+                    conn = ConvConnectivity(in_shape=(W, H, 2), out_shape=(ow, oh, 3), kernel_w=kw,
+                                            kernel_h=kh, stride=stride, padding=padding)
+                    for wp in range(ow):
+                        for hp in range(oh):
+                            for dp in range(3):
+                                assert conn.v_set(wp, hp, dp) == literal_v_set(conn, wp, hp)
+                    geometries += 1
+    assert geometries > 150

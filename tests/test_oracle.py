@@ -20,7 +20,8 @@ from interactive import (
     neuron_activeness,
     receptive_sets,
 )
-from interactive.net import apply_conv
+from interactive.activeness import backprop_score, validate_request
+from interactive.net import ConvConnectivity, apply_conv
 from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_activation_score, fd_connection_check
 
 from conftest import random_input
@@ -265,6 +266,37 @@ class TestEnumerateGamma:
         for k, (sup, p) in enumerate(CONFIGS):
             engine = neuron_activeness(spec, trace, ActivenessRequest(target_layer=0, supervision=sup, p=p)).gamma
             assert np.abs(stacked[:, :, k] - engine).max() <= 1e-10
+
+    def test_reuse_is_keyed_on_the_set_not_the_channel(self, monkeypatch):
+        # channel 1 alone loses its last consumer: a walk that copied channel
+        # 0's sums instead of comparing the sets would leave it unchanged
+        spec, _, trace = _padded_stride2_net()
+        before = enumerate_gamma(spec, trace, 0, CONFIGS)
+        u_set = ConvConnectivity.u_set
+
+        def channel_1_drops_last(self, w, h, d):
+            full = u_set(self, w, h, d)
+            return full[:-1] if d == 1 else full
+
+        monkeypatch.setattr(ConvConnectivity, "u_set", channel_1_drops_last)
+        after = enumerate_gamma(spec, trace, 0, CONFIGS)
+        monkeypatch.undo()
+        assert np.array_equal(after[:, :, :, [0, 2]], before[:, :, :, [0, 2]])
+        conn = receptive_sets(spec, 0)
+        active = trace.acts[1] > 0
+        for k, (sup, p) in enumerate(CONFIGS):
+            T = validate_request(spec, ActivenessRequest(target_layer=0, supervision=sup, p=p))
+            score = backprop_score(spec, trace, T, p, 1)
+            literal = np.zeros(spec.input_shape[:2])
+            for w in range(spec.input_shape[0]):
+                for h in range(spec.input_shape[1]):
+                    total = 0.0
+                    for wp, hp, dp in conn.u_set(w, h, 1)[:-1]:
+                        if active[wp, hp, dp]:
+                            total += float(score[wp, hp, dp])
+                    literal[w, h] = total
+            assert np.array_equal(after[:, :, k, 1], literal)
+        assert not np.array_equal(after[:, :, :, 1], before[:, :, :, 1])
 
     def test_guard_rejects_oversize_net(self):
         # 32x32 outputs x 60 channels x (up to 25 kernel cells) x 8 input channels > 1e7

@@ -20,7 +20,6 @@ from .image import RasterImage, resize_to_area, read_image, to_input_tensor, wri
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import (
     ConvLayer,
-    ForwardTrace,
     NetworkSpec,
     PoolLayer,
     forward,
@@ -38,7 +37,6 @@ __all__ = [
     "ARCHITECTURES",
     "ConvLayer",
     "FDSettings",
-    "ForwardTrace",
     "NetworkSpec",
     "PoolLayer",
     "RasterImage",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, ForwardTrace, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
+from .net import ConvLayer, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
 from .tensor import ShapeError
 
 SUPERVISION_MODES = ("last", "next")
@@ -164,12 +164,13 @@ def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
 
 
-def trace_arrays(spec: NetworkSpec, trace: ForwardTrace) -> tuple:
-    """Check a trace against the network; returns its activation arrays."""
-    shapes, expected = [a.shape for a in trace.acts], [spec.input_shape, *infer_shapes(spec)]
+def trace_arrays(spec: NetworkSpec, trace: tuple) -> tuple:
+    """Check a trace (the tuple ``forward`` returns) against the network; returns it.
+    Each public function that reads a trace calls this where the trace enters."""
+    shapes, expected = [a.shape for a in trace], [spec.input_shape, *infer_shapes(spec)]
     if shapes != expected:
         raise ShapeError(f"trace activation shapes {shapes} != network shapes {expected}")
-    return trace.acts
+    return trace
 
 
 def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
@@ -200,7 +201,7 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
 
 
 def backprop_score(
-    spec: NetworkSpec, trace: ForwardTrace, T: int, p: int, down_to: int
+    spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
 ) -> np.ndarray:
     """Gradient of -ln f (likelihood at activation T) wrt activation ``down_to``.
 
@@ -262,7 +263,7 @@ def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
 
 def connection_activeness(
     spec: NetworkSpec,
-    trace: ForwardTrace,
+    trace: tuple,
     request: ActivenessRequest,
     sample: tuple[int, int, int, int, int, int],
     hop_score: np.ndarray | None = None,
@@ -274,9 +275,11 @@ def connection_activeness(
     the backpropagated score at the downstream neuron.  Unconnected
     coordinate pairs yield 0.0; out-of-range coordinates raise.
     ``hop_score`` may carry a precomputed score at X(t+1) to amortize
-    sweeps over many connections: any array indexed ``[w', h', d']``.
+    sweeps over many connections: any array indexed ``[w', h', d']``.  The
+    trace is checked on every call, with or without it.
     """
     T = validate_request(spec, request)
+    acts = trace_arrays(spec, trace)
     t = request.target_layer
     w, h, d, wp, hp, dp = sample
     conn = receptive_sets(spec, t)
@@ -285,14 +288,14 @@ def connection_activeness(
     if hop_score is None:
         hop_score = backprop_score(spec, trace, T, request.p, t + 1)
     hop = spec.layers[t]
-    if hop.apply_relu and not trace.acts[t + 1][wp, hp, dp] > 0:
+    if hop.apply_relu and not acts[t + 1][wp, hp, dp] > 0:
         return 0.0
     alpha = hop_score[wp, hp, dp]
-    return float(trace.acts[t][w, h, d] * alpha)
+    return float(acts[t][w, h, d] * alpha)
 
 
 def neuron_activeness(
-    spec: NetworkSpec, trace: ForwardTrace, request: ActivenessRequest
+    spec: NetworkSpec, trace: tuple, request: ActivenessRequest
 ) -> ActivenessResult:
     """Per-neuron activeness at the requested layer.
 

@@ -180,7 +180,7 @@ def cmd_gradcheck(args) -> int:
     # one pass gives every (target, sup, p) hop score and gamma, as in toybench
     hop_scores = {}
     enum_max = 0.0
-    for t, scores, gammas in gamma_stacks(spec, trace.acts, targets, combos):
+    for t, scores, gammas in gamma_stacks(spec, trace, targets, combos):
         for k, (sup, p) in enumerate(combos):
             hop_scores[(t, sup, p)] = scores[:, :, k]
         # one literal walk per target gives all four configs

@@ -175,23 +175,22 @@ def load_model(path) -> NetworkSpec:
     return spec
 
 
+# Every template conv layer is 3x3, stride 1, padding 1, with a ReLU (a
+# full-extent layer takes no padding); every template pool is 2x2 max, stride 2.
+CONV_KERNEL, CONV_STRIDE, CONV_PADDING = 3, 1, 1
+POOL_WINDOW, POOL_STRIDE = 2, 2
+
+
 @dataclass(frozen=True)
 class ConvBlueprint:
     name: str
-    kernel: int
     out_channels: int
-    stride: int = 1
-    padding: int = 1
-    relu: bool = True
     full_extent: bool = False  # fully-connected layer: kernel spans the whole incoming map
 
 
 @dataclass(frozen=True)
 class PoolBlueprint:
     name: str
-    window: int = 2
-    stride: int = 2
-    mode: str = "max"
 
 
 @dataclass(frozen=True)
@@ -204,36 +203,36 @@ ARCHITECTURES: dict[str, ArchTemplate] = {
     "tiny-2conv": ArchTemplate(
         input_shape=(8, 8, 3),
         blueprint=(
-            ConvBlueprint("conv-1", kernel=3, out_channels=4),
+            ConvBlueprint("conv-1", 4),
             PoolBlueprint("pool-1"),
-            ConvBlueprint("conv-2", kernel=3, out_channels=8),
+            ConvBlueprint("conv-2", 8),
         ),
     ),
     "tiny-3conv": ArchTemplate(
         input_shape=(8, 8, 3),
         blueprint=(
-            ConvBlueprint("conv-1-1", kernel=3, out_channels=4),
-            ConvBlueprint("conv-1-2", kernel=3, out_channels=4),
+            ConvBlueprint("conv-1-1", 4),
+            ConvBlueprint("conv-1-2", 4),
             PoolBlueprint("pool-1"),
-            ConvBlueprint("conv-2", kernel=3, out_channels=8),
+            ConvBlueprint("conv-2", 8),
         ),
     ),
     "toy-cnn": ArchTemplate(
         input_shape=(16, 16, 3),
         blueprint=(
-            ConvBlueprint("conv-1", kernel=3, out_channels=6),
+            ConvBlueprint("conv-1", 6),
             PoolBlueprint("pool-1"),
-            ConvBlueprint("conv-2", kernel=3, out_channels=12),
+            ConvBlueprint("conv-2", 12),
             PoolBlueprint("pool-2"),
-            ConvBlueprint("conv-3", kernel=3, out_channels=16),
+            ConvBlueprint("conv-3", 16),
         ),
     ),
     "tiny-fc": ArchTemplate(
         input_shape=(8, 8, 3),
         blueprint=(
-            ConvBlueprint("conv-1", kernel=3, out_channels=4),
+            ConvBlueprint("conv-1", 4),
             PoolBlueprint("pool-1"),
-            ConvBlueprint("fc-1", kernel=0, out_channels=10, padding=0, full_extent=True),
+            ConvBlueprint("fc-1", 10, full_extent=True),
         ),
     ),
 }
@@ -272,22 +271,19 @@ def generate_model(
     for i, bp in enumerate(template.blueprint):
         names.append(bp.name)
         if isinstance(bp, ConvBlueprint):
-            kw, kh = (w, h) if bp.full_extent else (bp.kernel, bp.kernel)
-            padding = 0 if bp.full_extent else bp.padding
+            kw, kh = (w, h) if bp.full_extent else (CONV_KERNEL, CONV_KERNEL)
+            padding = 0 if bp.full_extent else CONV_PADDING
             fan_in = kw * kh * d_in
-            w, h = _out_dim(w, kw, bp.stride, padding), _out_dim(h, kh, bp.stride, padding)
+            w, h = _out_dim(w, kw, CONV_STRIDE, padding), _out_dim(h, kh, CONV_STRIDE, padding)
             check_size(bp.name, (w, h, bp.out_channels))
             rng = _layer_rng(seed, i)
             kernel = rng.standard_normal((kw, kh, d_in, bp.out_channels))
             kernel = (kernel / math.sqrt(fan_in)).astype(np.float32).astype(np.float64)
             bias = np.full(bp.out_channels, BIAS_INIT)
-            layers.append(
-                ConvLayer(
-                    kernel=kernel, bias=bias, stride=bp.stride, padding=padding, apply_relu=bp.relu
-                )
-            )
+            layers.append(ConvLayer(kernel=kernel, bias=bias, stride=CONV_STRIDE, padding=padding))
             d_in = bp.out_channels
         else:
-            layers.append(PoolLayer(window=bp.window, stride=bp.stride, mode=bp.mode))
-            w, h = _out_dim(w, bp.window, bp.stride, 0), _out_dim(h, bp.window, bp.stride, 0)
+            # one PoolLayer per pool: perfbench/tracing.py names layers by id()
+            layers.append(PoolLayer(window=POOL_WINDOW, stride=POOL_STRIDE))
+            w, h = _out_dim(w, POOL_WINDOW, POOL_STRIDE, 0), _out_dim(h, POOL_WINDOW, POOL_STRIDE, 0)
     return NetworkSpec(layers=tuple(layers), input_shape=shape, names=tuple(names))

@@ -153,19 +153,6 @@ def _infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
     return shapes
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Everything one forward pass produced.
-
-    ``acts[j]`` is X(j) for j = 0..L as a read-only (W, H, D) array:
-    ``acts[0]`` is the input, ``acts[i+1]`` the output of layer i,
-    post-ReLU where the layer applies one; no pre-ReLU copy is kept
-    (``X(i+1) > 0`` is the ReLU's indicator).
-    """
-
-    acts: tuple
-
-
 def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
     """Yield ``(a, b, tap)`` for every kernel offset, w-outer and h-inner (the
     scan order of a flattened window).  ``tap`` is a pair of basic slices: the
@@ -246,12 +233,18 @@ def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> list:
     return acts
 
 
-def forward(spec: NetworkSpec, x0: Tensor3) -> ForwardTrace:
-    """Run the network on one image, caching every activation, read-only."""
+def forward(spec: NetworkSpec, x0: Tensor3) -> tuple:
+    """Run the network on one image; returns its trace.
+
+    ``trace[j]`` is X(j) for j = 0..L as a read-only (W, H, D) array:
+    ``trace[0]`` is the input, ``trace[i+1]`` the output of layer i,
+    post-ReLU where the layer applies one; no pre-ReLU copy is kept
+    (``X(i+1) > 0`` is the ReLU's indicator).
+    """
     acts = forward_arrays(spec, x0.array)
     for a in acts:
         a.flags.writeable = False
-    return ForwardTrace(acts=tuple(acts))
+    return tuple(acts)
 
 
 @dataclass(frozen=True)

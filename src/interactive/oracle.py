@@ -1,16 +1,18 @@
 """Slow verifiers: finite differences and explicit enumeration.
 
 The finite-difference (FD) probes replay the forward pass only: central
-differences rerun the layers above the probed weight twice per probe and
-differentiate the ln f the engine reports (``log_likelihood``); they never
-use the engine's backward path.  ``enumerate_gamma`` checks the hop: for
-each requested (supervision, p) config it takes the engine's score at
-X(t+1) (``backprop_score``), then makes one literal walk of every
-connectivity set of the target, applying the activation indicator and
-adding each active consumer's scores to all the configs' sums at once; a
-U-set equal to the one just walked at the same (w, h) reuses its sums.
-Both ship in the library so the CLI can expose a user-facing gradient
-check.
+differences rerun the layers above the probed weight or activation twice
+per probe, through one replay helper, and differentiate the ln f the
+engine reports (``log_likelihood``); they never use the engine's backward
+path.  ``enumerate_gamma`` checks the hop: for each requested
+(supervision, p) config it takes the engine's score at X(t+1)
+(``backprop_score``), then makes one literal walk of every connectivity
+set of the target, applying the activation indicator and adding each
+active consumer's scores to all the configs' sums at once; a U-set equal
+to the one just walked at the same (w, h) reuses its sums.  Both ship in
+the library so the CLI can expose a user-facing gradient check.  Each
+takes a trace, the tuple ``forward`` returns, and checks it against the
+network (``trace_arrays``) where it enters.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: the ``kink_guard`` threshold skips probes whose
@@ -26,10 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activeness import ActivenessRequest, backprop_score, log_likelihood, trace_arrays, validate_request
-from .net import (
-    ConvConnectivity, ConvLayer, ForwardTrace, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax,
-    receptive_sets,
-)
+from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
 from .tensor import Tensor3
 
 ENUMERATION_GUARD = 10**7
@@ -73,9 +72,23 @@ def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
     return x, tuple(pattern)
 
 
+def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, coord, entries, step: float):
+    """Replay layers start..T-1 on two copies of X(start) = ``base``, with ``base[coord]``
+    set to each of ``entries`` (bumped up, then down); returns the central
+    difference of -ln f over ``2 * step`` and whether the two patterns agree."""
+    values, patterns = [], []
+    for entry in entries:
+        x = base.copy()
+        x[coord] = entry
+        xT, pattern = _run_from(spec, x, start, T)
+        values.append(-log_likelihood(xT.mean(axis=(0, 1)), p))
+        patterns.append(pattern)
+    return (values[0] - values[1]) / (2.0 * step), patterns[0] == patterns[1]
+
+
 def _central_difference(
     spec: NetworkSpec,
-    trace: ForwardTrace,
+    trace: tuple,
     request: ActivenessRequest,
     T: int,
     connection,
@@ -90,13 +103,11 @@ def _central_difference(
     trace, and the one entry the weight feeds is recomputed from its
     receptive window against a kernel column with the weight changed.  The
     window is cut once per probe: its in-range part is copied into zeros,
-    which stand for the padding.  The connectivity is built from the
-    checked trace's shapes and the hop layer's geometry, so a probe runs no
-    shape inference beyond the trace check.  With ``skip_kinks``, returns
-    None when that entry's unbumped pre-activation magnitude is below
-    ``kink_guard`` or when the two passes land on different linear pieces.
-    Only the bumped entry differs from the trace, so its sign is the hop
-    layer's whole share of the activation pattern.
+    which stand for the padding.  With ``skip_kinks``, returns None when
+    that entry's unbumped pre-activation magnitude is below ``kink_guard``
+    or when the two passes land on different linear pieces.  Only the
+    bumped entry differs from the trace, so its sign is the hop layer's
+    whole share of the activation pattern.
     """
     acts = trace_arrays(spec, trace)
     t = request.target_layer
@@ -104,10 +115,7 @@ def _central_difference(
     w, h, d, wp, hp, dp = connection
     x = acts[t]
     kw, kh, _, _ = hop.kernel.shape
-    conn = ConvConnectivity(
-        in_shape=x.shape, out_shape=acts[t + 1].shape,
-        kernel_w=kw, kernel_h=kh, stride=hop.stride, padding=hop.padding,
-    )
+    conn = receptive_sets(spec, t)
     if not conn.connected(w, h, d, wp, hp, dp):
         raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
@@ -119,19 +127,17 @@ def _central_difference(
         if abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < settings.kink_guard:
             return None
     kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
-    values, patterns = [], []
+    pres = []
     for delta in (+settings.step, -settings.step):
         column = hop.kernel[:, :, :, dp].copy()
         column[kw_off, kh_off, d] += delta
-        pre = (window * column).sum() + hop.bias[dp]
-        x_next = acts[t + 1].copy()
-        x_next[wp, hp, dp] = pre if pre > 0 or not hop.apply_relu else 0.0
-        xT, pattern = _run_from(spec, x_next, t + 1, T)
-        values.append(-log_likelihood(xT.mean(axis=(0, 1)), request.p))
-        patterns.append((hop.apply_relu and pre > 0, pattern))
-    if skip_kinks and patterns[0] != patterns[1]:
+        pres.append((window * column).sum() + hop.bias[dp])
+    entries = [pre if pre > 0 or not hop.apply_relu else 0.0 for pre in pres]
+    quotient, agree = _fd_replay(spec, acts[t + 1], t + 1, T, request.p, (wp, hp, dp), entries, settings.step)
+    same_sign = not hop.apply_relu or (pres[0] > 0) == (pres[1] > 0)
+    if skip_kinks and not (agree and same_sign):
         return None
-    return (values[0] - values[1]) / (2.0 * settings.step)
+    return quotient
 
 
 def fd_connection_score(
@@ -140,7 +146,7 @@ def fd_connection_score(
     request: ActivenessRequest,
     connection,
     settings: FDSettings = FDSettings(),
-    trace: ForwardTrace | None = None,
+    trace: tuple | None = None,
 ) -> float:
     """Central difference of -ln f in one connection weight of layer t.
 
@@ -156,7 +162,7 @@ def fd_connection_score(
 
 def fd_connection_check(
     spec: NetworkSpec,
-    trace: ForwardTrace,
+    trace: tuple,
     request: ActivenessRequest,
     connection,
     settings: FDSettings = FDSettings(),
@@ -175,7 +181,7 @@ def fd_connection_check(
 
 def fd_activation_score(
     spec: NetworkSpec,
-    trace: ForwardTrace,
+    trace: tuple,
     T: int,
     p: int,
     layer_index: int,
@@ -195,20 +201,13 @@ def fd_activation_score(
     base = acts[layer_index]
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
-    results = []
-    patterns = []
-    for delta in (+settings.step, -settings.step):
-        x = base.copy()
-        x[coord] += delta
-        xT, pattern = _run_from(spec, x, layer_index, T)
-        results.append(-log_likelihood(xT.mean(axis=(0, 1)), p))
-        patterns.append(pattern)
-    if patterns[0] != patterns[1]:
-        return None
-    return (results[0] - results[1]) / (2.0 * settings.step)
+    coord = tuple(coord)  # a list would index whole rows
+    entries = (base[coord] + settings.step, base[coord] - settings.step)
+    quotient, agree = _fd_replay(spec, base, layer_index, T, p, coord, entries, settings.step)
+    return quotient if agree else None
 
 
-def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> np.ndarray:
+def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndarray:
     """gamma at X(t) under several (supervision, p) configs, by literal
     summation over every neuron's downstream set.
 
@@ -227,6 +226,7 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
     the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
+    acts = trace_arrays(spec, trace)
     conn = receptive_sets(spec, t)
     if conn.connection_count() > ENUMERATION_GUARD:
         raise ValueError(
@@ -235,7 +235,7 @@ def enumerate_gamma(spec: NetworkSpec, trace: ForwardTrace, t: int, configs) -> 
         )
     hop = spec.layers[t]
     scores = np.stack([backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)], axis=-1)
-    active = trace.acts[t + 1] > 0
+    active = acts[t + 1] > 0
     # The walk reads X(t+1) as nested lists, one w' slab at a time: slab w' is
     # converted when column w first reaches its window and dropped once w has
     # passed it, so the lists never hold more than the slabs one column reads.

@@ -119,7 +119,7 @@ def test_criterion_3_analytic_layer_score():
     rng = np.random.default_rng(123)
     tensors = [rng.uniform(0, 4, size=tuple(rng.integers(1, 7, size=3))) for _ in range(20)]
     for _, _, spec, trace in seeded_nets():
-        tensors.append(trace.acts[len(spec.layers)])
+        tensors.append(trace[len(spec.layers)])
     for xt in tensors:
         w, h, d = xt.shape
         uniform = layer_score(xt, p=1)
@@ -140,7 +140,7 @@ def test_criterion_4_structural_identity():
                 request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
                 result = neuron_activeness(spec, trace, request)
                 assert np.array_equal(
-                    result.activeness, trace.acts[t] * result.gamma
+                    result.activeness, trace[t] * result.gamma
                 )
                 T = validate_request(spec, request)
                 hop_score = backprop_score(spec, trace, T, p, t + 1)

@@ -5,7 +5,6 @@ import pytest
 from interactive import (
     ActivenessRequest,
     ConvLayer,
-    ForwardTrace,
     NetworkSpec,
     ShapeError,
     Tensor3,
@@ -20,7 +19,7 @@ from interactive import (
 )
 from interactive.activeness import _conv_backward_input, _lift, gamma_stacks, trace_arrays, validate_request
 from interactive.net import apply_conv, forward_arrays
-from interactive.oracle import FDSettings, fd_activation_score
+from interactive.oracle import FDSettings, enumerate_gamma, fd_activation_score
 
 from conftest import random_input
 
@@ -63,7 +62,7 @@ class TestBackpropScore:
     def test_empty_chain_returns_layer_score(self, tiny_net, tiny_trace):
         for p in (1, 2):
             got = backprop_score(tiny_net, tiny_trace, T=3, p=p, down_to=3)
-            want = layer_score(tiny_trace.acts[3], p)
+            want = layer_score(tiny_trace[3], p)
             npt.assert_array_equal(got, want)
 
     def test_one_by_one_conv_chain_rule(self):
@@ -99,7 +98,7 @@ class TestBackpropScore:
             for _ in range(40):
                 p = int(rng.integers(1, 3))
                 ell = int(rng.integers(0, L + 1))
-                shape = trace.acts[ell].shape
+                shape = trace[ell].shape
                 coord = tuple(int(rng.integers(s)) for s in shape)
                 engine = backprop_score(spec, trace, T=L, p=p, down_to=ell)[coord]
                 fd = fd_activation_score(spec, trace, L, p, ell, coord, settings)
@@ -130,6 +129,14 @@ class TestTraceBoundary:
     CALLS = {
         "neuron_activeness": lambda spec, trace: neuron_activeness(spec, trace, ActivenessRequest(target_layer=0)),
         "backprop_score": lambda spec, trace: backprop_score(spec, trace, T=2, p=2, down_to=0),
+        "connection_activeness": lambda spec, trace: connection_activeness(
+            spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0)
+        ),
+        # the path gradcheck takes: the score at X(t+1) comes precomputed
+        "connection_activeness/hop_score": lambda spec, trace: connection_activeness(
+            spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0), hop_score=np.ones((1, 1, 1))
+        ),
+        "enumerate_gamma": lambda spec, trace: enumerate_gamma(spec, trace, 0, [("last", 2)]),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -140,9 +147,15 @@ class TestTraceBoundary:
 
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_trace_with_an_activation_dropped(self, tiny_net, tiny_trace, call):
-        dropped = ForwardTrace(acts=tiny_trace.acts[:1] + tiny_trace.acts[2:])
+        dropped = tiny_trace[:1] + tiny_trace[2:]
         with pytest.raises(ShapeError, match="trace activation shapes"):
             self.CALLS[call](tiny_net, dropped)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_trace_at_another_input_size(self, tiny_net, call):
+        larger = generate_model("tiny-2conv", seed=7, input_shape=(10, 10, 3))
+        with pytest.raises(ShapeError, match="trace activation shapes"):
+            self.CALLS[call](tiny_net, forward(larger, random_input(larger, seed=1)))
 
 
 class TestConnectionActiveness:
@@ -157,7 +170,7 @@ class TestConnectionActiveness:
 
     def test_clamped_downstream_neuron(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-        pre = apply_conv(tiny_net.layers[0], tiny_trace.acts[0])
+        pre = apply_conv(tiny_net.layers[0], tiny_trace[0])
         wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
         assert pre[wp, hp, dp] < 0
         conn = receptive_sets(tiny_net, 0)
@@ -205,7 +218,7 @@ class TestNeuronActiveness:
                     result = neuron_activeness(tiny_net, tiny_trace, request)
                     npt.assert_array_equal(
                         result.activeness,
-                        tiny_trace.acts[t] * result.gamma,
+                        tiny_trace[t] * result.gamma,
                     )
                     npt.assert_allclose(
                         result.map2d, result.gamma.sum(axis=2), atol=0, rtol=0
@@ -307,7 +320,7 @@ class TestNonTemplatePaths:
         for _ in range(30):
             p = int(rng.integers(1, 3))
             ell = int(rng.integers(0, 3))
-            coord = tuple(int(rng.integers(s)) for s in trace.acts[ell].shape)
+            coord = tuple(int(rng.integers(s)) for s in trace[ell].shape)
             engine = backprop_score(spec, trace, T=3, p=p, down_to=ell)[coord]
             fd = fd_activation_score(spec, trace, 3, p, ell, coord)
             if fd is None:
@@ -322,7 +335,7 @@ class TestNonTemplatePaths:
 
         spec = mixed_net(seed=5, relu_last=False)
         trace = forward(spec, random_input(spec, seed=6))
-        post = trace.acts[3]
+        post = trace[3]
         assert post.min() < 0  # genuinely linear layer
         request = ActivenessRequest(target_layer=2, supervision="last", p=2)
         conn = receptive_sets(spec, 2)
@@ -426,7 +439,7 @@ class TestGammaStacks:
         for t in (0, 2):
             result = neuron_activeness(tiny_net, tiny_trace, ActivenessRequest(target_layer=t))
             gamma = result.gamma
-            assert gamma.shape == tiny_trace.acts[t].shape
+            assert gamma.shape == tiny_trace[t].shape
             assert not gamma.flags.writeable
             with pytest.raises(ValueError):
                 gamma[0, 0, 0] = 1.0

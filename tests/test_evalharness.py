@@ -221,7 +221,7 @@ class TestComparePipelines:
             assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):
                 trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d))
-                x_t = trace.acts[t]
+                x_t = trace[t]
                 expected = [x_t.mean(axis=(0, 1)), x_t.max(axis=(0, 1))]
                 for sup in ("next", "last"):
                     for p in (1, 2):

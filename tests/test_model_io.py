@@ -106,7 +106,7 @@ def test_generated_models_light_up_relus():
     for arch in ARCHITECTURES:
         spec = generate_model(arch, seed=3)
         trace = forward(spec, random_input(spec, seed=4))
-        for layer, act in zip(spec.layers, trace.acts[1:]):
+        for layer, act in zip(spec.layers, trace[1:]):
             if isinstance(layer, ConvLayer):
                 assert (act > 0).mean() >= 0.20
 

@@ -65,15 +65,15 @@ def test_fd_zero_upstream_activation(tiny_net):
 
 def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
-    pre = apply_conv(tiny_net.layers[0], tiny_trace.acts[0])
+    pre = apply_conv(tiny_net.layers[0], tiny_trace[0])
     wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
     margin = -pre[wp, hp, dp]
     conn = receptive_sets(tiny_net, 0)
     settings = FDSettings()
     # pick a source whose perturbation cannot cross the clamp boundary
-    x0 = Tensor3.from_array(tiny_trace.acts[0])
+    x0 = Tensor3.from_array(tiny_trace[0])
     for w, h, d in conn.v_set(wp, hp, dp):
-        x = tiny_trace.acts[0][w, h, d]
+        x = tiny_trace[0][w, h, d]
         if margin > settings.step * abs(x) * 10 and abs(x) > 0.1:
             fd = fd_connection_score(tiny_net, x0, request, (w, h, d, wp, hp, dp))
             assert abs(fd) <= 1e-8
@@ -110,7 +110,7 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
 def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_score(tiny_net, Tensor3.from_array(tiny_trace.acts[0]), request, (0, 0, 0, 7, 7, 0),
+        fd_connection_score(tiny_net, Tensor3.from_array(tiny_trace[0]), request, (0, 0, 0, 7, 7, 0),
                             trace=tiny_trace)
     # one step outside the 3x3 pad-1 window: kernel offset -1, which must not
     # wrap around to the kernel's far column and probe another weight
@@ -121,6 +121,23 @@ def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     spec, x0, trace = _padded_stride2_net()
     with pytest.raises(ValueError, match="does not exist"):
         fd_connection_score(spec, x0, request, (8, 8, 0, 0, 0, 0), trace=trace)
+
+
+def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
+    # X(1) = relu(0.5 * 1 + b) sits 1e-5 above its kink: past kink_guard, but a
+    # weight bump of 1e-4 puts it on either side.  No layer follows, so the
+    # bumped entry's own sign is all that shows the passes straddle the kink.
+    spec = NetworkSpec(
+        layers=(ConvLayer(kernel=np.full((1, 1, 1, 1), 0.5), bias=np.array([-0.5 + 1e-5])),),
+        input_shape=(1, 1, 1),
+        names=("conv-1",),
+    )
+    x0 = Tensor3.from_array(np.ones((1, 1, 1)))
+    trace = forward(spec, x0)
+    request = ActivenessRequest(target_layer=0, supervision="last", p=1)
+    assert fd_connection_check(spec, trace, request, (0, 0, 0, 0, 0, 0)) is None
+    # unskipped, the quotient mixes the slopes on either side (1 and 0)
+    assert 0.0 < fd_connection_score(spec, x0, request, (0, 0, 0, 0, 0, 0), trace=trace) < 1.0
 
 
 def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
@@ -152,6 +169,13 @@ def test_fd_activation_score_rejects_coords_outside_the_activation():
     for coord in ((-5, -5, -2), (8, 0, 0), (0, 0, 3), (0, 0)):
         with pytest.raises(IndexError, match=re.escape(f"coord {coord} outside activation 0 of shape (8, 8, 3)")):
             fd_activation_score(spec, trace, L, 2, 0, coord)
+
+
+def test_fd_activation_score_reads_a_list_coord_as_one_entry():
+    spec = generate_model("tiny-2conv", seed=1)
+    trace = forward(spec, random_input(spec, seed=0))
+    L = len(spec.layers)
+    assert fd_activation_score(spec, trace, L, 2, 0, [3, 3, 1]) == fd_activation_score(spec, trace, L, 2, 0, (3, 3, 1))
 
 
 class TestTraceOfAnotherNetwork:
@@ -205,7 +229,7 @@ class TestWindowCutAtTheBorder:
             for k, (wp, hp, w0, h0) in enumerate(positions):
                 w = self._corner(w0, conn.kernel_w, conn.in_shape[0])
                 h = self._corner(h0, conn.kernel_h, conn.in_shape[1])
-                dp = int(trace.acts[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
+                dp = int(trace[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
                 connection = (w, h, k % 3, wp, hp, dp)
                 engine = connection_activeness(spec, trace, request, connection)
                 fd = fd_connection_score(spec, x0, request, connection, trace=trace)
@@ -224,7 +248,7 @@ class TestEnumerateGamma:
         )
         x = Tensor3(1, 1, 2, [1.0, 2.0])
         trace = forward(spec, x)
-        post = trace.acts[1][0, 0]
+        post = trace[1][0, 0]
         expected = sum(2.0 * v for v in post if v > 0)
         request = ActivenessRequest(target_layer=0, supervision="next", p=2)
         got = enumerate_gamma(spec, trace, request.target_layer, [(request.supervision, request.p)])
@@ -242,7 +266,7 @@ class TestEnumerateGamma:
     def test_stacked_configs_equal_one_config_walks(self, tiny_net, tiny_trace):
         for t in (0, 2):
             stacked = enumerate_gamma(tiny_net, tiny_trace, t, CONFIGS)
-            assert stacked.shape == (*tiny_trace.acts[t].shape[:2], 4, tiny_trace.acts[t].shape[2])
+            assert stacked.shape == (*tiny_trace[t].shape[:2], 4, tiny_trace[t].shape[2])
             for k, config in enumerate(CONFIGS):
                 assert np.array_equal(stacked[:, :, k], enumerate_gamma(tiny_net, tiny_trace, t, [config])[:, :, 0])
 
@@ -283,7 +307,7 @@ class TestEnumerateGamma:
         monkeypatch.undo()
         assert np.array_equal(after[:, :, :, [0, 2]], before[:, :, :, [0, 2]])
         conn = receptive_sets(spec, 0)
-        active = trace.acts[1] > 0
+        active = trace[1] > 0
         for k, (sup, p) in enumerate(CONFIGS):
             T = validate_request(spec, ActivenessRequest(target_layer=0, supervision=sup, p=p))
             score = backprop_score(spec, trace, T, p, 1)

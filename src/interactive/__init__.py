@@ -26,7 +26,7 @@ from .net import (
     infer_shapes,
     receptive_sets,
 )
-from .oracle import FDSettings, enumerate_gamma, fd_connection_score
+from .oracle import enumerate_gamma, fd_connection_check
 from .tensor import ShapeError, Tensor3
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "ActivenessResult",
     "ARCHITECTURES",
     "ConvLayer",
-    "FDSettings",
     "NetworkSpec",
     "PoolLayer",
     "RasterImage",
@@ -45,7 +44,7 @@ __all__ = [
     "backprop_score",
     "connection_activeness",
     "enumerate_gamma",
-    "fd_connection_score",
+    "fd_connection_check",
     "forward",
     "generate_model",
     "infer_shapes",

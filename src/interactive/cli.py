@@ -35,7 +35,7 @@ from .evalharness import ToyDatasetSpec, compare_pipelines, valid_targets
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import ConvLayer, forward, infer_shapes, receptive_sets
-from .oracle import FDSettings, enumerate_gamma, fd_connection_check
+from .oracle import enumerate_gamma, fd_connection_check
 from .tensor import Tensor3
 
 log = logging.getLogger("interactive")
@@ -168,7 +168,6 @@ def cmd_activeness(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     spec = load_model(args.model)
-    settings = FDSettings()
     rng = np.random.default_rng(args.seed)
     x0 = Tensor3.from_array(rng.standard_normal(spec.input_shape))
     trace = forward(spec, x0)
@@ -177,12 +176,11 @@ def cmd_gradcheck(args) -> int:
         raise ValueError("model has no conv layer to check")
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
-    # one pass gives every (target, sup, p) hop score and gamma, as in toybench
+    # one pass gives every target's hop scores and gamma, the combos on axis 2, as in toybench
     hop_scores = {}
     enum_max = 0.0
     for t, scores, gammas in gamma_stacks(spec, trace, targets, combos):
-        for k, (sup, p) in enumerate(combos):
-            hop_scores[(t, sup, p)] = scores[:, :, k]
+        hop_scores[t] = scores
         # one literal walk per target gives all four configs
         enum_max = max(enum_max, float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()))
 
@@ -193,7 +191,8 @@ def cmd_gradcheck(args) -> int:
     compared = 0
     for j in range(args.samples):
         t = targets[int(rng.integers(len(targets)))]
-        sup, p = combos[j % len(combos)]
+        k = j % len(combos)
+        sup, p = combos[k]
         conn = conns[t]
         wp = int(rng.integers(conn.out_shape[0]))
         hp = int(rng.integers(conn.out_shape[1]))
@@ -202,8 +201,8 @@ def cmd_gradcheck(args) -> int:
         w, h, d = sources[int(rng.integers(len(sources)))]
         connection = (w, h, d, wp, hp, dp)
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-        engine = connection_activeness(spec, trace, request, connection, hop_score=hop_scores[(t, sup, p)])
-        fd = fd_connection_check(spec, trace, request, connection, settings)
+        engine = connection_activeness(spec, trace, request, connection, hop_score=hop_scores[t][:, :, k])
+        fd = fd_connection_check(spec, trace, request, connection)
         if fd is None:
             skipped += 1
             continue
@@ -214,7 +213,7 @@ def cmd_gradcheck(args) -> int:
         else:
             max_rel = max(max_rel, abs(engine - fd) / scale)
 
-    ok = compared > 0 and max_rel <= settings.rel_tol and max_small_abs <= 1e-7 and enum_max <= 1e-10
+    ok = compared > 0 and max_rel <= 1e-4 and max_small_abs <= 1e-7 and enum_max <= 1e-10
     print(f"connections sampled: {args.samples} (compared {compared}, kink-skipped {skipped})")
     print(f"max relative error vs finite differences: {max_rel:.3e}")
     print(f"max absolute error on near-zero pairs:    {max_small_abs:.3e}")

@@ -27,11 +27,11 @@ from .tensor import ShapeError
 
 MAGIC = "interactive-model/1"
 
-# Most elements the input or any layer output of a loaded model may hold:
-# 4 Mi float64 values, 32 MB per activation.  A 224x224x3 input is 150528
-# elements (28x below the guard), toy-cnn's widest output at 224x224 is
-# 301056.  Without it a header like [100000, 100000, 3] only fails when the
-# first array is allocated.
+# Most elements the input, any layer output or any conv's zero-padded input of
+# a loaded model may hold: 4 Mi float64 values, 32 MB per array.  A 224x224x3
+# input is 150528 elements (28x below the guard), toy-cnn's widest output at
+# 224x224 is 301056.  Without it a header like [100000, 100000, 3] only fails
+# when the first array is allocated.
 SHAPE_GUARD = 1 << 22
 
 
@@ -40,7 +40,7 @@ class ModelFormatError(ValueError):
 
 
 def check_size(name: str, shape) -> None:
-    """Reject an input or layer output of more than ``SHAPE_GUARD`` elements."""
+    """Reject an array shape of more than ``SHAPE_GUARD`` elements."""
     if math.prod(shape) > SHAPE_GUARD:
         raise ShapeError(f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard")
 
@@ -168,8 +168,12 @@ def load_model(path) -> NetworkSpec:
                 layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
         names = tuple(desc["name"] for desc in descriptors)
         spec = NetworkSpec(layers=tuple(layers), input_shape=tuple(input_shape), names=names)
-        for name, shape in zip(["input", *names], [spec.input_shape, *infer_shapes(spec)]):
+        shapes = [spec.input_shape, *infer_shapes(spec)]
+        for name, shape in zip(["input", *names], shapes):
             check_size(name, shape)
+        for name, layer, (w, h, d) in zip(names, layers, shapes):
+            if isinstance(layer, ConvLayer):  # ``apply_conv`` allocates the zero-padded input
+                check_size(f"{name} padded input", (w + 2 * layer.padding, h + 2 * layer.padding, d))
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     return spec
@@ -253,8 +257,8 @@ def generate_model(
     Kernel weights are standard normal draws scaled by 1/sqrt(fan-in) and
     quantized to float32 so the spec round-trips the model file exactly;
     biases are the constant ``BIAS_INIT``.  An input dimension < 1 is
-    rejected first; the input and every layer output then pass the loader's
-    size guard before any kernel exists.
+    rejected first; the input, every conv's padded input and every layer
+    output then pass the loader's size guard before any kernel exists.
     """
     if arch not in ARCHITECTURES:
         raise KeyError(f"unknown architecture {arch!r}; available: {', '.join(sorted(ARCHITECTURES))}")
@@ -273,6 +277,7 @@ def generate_model(
         if isinstance(bp, ConvBlueprint):
             kw, kh = (w, h) if bp.full_extent else (CONV_KERNEL, CONV_KERNEL)
             padding = 0 if bp.full_extent else CONV_PADDING
+            check_size(f"{bp.name} padded input", (w + 2 * padding, h + 2 * padding, d_in))
             fan_in = kw * kh * d_in
             w, h = _out_dim(w, kw, CONV_STRIDE, padding), _out_dim(h, kh, CONV_STRIDE, padding)
             check_size(bp.name, (w, h, bp.out_channels))

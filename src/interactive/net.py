@@ -109,6 +109,12 @@ class NetworkSpec:
             raise ShapeError(f"{len(self.names)} names for {len(self.layers)} layers")
         if len(set(self.names)) != len(self.names):
             raise ShapeError("layer names must be unique")
+        for name in self.names:  # "input" names X(0); --layers splits on commas and strips each name
+            if name in ("", "input") or "," in name or name != name.strip() or not name.isprintable():
+                raise ValueError(
+                    f"layer name {name!r} cannot be selected: use a non-empty name other than 'input', "
+                    "with no comma, no control character and no leading or trailing whitespace"
+                )
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ShapeError(f"bad input shape {self.input_shape}")
         object.__setattr__(self, "_shapes", tuple(_infer_shapes(self)))

@@ -1,11 +1,13 @@
 """Slow verifiers: finite differences and explicit enumeration.
 
-The finite-difference (FD) probes replay the forward pass only: central
-differences rerun the layers above the probed weight or activation twice
-per probe, through one replay helper, and differentiate the ln f the
-engine reports (``log_likelihood``); they never use the engine's backward
-path.  ``enumerate_gamma`` checks the hop: for each requested
-(supervision, p) config it takes the engine's score at X(t+1)
+The finite-difference (FD) probes replay the forward pass only:
+``fd_connection_check`` (one connection weight) and
+``fd_activation_score`` (one activation entry) take central differences
+with step ``FD_STEP``, rerunning the layers above the probed weight or
+activation twice per probe through one replay helper, and differentiate
+the ln f the engine reports (``log_likelihood``); they never use the
+engine's backward path.  ``enumerate_gamma`` checks the hop: for each
+requested (supervision, p) config it takes the engine's score at X(t+1)
 (``backprop_score``), then makes one literal walk of every connectivity
 set of the target, applying the activation indicator and adding each
 active consumer's scores to all the configs' sums at once; a U-set equal
@@ -15,36 +17,23 @@ takes a trace, the tuple ``forward`` returns, and checks it against the
 network (``trace_arrays``) where it enters.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
-two skip rules apply: the ``kink_guard`` threshold skips probes whose
-directly perturbed neuron sits nearly on its ReLU boundary, and any probe
+two skip rules apply: a connection probe whose directly perturbed neuron
+sits within ``KINK_GUARD`` of its ReLU boundary is skipped, and any probe
 whose two perturbed passes disagree in ReLU sign pattern or pooling
 argmax choice is discarded (the difference quotient straddled a kink).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .activeness import ActivenessRequest, backprop_score, log_likelihood, trace_arrays, validate_request
-from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, forward, pool_argmax, receptive_sets
-from .tensor import Tensor3
+from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, pool_argmax, receptive_sets
+from .net import forward  # noqa: F401 -- not called here; the benchmark's tracer wraps it here by name
 
 ENUMERATION_GUARD = 10**7
-
-
-@dataclass(frozen=True)
-class FDSettings:
-    step: float = 1e-4
-    rel_tol: float = 1e-4
-    kink_guard: float = 1e-6
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+FD_STEP = 1e-4  # central-difference step, in weight or activation units
+KINK_GUARD = 1e-6  # a hit neuron's pre-activation closer than this to 0 skips the probe
 
 
 def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
@@ -72,10 +61,10 @@ def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
     return x, tuple(pattern)
 
 
-def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, coord, entries, step: float):
+def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, coord, entries):
     """Replay layers start..T-1 on two copies of X(start) = ``base``, with ``base[coord]``
     set to each of ``entries`` (bumped up, then down); returns the central
-    difference of -ln f over ``2 * step`` and whether the two patterns agree."""
+    difference of -ln f over ``2 * FD_STEP`` and whether the two patterns agree."""
     values, patterns = [], []
     for entry in entries:
         x = base.copy()
@@ -83,32 +72,27 @@ def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, 
         xT, pattern = _run_from(spec, x, start, T)
         values.append(-log_likelihood(xT.mean(axis=(0, 1)), p))
         patterns.append(pattern)
-    return (values[0] - values[1]) / (2.0 * step), patterns[0] == patterns[1]
+    return (values[0] - values[1]) / (2.0 * FD_STEP), patterns[0] == patterns[1]
 
 
-def _central_difference(
-    spec: NetworkSpec,
-    trace: tuple,
-    request: ActivenessRequest,
-    T: int,
-    connection,
-    settings: FDSettings,
-    skip_kinks: bool,
-) -> float | None:
-    """Central difference of -ln f in one connection weight of layer t.
+def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connection) -> float | None:
+    """Central difference of -ln f in one connection weight of layer t, or
+    None when the probe sits at a kink.
 
     ``connection`` is (w, h, d, w', h', d') and must name a real kernel
-    entry feeding (w', h', d') from (w, h, d).  The bumped weight applies
-    to the single connection only: X(t+1) is copied from the forward
-    trace, and the one entry the weight feeds is recomputed from its
-    receptive window against a kernel column with the weight changed.  The
-    window is cut once per probe: its in-range part is copied into zeros,
-    which stand for the padding.  With ``skip_kinks``, returns None when
-    that entry's unbumped pre-activation magnitude is below ``kink_guard``
-    or when the two passes land on different linear pieces.  Only the
-    bumped entry differs from the trace, so its sign is the hop layer's
-    whole share of the activation pattern.
+    entry feeding (w', h', d') from (w, h, d) (``ValueError`` otherwise);
+    a trace of another network raises ``ShapeError``.  The bumped weight
+    applies to the single connection only: X(t+1) is copied from the
+    forward trace, and the one entry the weight feeds is recomputed from
+    its receptive window against a kernel column with the weight changed.
+    The window is cut once per probe: its in-range part is copied into
+    zeros, which stand for the padding.  Returns None when that entry's
+    unbumped pre-activation magnitude is below ``KINK_GUARD`` or when the
+    two passes land on different linear pieces.  Only the bumped entry
+    differs from the trace, so its sign is the hop layer's whole share of
+    the activation pattern.
     """
+    T = validate_request(spec, request)
     acts = trace_arrays(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
@@ -123,60 +107,18 @@ def _central_difference(
     h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
     window = np.zeros((kw, kh, x.shape[2]))
     window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
-    if skip_kinks and hop.apply_relu:
-        if abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < settings.kink_guard:
-            return None
+    if hop.apply_relu and abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < KINK_GUARD:
+        return None
     kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
     pres = []
-    for delta in (+settings.step, -settings.step):
+    for delta in (+FD_STEP, -FD_STEP):
         column = hop.kernel[:, :, :, dp].copy()
         column[kw_off, kh_off, d] += delta
         pres.append((window * column).sum() + hop.bias[dp])
     entries = [pre if pre > 0 or not hop.apply_relu else 0.0 for pre in pres]
-    quotient, agree = _fd_replay(spec, acts[t + 1], t + 1, T, request.p, (wp, hp, dp), entries, settings.step)
+    quotient, agree = _fd_replay(spec, acts[t + 1], t + 1, T, request.p, (wp, hp, dp), entries)
     same_sign = not hop.apply_relu or (pres[0] > 0) == (pres[1] > 0)
-    if skip_kinks and not (agree and same_sign):
-        return None
-    return quotient
-
-
-def fd_connection_score(
-    spec: NetworkSpec,
-    x0: Tensor3,
-    request: ActivenessRequest,
-    connection,
-    settings: FDSettings = FDSettings(),
-    trace: tuple | None = None,
-) -> float:
-    """Central difference of -ln f in one connection weight of layer t.
-
-    ``connection`` is (w, h, d, w', h', d') and must name a real kernel
-    entry feeding (w', h', d') from (w, h, d).  A ``trace`` passed in must
-    come from this network (``ShapeError`` otherwise).
-    """
-    T = validate_request(spec, request)
-    if trace is None:
-        trace = forward(spec, x0)
-    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=False)
-
-
-def fd_connection_check(
-    spec: NetworkSpec,
-    trace: tuple,
-    request: ActivenessRequest,
-    connection,
-    settings: FDSettings = FDSettings(),
-) -> float | None:
-    """FD estimate for a connection, or None when the probe sits at a kink.
-
-    Skips when the directly hit neuron's pre-activation magnitude, summed
-    here from its receptive window, is below ``kink_guard`` or when the two
-    perturbed passes land on different linear pieces.  A connection that
-    does not exist raises ``ValueError``; a trace of another network raises
-    ``ShapeError``.
-    """
-    T = validate_request(spec, request)
-    return _central_difference(spec, trace, request, T, connection, settings, skip_kinks=True)
+    return quotient if agree and same_sign else None
 
 
 def fd_activation_score(
@@ -186,7 +128,6 @@ def fd_activation_score(
     p: int,
     layer_index: int,
     coord: tuple[int, int, int],
-    settings: FDSettings = FDSettings(),
 ) -> float | None:
     """Central difference of -ln f in one entry of activation X(layer_index).
 
@@ -202,8 +143,8 @@ def fd_activation_score(
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     coord = tuple(coord)  # a list would index whole rows
-    entries = (base[coord] + settings.step, base[coord] - settings.step)
-    quotient, agree = _fd_replay(spec, base, layer_index, T, p, coord, entries, settings.step)
+    entries = (base[coord] + FD_STEP, base[coord] - FD_STEP)
+    quotient, agree = _fd_replay(spec, base, layer_index, T, p, coord, entries)
     return quotient if agree else None
 
 

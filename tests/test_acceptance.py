@@ -30,7 +30,7 @@ from interactive import (
 from interactive.activeness import validate_request
 from interactive.evalharness import valid_targets
 from interactive.image import resize_dims
-from interactive.oracle import FDSettings, fd_connection_check
+from interactive.oracle import fd_connection_check
 
 from conftest import random_input
 
@@ -58,7 +58,6 @@ def seeded_nets():
 
 def test_criterion_1_gradient_correctness():
     """Engine connection activeness vs central finite differences, <= 1e-4."""
-    settings = FDSettings()
     t_start = time.monotonic()
     worst = 0.0
     for arch, seed, spec, trace in seeded_nets():
@@ -81,7 +80,7 @@ def test_criterion_1_gradient_correctness():
             w, h, d = sources[int(rng.integers(len(sources)))]
             sample = (w, h, d, wp, hp, dp)
             engine = connection_activeness(spec, trace, request, sample, hop_score=hop_scores[(t, sup, p)])
-            fd = fd_connection_check(spec, trace, request, sample, settings)
+            fd = fd_connection_check(spec, trace, request, sample)
             if fd is None:
                 skipped += 1
                 continue

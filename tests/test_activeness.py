@@ -19,7 +19,7 @@ from interactive import (
 )
 from interactive.activeness import _conv_backward_input, _lift, gamma_stacks, trace_arrays, validate_request
 from interactive.net import apply_conv, forward_arrays
-from interactive.oracle import FDSettings, enumerate_gamma, fd_activation_score
+from interactive.oracle import enumerate_gamma, fd_activation_score
 
 from conftest import random_input
 
@@ -88,7 +88,6 @@ class TestBackpropScore:
 
     def test_matches_finite_differences(self):
         # >= 100 coordinates across >= 3 seeded nets, both norms, rel err <= 1e-4
-        settings = FDSettings()
         checked = 0
         for arch, seed in (("tiny-2conv", 1), ("tiny-2conv", 2), ("tiny-3conv", 3)):
             spec = generate_model(arch, seed)
@@ -101,7 +100,7 @@ class TestBackpropScore:
                 shape = trace[ell].shape
                 coord = tuple(int(rng.integers(s)) for s in shape)
                 engine = backprop_score(spec, trace, T=L, p=p, down_to=ell)[coord]
-                fd = fd_activation_score(spec, trace, L, p, ell, coord, settings)
+                fd = fd_activation_score(spec, trace, L, p, ell, coord)
                 if fd is None:
                     continue
                 scale = max(abs(engine), abs(fd))

@@ -101,6 +101,12 @@ def test_nonpositive_input_dimension_rejected_before_size_guard(shape):
         generate_model("tiny-2conv", seed=0, input_shape=shape)
 
 
+def test_generator_guards_the_padded_input_the_loader_guards():
+    # conv-1's output, 2x524288x4, sits at the guard; its padded input 4x524290x3 is past it
+    with pytest.raises(ShapeError, match="conv-1 padded input shape 4x524290x3 exceeds"):
+        generate_model("tiny-2conv", seed=0, input_shape=(2, 524288, 3))
+
+
 def test_generated_models_light_up_relus():
     # fixture guard: a seeded random input should activate >= 20% of each conv layer
     for arch in ARCHITECTURES:
@@ -203,6 +209,15 @@ MALFORMED_HEADERS = {
     "negative-kernel-dim": _set("kernel_shape", [-1, 3, 3, 4]),
     "float-input-shape": lambda header: {**header, "input_shape": [8.7, 8.2, 3]},
     "huge-input-shape": lambda header: {**header, "input_shape": [100000, 100000, 3]},
+    # every layer output is small (3x3, 1x1, 1x1), but conv-1's zero-padded input is 200008x200008x3
+    "huge-padding": lambda header: _set("stride", 100000)(_set("padding", 100000)(header)),
+    # names that --layer or --layers cannot select
+    "layer-named-input": _set("name", "input"),
+    "empty-layer-name": _set("name", ""),
+    "comma-in-layer-name": _set("name", "conv,1"),
+    "space-before-layer-name": _set("name", " conv-1"),
+    "space-after-layer-name": _set("name", "conv-1 "),
+    "newline-in-layer-name": _set("name", "conv\n1"),  # would split a toybench report row
 }
 
 

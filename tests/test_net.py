@@ -92,6 +92,9 @@ def test_network_spec_validation():
         NetworkSpec(layers=(layer, layer), input_shape=(2, 2, 1), names=("a", "a"))
     with pytest.raises(ShapeError, match="channels"):
         NetworkSpec(layers=(layer,), input_shape=(2, 2, 3), names=("a",))
+    for name in ("input", "", "a,b", " a", "a ", "a\nb"):
+        with pytest.raises(ValueError, match="cannot be selected"):
+            NetworkSpec(layers=(layer,), input_shape=(2, 2, 1), names=(name,))
 
 
 def test_conv_layer_rejects_nonfinite():

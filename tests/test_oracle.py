@@ -14,15 +14,16 @@ from interactive import (
     Tensor3,
     connection_activeness,
     enumerate_gamma,
-    fd_connection_score,
+    fd_connection_check,
     forward,
     generate_model,
     neuron_activeness,
     receptive_sets,
 )
+from interactive import oracle
 from interactive.activeness import backprop_score, validate_request
 from interactive.net import ConvConnectivity, apply_conv
-from interactive.oracle import ENUMERATION_GUARD, FDSettings, fd_activation_score, fd_connection_check
+from interactive.oracle import ENUMERATION_GUARD, FD_STEP, fd_activation_score
 
 from conftest import random_input
 
@@ -43,15 +44,6 @@ def _padded_stride2_net():
     return spec, x0, forward(spec, x0)
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        FDSettings(step=0.0)
-    with pytest.raises(ValueError):
-        FDSettings(rel_tol=-1.0)
-    s = FDSettings()
-    assert s.step == 1e-4 and s.rel_tol == 1e-4 and s.kink_guard == 1e-6
-
-
 def test_fd_zero_upstream_activation(tiny_net):
     x0 = Tensor3.from_array(np.zeros(tiny_net.input_shape))
     trace = forward(tiny_net, x0)
@@ -59,8 +51,8 @@ def test_fd_zero_upstream_activation(tiny_net):
     conn = receptive_sets(tiny_net, 0)
     wp, hp, dp = 3, 3, 0
     w, h, d = conn.v_set(wp, hp, dp)[0]
-    fd = fd_connection_score(tiny_net, x0, request, (w, h, d, wp, hp, dp), trace=trace)
-    assert abs(fd) <= 1e-8
+    fd = fd_connection_check(tiny_net, trace, request, (w, h, d, wp, hp, dp))
+    assert fd is not None and abs(fd) <= 1e-8
 
 
 def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
@@ -69,21 +61,18 @@ def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
     wp, hp, dp = map(int, np.unravel_index(pre.argmin(), pre.shape))
     margin = -pre[wp, hp, dp]
     conn = receptive_sets(tiny_net, 0)
-    settings = FDSettings()
     # pick a source whose perturbation cannot cross the clamp boundary
-    x0 = Tensor3.from_array(tiny_trace[0])
     for w, h, d in conn.v_set(wp, hp, dp):
         x = tiny_trace[0][w, h, d]
-        if margin > settings.step * abs(x) * 10 and abs(x) > 0.1:
-            fd = fd_connection_score(tiny_net, x0, request, (w, h, d, wp, hp, dp))
-            assert abs(fd) <= 1e-8
+        if margin > FD_STEP * abs(x) * 10 and abs(x) > 0.1:
+            fd = fd_connection_check(tiny_net, tiny_trace, request, (w, h, d, wp, hp, dp))
+            assert fd is not None and abs(fd) <= 1e-8
             return
     pytest.fail("no safely clamped connection found")
 
 
 def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
     rng = np.random.default_rng(55)
-    settings = FDSettings()
     checked = 0
     for sup in ("last", "next"):
         for p in (1, 2):
@@ -95,12 +84,12 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
                 w, h, d = sources[int(rng.integers(len(sources)))]
                 sample = (w, h, d, wp, hp, dp)
                 engine = connection_activeness(tiny_net, tiny_trace, request, sample)
-                fd = fd_connection_check(tiny_net, tiny_trace, request, sample, settings)
+                fd = fd_connection_check(tiny_net, tiny_trace, request, sample)
                 if fd is None:
                     continue
                 scale = max(abs(engine), abs(fd))
                 if scale > 1e-6:
-                    assert abs(engine - fd) / scale <= settings.rel_tol
+                    assert abs(engine - fd) / scale <= 1e-4
                 else:
                     assert abs(engine - fd) <= 1e-7
                 checked += 1
@@ -110,17 +99,16 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
 def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_score(tiny_net, Tensor3.from_array(tiny_trace[0]), request, (0, 0, 0, 7, 7, 0),
-                            trace=tiny_trace)
+        fd_connection_check(tiny_net, tiny_trace, request, (0, 0, 0, 7, 7, 0))
     # one step outside the 3x3 pad-1 window: kernel offset -1, which must not
     # wrap around to the kernel's far column and probe another weight
     with pytest.raises(ValueError, match="does not exist"):
         fd_connection_check(tiny_net, tiny_trace, request, (4, 4, 0, 6, 6, 0))
     # on a pad-2, stride-2 conv: the tap one step into the top-left padding of
     # output (0, 0), given as its wrapped coordinate
-    spec, x0, trace = _padded_stride2_net()
+    spec, _, trace = _padded_stride2_net()
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_score(spec, x0, request, (8, 8, 0, 0, 0, 0), trace=trace)
+        fd_connection_check(spec, trace, request, (8, 8, 0, 0, 0, 0))
 
 
 def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
@@ -136,11 +124,9 @@ def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
     trace = forward(spec, x0)
     request = ActivenessRequest(target_layer=0, supervision="last", p=1)
     assert fd_connection_check(spec, trace, request, (0, 0, 0, 0, 0, 0)) is None
-    # unskipped, the quotient mixes the slopes on either side (1 and 0)
-    assert 0.0 < fd_connection_score(spec, x0, request, (0, 0, 0, 0, 0, 0), trace=trace) < 1.0
 
 
-def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
+def test_fd_step_halving_is_stable(tiny_net, tiny_trace, monkeypatch):
     # difference quotients on this piecewise-polynomial likelihood converge
     # at O(step^2); halving the step must not move stable estimates
     rng = np.random.default_rng(56)
@@ -152,8 +138,10 @@ def test_fd_step_halving_is_stable(tiny_net, tiny_trace):
         sources = conn.v_set(wp, hp, dp)
         w, h, d = sources[int(rng.integers(len(sources)))]
         sample = (w, h, d, wp, hp, dp)
-        e_h = fd_connection_check(tiny_net, tiny_trace, request, sample, FDSettings(step=1e-4))
-        e_h2 = fd_connection_check(tiny_net, tiny_trace, request, sample, FDSettings(step=5e-5))
+        e_h = fd_connection_check(tiny_net, tiny_trace, request, sample)
+        monkeypatch.setattr(oracle, "FD_STEP", FD_STEP / 2)
+        e_h2 = fd_connection_check(tiny_net, tiny_trace, request, sample)
+        monkeypatch.undo()
         if e_h is None or e_h2 is None:
             continue
         samples += 1
@@ -191,11 +179,6 @@ class TestTraceOfAnotherNetwork:
         with pytest.raises(ShapeError, match="trace activation shapes"):
             fd_connection_check(spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0))
 
-    def test_fd_connection_score_rejects_it(self, mismatch):
-        spec, x0, trace = mismatch
-        with pytest.raises(ShapeError, match="trace activation shapes"):
-            fd_connection_score(spec, x0, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0), trace=trace)
-
     def test_fd_activation_score_rejects_it(self, mismatch):
         spec, _, trace = mismatch
         with pytest.raises(ShapeError, match="trace activation shapes"):
@@ -220,7 +203,7 @@ class TestWindowCutAtTheBorder:
         return min(origin + extent, size) - 1 if origin + extent > size else max(origin, 0)
 
     def test_in_range_corner_taps_match_the_engine(self):
-        spec, x0, trace = _padded_stride2_net()
+        spec, _, trace = _padded_stride2_net()
         conn = receptive_sets(spec, 0)
         positions = list(self._border_positions(conn))
         assert len(positions) == 16
@@ -232,8 +215,8 @@ class TestWindowCutAtTheBorder:
                 dp = int(trace[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
                 connection = (w, h, k % 3, wp, hp, dp)
                 engine = connection_activeness(spec, trace, request, connection)
-                fd = fd_connection_score(spec, x0, request, connection, trace=trace)
-                assert engine != 0.0
+                fd = fd_connection_check(spec, trace, request, connection)
+                assert engine != 0.0 and fd is not None
                 assert abs(engine - fd) <= 1e-6 * max(abs(engine), abs(fd)), (sup, connection, engine, fd)
 
 

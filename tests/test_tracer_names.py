@@ -2,18 +2,48 @@
 one of them must still resolve.  ``perfbench/tracing.py`` is loaded from its
 file and not modified."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "interactive"
 
 
-def test_every_traced_name_resolves():
+def _load_tracing():
     loader = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracer = _load_tracing().Tracer()
     try:
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def _unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_imports_left_unused_are_kept_for_the_tracer():
+    # a module may import a name it never uses only so that the tracer can wrap
+    # it there; any other unused import is dead code
+    assert _unused_imports("import os.path\nfrom a import b, c as d\nos.sep\nd()\n") == {"b"}
+    traced = {(module, attr) for _, module, attr, _ in _load_tracing().TARGETS}
+    unused = {
+        (f"interactive.{path.stem}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for name in _unused_imports(path.read_text())
+    }
+    assert sorted(unused - traced) == []

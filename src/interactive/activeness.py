@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, infer_shapes, pool_argmax, receptive_sets, window_taps
+from .net import ConvLayer, NetworkSpec, infer_shapes, receptive_sets, window_taps
 from .tensor import ShapeError
 
 SUPERVISION_MODES = ("last", "next")
@@ -146,15 +146,21 @@ def _conv_backward_input(
     return gxp[padding : padding + w, padding : padding + h]
 
 
-def _pool_backward(layer, x_in: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Max pooling routes to the argmax (first scan hit wins ties);
-    average pooling splits uniformly over the window.  ``x_in`` may carry
-    singleton batch axes that broadcast against ``grad_out``."""
+def _pool_backward(layer, x_in: np.ndarray, x_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Max pooling routes each window's score to its first tap, in scan order, equal
+    to the kept output ``x_out`` = X(i+1); a "still free" mask leaves ties to that
+    first hit.  Average pooling splits uniformly.  The hit masks are built at the
+    trace shape of ``x_in`` and ``x_out`` and lifted over ``grad_out``'s stacked seeds."""
     k = layer.window
     gx = np.zeros(x_in.shape[:2] + grad_out.shape[2:])
-    idx = pool_argmax(layer, x_in) if layer.mode == "max" else None
-    for a, b, tap in window_taps(k, k, layer.stride, *grad_out.shape[:2]):
-        gx[tap] += grad_out / (k * k) if idx is None else np.where(idx == a * k + b, grad_out, 0.0)
+    free = np.ones(x_out.shape, dtype=bool) if layer.mode == "max" else None
+    for _, _, tap in window_taps(k, k, layer.stride, *grad_out.shape[:2]):
+        if free is None:
+            gx[tap] += grad_out / (k * k)
+        else:
+            hit = free & (x_in[tap] == x_out)
+            free &= ~hit
+            gx[tap] += np.where(_lift(hit, grad_out), grad_out, 0.0)
     return gx
 
 
@@ -180,12 +186,12 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
     (W_T, H_T, *stack, *batch, D_T), any number of stacked seeds (p values,
     say) ahead of the trace's batch axes.  Yields ``(j, score at X(j))``
     for j = T, T-1, ..., 0; stop iterating once the lowest index needed has
-    come.  Standard reverse mode: conv layers mask by the conv output's
-    sign, read off their ReLU output (``X(i+1) > 0`` exactly where the
-    conv output is positive), and apply the transposed kernel; pool
-    layers route by argmax or split uniformly.  The masks and argmaxes
-    depend on the trace only, so the sweep is linear in the seed and every
-    stacked seed is exact.
+    come.  Standard reverse mode, with every mask read off the trace: conv
+    layers mask by their ReLU output (``X(i+1) > 0`` exactly where the conv
+    output is positive) and apply the transposed kernel; a max pool routes
+    each window's score to the first tap equal to its output X(i+1), and an
+    average pool splits it uniformly.  The masks depend on the trace only,
+    so the sweep is linear in the seed and every stacked seed is exact.
     """
     grad = seed
     yield T, grad
@@ -196,7 +202,7 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
                 grad = grad * _lift(acts[i + 1] > 0, grad)
             grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, acts[i].shape)
         else:
-            grad = _pool_backward(layer, _lift(acts[i], grad), grad)
+            grad = _pool_backward(layer, acts[i], acts[i + 1], grad)
         yield i, grad
 
 

@@ -174,6 +174,11 @@ def cmd_gradcheck(args) -> int:
     targets = valid_targets(spec)
     if not targets:
         raise ValueError("model has no conv layer to check")
+    # a conv whose every window lies in its padding has no connection to sample
+    conns = {t: receptive_sets(spec, t) for t in targets}
+    sampled = [t for t in targets if conns[t].connection_count() > 0]
+    if not sampled:
+        raise ValueError("no conv layer has a connection outside its padding, so there is nothing to check")
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
     # one pass gives every target's hop scores and gamma, the combos on axis 2, as in toybench
@@ -184,20 +189,19 @@ def cmd_gradcheck(args) -> int:
         # one literal walk per target gives all four configs
         enum_max = max(enum_max, float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()))
 
-    conns = {t: receptive_sets(spec, t) for t in targets}
     max_rel = 0.0
     max_small_abs = 0.0
     skipped = 0
     compared = 0
     for j in range(args.samples):
-        t = targets[int(rng.integers(len(targets)))]
+        t = sampled[int(rng.integers(len(sampled)))]
         k = j % len(combos)
         sup, p = combos[k]
         conn = conns[t]
-        wp = int(rng.integers(conn.out_shape[0]))
-        hp = int(rng.integers(conn.out_shape[1]))
-        dp = int(rng.integers(conn.out_shape[2]))
-        sources = conn.v_set(wp, hp, dp)
+        sources = []
+        while not sources:  # an output window wholly in padding has no source: draw again
+            wp, hp, dp = (int(rng.integers(n)) for n in conn.out_shape)
+            sources = conn.v_set(wp, hp, dp)
         w, h, d = sources[int(rng.integers(len(sources)))]
         connection = (w, h, d, wp, hp, dp)
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)

@@ -6,9 +6,10 @@ produces ``X(i+1)``.  ``X(0)`` is the input tensor, so activation indices
 run 0..L.  Fully-connected layers are expressed as conv layers whose
 kernel spans the full spatial extent, so there is a single code path.
 
-The forward pass keeps one array per activation and no pre-ReLU copy.  A
-ReLU output is positive exactly where its input is, so ``X(i+1) > 0`` is
-the whole activation indicator that backward code needs.
+The forward pass keeps one array per activation and no pre-ReLU copy.
+Backward code reads every mask off it: a ReLU output is positive exactly
+where its input is, so ``X(i+1) > 0`` is the whole indicator, and a max
+pool's winner is its first tap, in scan order, equal to ``X(i+1)``.
 
 Every conv and pool kernel walks its windows through ``window_taps``: one
 whole-array step per kernel offset, on a strided view of the input, never
@@ -185,32 +186,16 @@ def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_taps(layer: PoolLayer, x: np.ndarray):
-    k, s = layer.window, layer.stride
-    return window_taps(k, k, s, _out_dim(x.shape[0], k, s, 0), _out_dim(x.shape[1], k, s, 0))
-
-
 def apply_pool(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
     """Max or average pool of a (W, H, *batch, D) array."""
-    taps = [x[tap] for _, _, tap in _pool_taps(layer, x)]
+    k, s = layer.window, layer.stride
+    ow, oh = _out_dim(x.shape[0], k, s, 0), _out_dim(x.shape[1], k, s, 0)
+    taps = [x[tap] for _, _, tap in window_taps(k, k, s, ow, oh)]
     combine = np.maximum if layer.mode == "max" else np.add
     out = taps[0].copy()
     for v in taps[1:]:
         combine(out, v, out=out)
     return out if layer.mode == "max" else out / len(taps)
-
-
-def pool_argmax(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
-    """Flat window index ``a * window + b`` of each max-pool window's maximum.
-    Only a strict ``>`` moves the choice, so the first hit in scan order wins ties."""
-    taps = [(a * layer.window + b, x[tap]) for a, b, tap in _pool_taps(layer, x)]
-    best = taps[0][1].copy()
-    idx = np.zeros(best.shape, dtype=np.int64)
-    for flat, v in taps[1:]:
-        hit = v > best
-        np.copyto(best, v, where=hit)
-        idx[hit] = flat
-    return idx
 
 
 def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> list:

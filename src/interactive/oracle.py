@@ -19,8 +19,9 @@ network (``trace_arrays``) where it enters.
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: a connection probe whose directly perturbed neuron
 sits within ``KINK_GUARD`` of its ReLU boundary is skipped, and any probe
-whose two perturbed passes disagree in ReLU sign pattern or pooling
-argmax choice is discarded (the difference quotient straddled a kink).
+whose two perturbed passes disagree in ReLU sign pattern or in max-pool
+choice (the oracle's own numpy ``argmax`` over each window's taps) is
+discarded: the difference quotient straddled a kink.
 """
 
 from __future__ import annotations
@@ -28,12 +29,20 @@ from __future__ import annotations
 import numpy as np
 
 from .activeness import ActivenessRequest, backprop_score, log_likelihood, trace_arrays, validate_request
-from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, pool_argmax, receptive_sets
+from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, receptive_sets
 from .net import forward  # noqa: F401 -- not called here; the benchmark's tracer wraps it here by name
 
 ENUMERATION_GUARD = 10**7
 FD_STEP = 1e-4  # central-difference step, in weight or activation units
 KINK_GUARD = 1e-6  # a hit neuron's pre-activation closer than this to 0 skips the probe
+
+
+def _max_pool_choice(layer, x: np.ndarray) -> np.ndarray:
+    """Flat index ``a * window + b`` of each max-pool window's first maximum in scan
+    order: numpy ``argmax`` over the window's taps stacked w-outer, h-inner."""
+    k, s = layer.window, layer.stride
+    ow, oh = (x.shape[0] - k) // s + 1, (x.shape[1] - k) // s + 1
+    return np.argmax([x[a : a + ow * s : s, b : b + oh * s : s] for a in range(k) for b in range(k)], axis=0)
 
 
 def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
@@ -56,7 +65,7 @@ def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
                 x = pre
         else:
             if layer.mode == "max":
-                pattern.append(pool_argmax(layer, x).tobytes())
+                pattern.append(_max_pool_choice(layer, x).tobytes())
             x = apply_pool(layer, x)
     return x, tuple(pattern)
 

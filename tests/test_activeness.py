@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -444,3 +448,58 @@ class TestGammaStacks:
                 gamma[0, 0, 0] = 1.0
             assert np.ptp(gamma, axis=2).max() == 0.0
             npt.assert_array_equal(result.map2d, gamma.shape[2] * gamma[:, :, 0])
+
+
+# Flat-region inputs tie many max-pool windows at a positive maximum, so
+# any change to which tied tap takes the score moves these outputs.  The
+# record was taken once, at exact float64 values; the large arrays are kept
+# as SHA-256 digests of their little-endian float64 bytes.
+TIE_MODELS = (("toy-cnn", 0), ("toy-cnn", 3), ("tiny-3conv", 0))
+TIE_CONFIGS = [("last", 1), ("last", 2), ("next", 1), ("next", 2)]
+TIE_RECORD = json.loads((Path(__file__).parent / "data" / "activeness_ties.json").read_text())
+
+
+def flat_regions(shape):
+    """A 200 | 40 split down the middle with a 255 square, minus 128."""
+    w, h, d = shape
+    x = np.full((w, h, d), 40.0)
+    x[: w // 2] = 200.0
+    x[w // 4 : w // 4 + w // 3, h // 4 : h // 4 + h // 3] = 255.0
+    return x - 128.0
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
+
+
+def tie_record(arch, seed):
+    """Every target's ``neuron_activeness`` feature and map2d under the four
+    configs, and ``gamma_stacks`` on a two-image stack, on flat regions."""
+    spec = generate_model(arch, seed)
+    x = flat_regions(spec.input_shape)
+    trace = forward(spec, Tensor3.from_array(x))
+    targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
+    record = {}
+    for t in targets:
+        for sup, p in TIE_CONFIGS:
+            result = neuron_activeness(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p))
+            record[f"{t}/{sup}/p{p}"] = {"feature": result.feature.tolist(), "map2d": _digest(result.map2d)}
+    acts = forward_arrays(spec, np.stack([x, x[::-1]], axis=2))
+    for t, score, gamma in gamma_stacks(spec, acts, targets, TIE_CONFIGS):
+        record[f"{t}/stack"] = {"score": _digest(score), "gamma": _digest(gamma)}
+    return record
+
+
+@pytest.mark.parametrize("arch, seed", TIE_MODELS, ids=[f"{a}-{s}" for a, s in TIE_MODELS])
+def test_tie_heavy_outputs_match_record_exactly(arch, seed):
+    # JSON floats round-trip exactly, so == on the feature lists is exact equality
+    assert tie_record(arch, seed) == TIE_RECORD[f"{arch}-{seed}"]
+
+
+def test_tie_record_input_ties_max_pool_windows():
+    spec = generate_model("toy-cnn", 0)
+    x1 = forward(spec, Tensor3.from_array(flat_regions(spec.input_shape)))[1]
+    windows = [x1[a::2, b::2][:8, :8] for a in range(2) for b in range(2)]
+    top = np.max(windows, axis=0)
+    ties = (sum(v == top for v in windows) > 1) & (top > 0)
+    assert ties.sum() >= 100

@@ -313,6 +313,33 @@ class TestGradcheck:
             main(["gradcheck", "--model", str(model_path), "--samples", "0"])
         assert exc.value.code == EXIT_USAGE
 
+    @staticmethod
+    def _one_by_one_model(tmp_path, input_shape, stride, padding):
+        rng = np.random.default_rng(5)
+        layer = ConvLayer(kernel=rng.standard_normal((1, 1, input_shape[2], 2)), bias=np.full(2, 0.1),
+                          stride=stride, padding=padding)
+        path = tmp_path / "pad.model"
+        save_model(NetworkSpec(layers=(layer,), input_shape=input_shape, names=("conv-1",)), path)
+        return path
+
+    # a 1x1 conv whose padding holds whole output windows: such an output has
+    # no source, so the sampler draws another output position
+    @pytest.mark.parametrize("shape, stride, padding", [((6, 6, 3), 1, 1), ((7, 7, 3), 3, 2)],
+                             ids=["padding-1", "stride-3-padding-2"])
+    def test_output_windows_wholly_in_padding_are_drawn_again(self, tmp_path, capsys, shape, stride, padding):
+        model = self._one_by_one_model(tmp_path, shape, stride, padding)
+        for seed in ("0", "3"):
+            assert main(["gradcheck", "--model", str(model), "--seed", seed]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "(compared 200, kink-skipped 0)" in out and "gradcheck PASS" in out
+
+    def test_every_window_in_padding_exits_2_with_one_line(self, tmp_path, capsys):
+        # 1x1 input, padding 1, stride 2: both output columns read padding only
+        model = self._one_by_one_model(tmp_path, (1, 1, 3), 2, 1)
+        assert main(["gradcheck", "--model", str(model), "--seed", "0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "padding" in err
+
     @pytest.mark.parametrize("key", sorted(GOLDEN_GRADCHECK))
     def test_stdout_matches_golden_record(self, key, tmp_path, capsys):
         arch, model_seed, seed = key.split("/")

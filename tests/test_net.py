@@ -15,7 +15,8 @@ from interactive import (
     receptive_sets,
 )
 from interactive.activeness import _conv_backward_input, _pool_backward
-from interactive.net import ConvConnectivity, apply_conv, apply_pool, pool_argmax
+from interactive.net import ConvConnectivity, apply_conv, apply_pool
+from interactive.oracle import _max_pool_choice
 
 from conftest import random_input
 
@@ -379,10 +380,10 @@ def test_pool_kernels_match_naive_reference():
         out, idx = naive_pool(layer.window, layer.stride, layer.mode, x)
         npt.assert_allclose(apply_pool(layer, x), out, rtol=0, atol=1e-12)
         if layer.mode == "max":
-            npt.assert_array_equal(pool_argmax(layer, x), idx)
+            npt.assert_array_equal(_max_pool_choice(layer, x), idx)
         grad_out = rng.integers(-3, 4, size=out.shape).astype(np.float64)
         npt.assert_allclose(
-            _pool_backward(layer, x, grad_out),
+            _pool_backward(layer, x, apply_pool(layer, x), grad_out),
             naive_pool_backward(layer.window, layer.stride, layer.mode, x, grad_out),
             rtol=0,
             atol=1e-12,
@@ -421,16 +422,16 @@ def test_batched_kernels_equal_per_image_calls():
     for layer, x, _ in random_pool_cases(seed=57, n=20):
         stack = np.stack([x, x[::-1], rng.integers(-2, 3, size=x.shape).astype(np.float64)], axis=2)
         out = apply_pool(layer, stack)
-        idx = pool_argmax(layer, stack)
+        idx = _max_pool_choice(layer, stack)
         grad_out = rng.integers(-3, 4, size=(*out.shape[:2], 2, *out.shape[2:])).astype(np.float64)
-        grad_in = _pool_backward(layer, stack[:, :, None], grad_out)
+        grad_in = _pool_backward(layer, stack, out, grad_out)
         for n in range(stack.shape[2]):
             npt.assert_allclose(out[:, :, n], apply_pool(layer, stack[:, :, n]), rtol=0, atol=1e-12)
-            npt.assert_array_equal(idx[:, :, n], pool_argmax(layer, stack[:, :, n]))
+            npt.assert_array_equal(idx[:, :, n], _max_pool_choice(layer, stack[:, :, n]))
             for s in range(2):
                 npt.assert_allclose(
                     grad_in[:, :, s, n],
-                    _pool_backward(layer, stack[:, :, n], grad_out[:, :, s, n]),
+                    _pool_backward(layer, stack[:, :, n], out[:, :, n], grad_out[:, :, s, n]),
                     rtol=0,
                     atol=1e-12,
                 )

@@ -97,6 +97,11 @@ def validate_request(spec: NetworkSpec, request: ActivenessRequest) -> int:
     return len(spec.layers) if request.supervision == "last" else t + 1
 
 
+def valid_targets(spec: NetworkSpec) -> list[int]:
+    """Every activation index ``validate_request`` accepts as a target: those consumed by a conv layer."""
+    return [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
+
+
 def log_likelihood(xbar: np.ndarray, p: int) -> float:
     """ln f at the supervision layer, up to the dropped constant ln C_p.
 
@@ -179,23 +184,23 @@ def trace_arrays(spec: NetworkSpec, trace: tuple) -> tuple:
     return trace
 
 
-def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
-    """Push a stacked score seed at activation T down to the input.
+def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int, keep: set[int]) -> dict:
+    """Push a stacked score seed at activation T down to the lowest index in ``keep``.
 
     ``acts`` comes from ``forward_arrays``; ``seed`` is shaped
     (W_T, H_T, *stack, *batch, D_T), any number of stacked seeds (p values,
-    say) ahead of the trace's batch axes.  Yields ``(j, score at X(j))``
-    for j = T, T-1, ..., 0; stop iterating once the lowest index needed has
-    come.  Standard reverse mode, with every mask read off the trace: conv
-    layers mask by their ReLU output (``X(i+1) > 0`` exactly where the conv
-    output is positive) and apply the transposed kernel; a max pool routes
-    each window's score to the first tap equal to its output X(i+1), and an
-    average pool splits it uniformly.  The masks depend on the trace only,
-    so the sweep is linear in the seed and every stacked seed is exact.
+    say) ahead of the trace's batch axes.  Returns ``{j: score at X(j)}`` for
+    each j in ``keep``, a non-empty set of indices 0..T; no layer below
+    ``min(keep)`` runs.  Standard reverse mode, with every mask read off the
+    trace: conv layers mask by their ReLU output (``X(i+1) > 0`` exactly where
+    the conv output is positive) and apply the transposed kernel; a max pool
+    routes each window's score to the first tap equal to its output X(i+1),
+    and an average pool splits it uniformly.  The masks depend on the trace
+    only, so the sweep is linear in the seed and every stacked seed is exact.
     """
     grad = seed
-    yield T, grad
-    for i in range(T - 1, -1, -1):
+    scores = {T: grad} if T in keep else {}
+    for i in range(T - 1, min(keep) - 1, -1):
         layer = spec.layers[i]
         if isinstance(layer, ConvLayer):
             if layer.apply_relu:
@@ -203,12 +208,12 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int):
             grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, acts[i].shape)
         else:
             grad = _pool_backward(layer, acts[i], acts[i + 1], grad)
-        yield i, grad
+        if i in keep:
+            scores[i] = grad
+    return scores
 
 
-def backprop_score(
-    spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
-) -> np.ndarray:
+def backprop_score(spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int) -> np.ndarray:
     """Gradient of -ln f (likelihood at activation T) wrt activation ``down_to``.
 
     The layer score seeds ``reverse_sweep`` at T; the sweep stops at
@@ -217,9 +222,7 @@ def backprop_score(
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
     acts = trace_arrays(spec, trace)
-    for j, score in reverse_sweep(spec, acts, layer_score(acts[T], p), T):
-        if j == down_to:
-            return score
+    return reverse_sweep(spec, acts, layer_score(acts[T], p), T, {down_to})[down_to]
 
 
 def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:
@@ -238,33 +241,37 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
     return _conv_backward_input(np.ones(hop.kernel.shape[:2] + (1, 1)), hop.stride, hop.padding, field, x_t.shape)
 
 
-def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs):
+def _score_stack(configs, swept: np.ndarray | None, x_next: np.ndarray) -> np.ndarray:
+    """The scores at X(t+1) of ``configs``, in order on axis 2: a "last" config
+    takes its slice of ``swept``, the sweep's stack of the "last" p values; a
+    "next" config the layer score of ``x_next``.  One config is a view, no copy.
+    The slices die with this call, so a stacked copy leaves ``swept`` free for the hop."""
+    lasts = iter(() if swept is None else np.split(swept, swept.shape[2], axis=2))
+    parts = [next(lasts) if sup == "last" else layer_score(x_next, p)[:, :, None] for sup, p in configs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+
+
+def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs) -> dict:
     """gamma of several targets under several (supervision, p) configs.
 
-    ``acts`` comes from ``forward_arrays``.  Yields ``(t, score at
-    X(t+1), gamma at X(t))`` per target, highest first, the configs in order
-    on axis 2.  One reverse sweep, seeded with the final layer's scores for
-    the "last" configs' p values, passes every target; a "next" score is the
-    layer score at X(t+1).  Each target then takes one hop to its one-channel
-    gamma field.  Callers pass targets and configs ``validate_request`` accepts.
+    ``acts`` comes from ``forward_arrays``.  Returns ``{t: (score at X(t+1),
+    gamma at X(t))}`` per target, highest first, the configs in order on
+    axis 2; no target gives ``{}``.  One reverse sweep, seeded with the final
+    layer's scores for the "last" configs' p values, reaches every target; a
+    "next" score is the layer score at X(t+1).  Each target then takes one
+    hop to its one-channel gamma field.  Callers pass targets and configs
+    ``validate_request`` accepts.
     """
     last_ps = [p for sup, p in configs if sup == "last"]
-    if last_ps:
-        seed = np.stack([layer_score(acts[-1], p) for p in last_ps], axis=2)
-        sweep = reverse_sweep(spec, acts, seed, len(spec.layers))
-        del seed  # the sweep holds it until it is closed
-    order = sorted(set(targets), reverse=True)
-    for t in order:
-        lasts = iter(())
-        if last_ps:
-            lasts = iter(np.split(next(g for j, g in sweep if j == t + 1), len(last_ps), axis=2))
-            if t == order[-1]:
-                sweep.close()  # the views in ``lasts`` keep what the stack needs
-        parts = [next(lasts) if sup == "last" else layer_score(acts[t + 1], p)[:, :, None]
-                 for sup, p in configs]
-        score = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-        del lasts, parts  # a stacked copy leaves the swept array free for the hop
-        yield t, score, _gamma_hop(spec.layers[t], acts[t], acts[t + 1], score)
+    swept = {}
+    if last_ps and targets:  # the seed stack is passed unnamed, so that only the sweep holds it
+        swept = reverse_sweep(spec, acts, np.stack([layer_score(acts[-1], p) for p in last_ps], axis=2),
+                              len(spec.layers), {t + 1 for t in targets})
+    stacks = {}
+    for t in sorted(set(targets), reverse=True):
+        score = _score_stack(configs, swept.pop(t + 1, None), acts[t + 1])
+        stacks[t] = score, _gamma_hop(spec.layers[t], acts[t], acts[t + 1], score)
+    return stacks
 
 
 def connection_activeness(
@@ -313,7 +320,7 @@ def neuron_activeness(
     T = validate_request(spec, request)
     t = request.target_layer
     acts = trace_arrays(spec, trace)
-    [(_, _, stack)] = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])
+    _, stack = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])[t]
     gamma = np.broadcast_to(stack[:, :, 0], acts[t].shape)  # a read-only view
     activeness = acts[t] * gamma
     map2d = acts[t].shape[2] * stack[:, :, 0, 0]
@@ -335,7 +342,5 @@ def weighted_features(spec: NetworkSpec, acts: list, targets: list[int]) -> dict
     X(t) times its broadcast gamma field, maxed over (w, h), which equals the
     ``feature`` of the matching ``neuron_activeness`` request with ``summarize="max"``.
     """
-    features = {}
-    for t, _, gamma in gamma_stacks(spec, acts, targets, WEIGHTED_CONFIGS):
-        features[t] = (gamma * _lift(acts[t], gamma)).max(axis=(0, 1))
-    return features
+    stacks = gamma_stacks(spec, acts, targets, WEIGHTED_CONFIGS)
+    return {t: (gamma * _lift(acts[t], gamma)).max(axis=(0, 1)) for t, (_, gamma) in stacks.items()}

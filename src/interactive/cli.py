@@ -29,9 +29,10 @@ from .activeness import (
     connection_activeness,
     gamma_stacks,
     neuron_activeness,
+    valid_targets,
     validate_request,
 )
-from .evalharness import ToyDatasetSpec, compare_pipelines, valid_targets
+from .evalharness import ToyDatasetSpec, compare_pipelines
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import ConvLayer, forward, infer_shapes, receptive_sets
@@ -181,13 +182,12 @@ def cmd_gradcheck(args) -> int:
         raise ValueError("no conv layer has a connection outside its padding, so there is nothing to check")
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
-    # one pass gives every target's hop scores and gamma, the combos on axis 2, as in toybench
-    hop_scores = {}
-    enum_max = 0.0
-    for t, scores, gammas in gamma_stacks(spec, trace, targets, combos):
-        hop_scores[t] = scores
-        # one literal walk per target gives all four configs
-        enum_max = max(enum_max, float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()))
+    # one pass gives every target's hop scores and gamma, the combos on axis 2, as in toybench;
+    # one literal walk per target gives all four configs
+    stacks = gamma_stacks(spec, trace, targets, combos)
+    enum_max = max(
+        float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()) for t, (_, gammas) in stacks.items()
+    )
 
     max_rel = 0.0
     max_small_abs = 0.0
@@ -205,7 +205,7 @@ def cmd_gradcheck(args) -> int:
         w, h, d = sources[int(rng.integers(len(sources)))]
         connection = (w, h, d, wp, hp, dp)
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-        engine = connection_activeness(spec, trace, request, connection, hop_score=hop_scores[t][:, :, k])
+        engine = connection_activeness(spec, trace, request, connection, hop_score=stacks[t][0][:, :, k])
         fd = fd_connection_check(spec, trace, request, connection)
         if fd is None:
             skipped += 1

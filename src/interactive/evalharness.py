@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activeness import WEIGHTED_CONFIGS, ActivenessRequest, target_name, validate_request, weighted_features
+from .activeness import WEIGHTED_CONFIGS, ActivenessRequest, target_name, valid_targets, validate_request
+from .activeness import weighted_features
 from .activeness import neuron_activeness  # noqa: F401
 from .image import RasterImage, to_input_tensor
-from .net import ConvLayer, NetworkSpec, forward, forward_arrays  # noqa: F401
+from .net import NetworkSpec, forward, forward_arrays  # noqa: F401
 
 # ``forward`` and ``neuron_activeness`` are the per-image calls whose results
 # the batched path reproduces.  They stay importable from this module because
@@ -166,11 +167,6 @@ def accuracy(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     (C, K, D+1) ``weights`` classify as ``y``: one value per set, shape (C,)."""
     Xb = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
     return ((Xb @ np.swapaxes(weights, -1, -2)).argmax(axis=-1) == y).mean(axis=-1)
-
-
-def valid_targets(spec: NetworkSpec) -> list[int]:
-    """Activation indices whose consuming layer is conv (activeness targets)."""
-    return [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
 
 
 def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:

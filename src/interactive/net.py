@@ -95,12 +95,14 @@ def _out_dim(size: int, extent: int, stride: int, padding: int) -> int:
 class NetworkSpec:
     """An ordered stack of layers with a fixed input shape and unique names.
 
-    Its layer output shapes are inferred, and checked, once when it is built."""
+    Its layer output shapes are inferred, and checked, once when it is built,
+    together with the connectivity of each conv layer."""
 
     layers: tuple
     input_shape: tuple[int, int, int]
     names: tuple[str, ...]
     _shapes: tuple = field(init=False, repr=False, compare=False)
+    _conns: tuple = field(init=False, repr=False, compare=False)  # per layer; None for a pool
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -118,7 +120,9 @@ class NetworkSpec:
                 )
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ShapeError(f"bad input shape {self.input_shape}")
-        object.__setattr__(self, "_shapes", tuple(_infer_shapes(self)))
+        shapes, conns = _infer_shapes(self)
+        object.__setattr__(self, "_shapes", tuple(shapes))
+        object.__setattr__(self, "_conns", tuple(conns))
 
     def layer_index(self, name: str) -> int:
         try:
@@ -132,9 +136,10 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
     return list(spec._shapes)
 
 
-def _infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
-    """Output shape of every layer in order; rejects shapes with dims < 1."""
-    shapes = []
+def _infer_shapes(spec: NetworkSpec) -> tuple[list, list]:
+    """Output shape of every layer in order, and its ``ConvConnectivity`` (None
+    for a pool); rejects shapes with dims < 1."""
+    shapes, conns = [], []
     w, h, d = spec.input_shape
     for i, layer in enumerate(spec.layers):
         name = spec.names[i]
@@ -149,15 +154,17 @@ def _infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
                     f"layer {name}: kernel {kw}x{kh} (stride {layer.stride}, padding "
                     f"{layer.padding}) does not fit input {w}x{h}"
                 )
+            conns.append(ConvConnectivity((w, h, d), (ow, oh, dout), kw, kh, layer.stride, layer.padding))
             w, h, d = ow, oh, dout
         else:
             ow = _out_dim(w, layer.window, layer.stride, 0)
             oh = _out_dim(h, layer.window, layer.stride, 0)
             if ow < 1 or oh < 1:
                 raise ShapeError(f"layer {name}: pool window {layer.window} exceeds input {w}x{h}")
+            conns.append(None)
             w, h = ow, oh
         shapes.append((w, h, d))
-    return shapes
+    return shapes, conns
 
 
 def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
@@ -317,19 +324,9 @@ class ConvConnectivity:
 
 
 def receptive_sets(spec: NetworkSpec, t: int) -> ConvConnectivity:
-    """Connectivity of the conv layer consuming X(t), i.e. descriptor t."""
+    """Connectivity of the conv layer consuming X(t), i.e. descriptor t, as the spec stored it when built."""
     if not 0 <= t < len(spec.layers):
         raise IndexError(f"layer index {t} outside 0..{len(spec.layers) - 1}")
-    layer = spec.layers[t]
-    if not isinstance(layer, ConvLayer):
+    if not isinstance(spec.layers[t], ConvLayer):
         raise ShapeError(f"layer {spec.names[t]} is not a conv layer")
-    shapes = infer_shapes(spec)
-    in_shape = spec.input_shape if t == 0 else shapes[t - 1]
-    return ConvConnectivity(
-        in_shape=in_shape,
-        out_shape=shapes[t],
-        kernel_w=layer.kernel.shape[0],
-        kernel_h=layer.kernel.shape[1],
-        stride=layer.stride,
-        padding=layer.padding,
-    )
+    return spec._conns[t]

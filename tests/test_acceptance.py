@@ -27,8 +27,7 @@ from interactive import (
     receptive_sets,
     save_model,
 )
-from interactive.activeness import validate_request
-from interactive.evalharness import valid_targets
+from interactive.activeness import valid_targets, validate_request
 from interactive.image import resize_dims
 from interactive.oracle import fd_connection_check
 

@@ -21,7 +21,16 @@ from interactive import (
     neuron_activeness,
     receptive_sets,
 )
-from interactive.activeness import _conv_backward_input, _lift, gamma_stacks, trace_arrays, validate_request
+from interactive.activeness import (
+    _conv_backward_input,
+    _gamma_hop,
+    _lift,
+    _pool_backward,
+    gamma_stacks,
+    reverse_sweep,
+    trace_arrays,
+    validate_request,
+)
 from interactive.net import apply_conv, forward_arrays
 from interactive.oracle import enumerate_gamma, fd_activation_score
 
@@ -406,17 +415,17 @@ class TestGammaStacks:
         acts = trace_arrays(spec, forward(spec, random_input(spec, seed=2)))
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
-        four = {t: (score, gamma) for t, score, gamma in gamma_stacks(spec, acts, targets, configs)}
+        four = gamma_stacks(spec, acts, targets, configs)
         assert list(four) == sorted(targets, reverse=True)
         for k, config in enumerate(configs):
-            for t, score, gamma in gamma_stacks(spec, acts, targets, [config]):
+            for t, (score, gamma) in gamma_stacks(spec, acts, targets, [config]).items():
                 assert score.shape[2] == gamma.shape[2] == 1
                 npt.assert_array_equal(score[:, :, 0], four[t][0][:, :, k])
                 npt.assert_array_equal(gamma[:, :, 0], four[t][1][:, :, k])
 
     def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
         acts = trace_arrays(tiny_net, tiny_trace)
-        [(_, score, _)] = gamma_stacks(tiny_net, acts, [0], [("last", 2)])
+        score, _ = gamma_stacks(tiny_net, acts, [0], [("last", 2)])[0]
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1))
 
     @pytest.mark.parametrize("arch, batch", [
@@ -431,7 +440,7 @@ class TestGammaStacks:
         acts = forward_arrays(spec, x)
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
-        for t, score, gamma in gamma_stacks(spec, acts, targets, configs):
+        for t, (score, gamma) in gamma_stacks(spec, acts, targets, configs).items():
             hop = spec.layers[t]
             masked = score * _lift(acts[t + 1] > 0, score) if hop.apply_relu else score
             reference = _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, masked, acts[t].shape)
@@ -448,6 +457,45 @@ class TestGammaStacks:
                 gamma[0, 0, 0] = 1.0
             assert np.ptp(gamma, axis=2).max() == 0.0
             npt.assert_array_equal(result.map2d, gamma.shape[2] * gamma[:, :, 0])
+
+    def test_hops_run_inside_the_call(self, tiny_net, tiny_trace, monkeypatch):
+        # the result is complete when the call returns; nothing is left to iterate
+        hops = []
+
+        def counted(hop, *args):
+            hops.append(hop)
+            return _gamma_hop(hop, *args)
+
+        monkeypatch.setattr("interactive.activeness._gamma_hop", counted)
+        stacks = gamma_stacks(tiny_net, tiny_trace, [0, 2], [("last", 2), ("next", 1)])
+        assert hops == [tiny_net.layers[2], tiny_net.layers[0]]
+        assert list(stacks) == [2, 0]
+
+    @pytest.mark.parametrize("configs", [[("last", 2)], [("next", 1)]])
+    def test_no_target_gives_an_empty_dict(self, tiny_net, tiny_trace, configs):
+        assert gamma_stacks(tiny_net, tiny_trace, [], configs) == {}
+
+
+class TestReverseSweep:
+    # toy-cnn: conv-1, pool-1, conv-2, pool-2, conv-3 consume X(0)..X(4)
+    @pytest.mark.parametrize("keep, convs, pools", [
+        ({5}, 0, 0), ({4, 5}, 1, 0), ({3}, 1, 1), ({1, 3, 5}, 2, 2), ({0, 2}, 3, 2),
+    ])
+    def test_returns_the_kept_scores_and_stops_at_the_lowest(self, keep, convs, pools, monkeypatch):
+        spec = generate_model("toy-cnn", seed=0)
+        acts = forward(spec, random_input(spec, seed=1))
+        calls = []
+        for name, run in (("_conv_backward_input", _conv_backward_input), ("_pool_backward", _pool_backward)):
+            def counted(*args, _name=name, _run=run):
+                calls.append(_name)
+                return _run(*args)
+            monkeypatch.setattr(f"interactive.activeness.{name}", counted)
+        scores = reverse_sweep(spec, acts, layer_score(acts[5], 2), 5, keep)
+        assert set(scores) == keep
+        assert (calls.count("_conv_backward_input"), calls.count("_pool_backward")) == (convs, pools)
+        monkeypatch.undo()
+        for j in keep:
+            npt.assert_array_equal(scores[j], backprop_score(spec, acts, 5, 2, j))
 
 
 # Flat-region inputs tie many max-pool windows at a positive maximum, so
@@ -485,7 +533,7 @@ def tie_record(arch, seed):
             result = neuron_activeness(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p))
             record[f"{t}/{sup}/p{p}"] = {"feature": result.feature.tolist(), "map2d": _digest(result.map2d)}
     acts = forward_arrays(spec, np.stack([x, x[::-1]], axis=2))
-    for t, score, gamma in gamma_stacks(spec, acts, targets, TIE_CONFIGS):
+    for t, (score, gamma) in gamma_stacks(spec, acts, targets, TIE_CONFIGS).items():
         record[f"{t}/stack"] = {"score": _digest(score), "gamma": _digest(gamma)}
     return record
 

@@ -17,11 +17,11 @@ from interactive import (
     save_model,
     write_image,
 )
-from interactive.activeness import gamma_stacks
+from interactive.activeness import gamma_stacks, valid_targets
 from interactive.cli import (
     EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
 )
-from interactive.evalharness import ToyDatasetSpec, toy_image, valid_targets
+from interactive.evalharness import ToyDatasetSpec, toy_image
 
 # ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
 # keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
@@ -266,11 +266,13 @@ class TestGradcheck:
         model = tmp_path / "toy.model"
         save_model(generate_model("toy-cnn", seed=3), model)
         def corrupted(spec, acts, targets, configs):
-            for t, score, gamma in gamma_stacks(spec, acts, targets, configs):
+            stacks = gamma_stacks(spec, acts, targets, configs)
+            for t, (score, gamma) in stacks.items():
                 if spread:
                     gamma = np.repeat(gamma, acts[t].shape[-1], axis=-1)
                 gamma[..., 0] += 1e-6
-                yield t, score, gamma
+                stacks[t] = score, gamma
+            return stacks
 
         monkeypatch.setattr("interactive.cli.gamma_stacks", corrupted)
         code = main(["gradcheck", "--model", str(model), "--seed", "1", "--samples", "50"])

@@ -26,8 +26,7 @@ from interactive import (
     forward,
     receptive_sets,
 )
-from interactive.activeness import gamma_stacks
-from interactive.evalharness import valid_targets
+from interactive.activeness import gamma_stacks, valid_targets
 from interactive.oracle import fd_activation_score
 
 NETS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -70,7 +69,7 @@ def _agree(engine, fd):
 @given(net=nets())
 def test_gamma_stacks_match_enumeration(net):
     spec, trace = net
-    for t, _, gamma in gamma_stacks(spec, trace, valid_targets(spec), CONFIGS):
+    for t, (_, gamma) in gamma_stacks(spec, trace, valid_targets(spec), CONFIGS).items():
         assert np.abs(gamma - enumerate_gamma(spec, trace, t, CONFIGS)).max() <= 1e-10
 
 

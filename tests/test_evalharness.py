@@ -12,6 +12,7 @@ from interactive import (
     generate_model,
     neuron_activeness,
 )
+from interactive.activeness import valid_targets
 from interactive.evalharness import (
     INPUT_MEAN,
     PIPELINE_CONFIGS,
@@ -21,7 +22,6 @@ from interactive.evalharness import (
     toy_image,
     toy_samples,
     train_linear,
-    valid_targets,
 )
 from interactive.image import to_input_tensor
 

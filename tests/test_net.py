@@ -288,6 +288,15 @@ def test_uv_duality(tiny_net):
             assert in_u == in_v == conn.connected(w, h, d, wp, hp, dp)
 
 
+def test_receptive_sets_returns_the_connectivity_built_with_the_spec(tiny_net):
+    shapes = infer_shapes(tiny_net)
+    layer = tiny_net.layers[2]
+    conn = receptive_sets(tiny_net, 2)
+    assert receptive_sets(tiny_net, 2) is conn
+    assert conn == ConvConnectivity(shapes[1], shapes[2], *layer.kernel.shape[:2], layer.stride, layer.padding)
+    assert "_conns" not in repr(tiny_net)
+
+
 def test_receptive_sets_rejects_pool_and_bad_index(tiny_net):
     with pytest.raises(ShapeError):
         receptive_sets(tiny_net, 1)  # pool-1

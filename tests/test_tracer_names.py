@@ -3,7 +3,9 @@ one of them must still resolve.  ``perfbench/tracing.py`` is loaded from its
 file and not modified."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +26,16 @@ def test_every_traced_name_resolves():
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def test_no_traced_name_is_a_generator_function():
+    # a wrapped generator function would time only the creation of its generator
+    for _, module, attr, _ in _load_tracing().TARGETS:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        func = getattr(obj, "__func__", obj)  # a classmethod resolves to a bound method
+        assert not inspect.isgeneratorfunction(func), f"{module}.{attr}"
 
 
 def _unused_imports(source: str) -> set[str]:

@@ -184,10 +184,10 @@ def trace_arrays(spec: NetworkSpec, trace: tuple) -> tuple:
     return trace
 
 
-def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int, keep: set[int]) -> dict:
+def reverse_sweep(spec: NetworkSpec, trace: tuple, seed: np.ndarray, T: int, keep: set[int]) -> dict:
     """Push a stacked score seed at activation T down to the lowest index in ``keep``.
 
-    ``acts`` comes from ``forward_arrays``; ``seed`` is shaped
+    ``trace`` is a checked trace, as ``forward`` returns it; ``seed`` is shaped
     (W_T, H_T, *stack, *batch, D_T), any number of stacked seeds (p values,
     say) ahead of the trace's batch axes.  Returns ``{j: score at X(j)}`` for
     each j in ``keep``, a non-empty set of indices 0..T; no layer below
@@ -204,10 +204,10 @@ def reverse_sweep(spec: NetworkSpec, acts: list, seed: np.ndarray, T: int, keep:
         layer = spec.layers[i]
         if isinstance(layer, ConvLayer):
             if layer.apply_relu:
-                grad = grad * _lift(acts[i + 1] > 0, grad)
-            grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, acts[i].shape)
+                grad = grad * _lift(trace[i + 1] > 0, grad)
+            grad = _conv_backward_input(layer.kernel, layer.stride, layer.padding, grad, trace[i].shape)
         else:
-            grad = _pool_backward(layer, acts[i], acts[i + 1], grad)
+            grad = _pool_backward(layer, trace[i], trace[i + 1], grad)
         if i in keep:
             scores[i] = grad
     return scores
@@ -221,8 +221,8 @@ def backprop_score(spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
-    acts = trace_arrays(spec, trace)
-    return reverse_sweep(spec, acts, layer_score(acts[T], p), T, {down_to})[down_to]
+    trace_arrays(spec, trace)
+    return reverse_sweep(spec, trace, layer_score(trace[T], p), T, {down_to})[down_to]
 
 
 def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:
@@ -251,26 +251,26 @@ def _score_stack(configs, swept: np.ndarray | None, x_next: np.ndarray) -> np.nd
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
-def gamma_stacks(spec: NetworkSpec, acts: list, targets: list[int], configs) -> dict:
+def gamma_stacks(spec: NetworkSpec, trace: tuple, targets: list[int], configs) -> dict:
     """gamma of several targets under several (supervision, p) configs.
 
-    ``acts`` comes from ``forward_arrays``.  Returns ``{t: (score at X(t+1),
-    gamma at X(t))}`` per target, highest first, the configs in order on
-    axis 2; no target gives ``{}``.  One reverse sweep, seeded with the final
-    layer's scores for the "last" configs' p values, reaches every target; a
-    "next" score is the layer score at X(t+1).  Each target then takes one
-    hop to its one-channel gamma field.  Callers pass targets and configs
-    ``validate_request`` accepts.
+    ``trace`` is a checked trace, as ``forward`` returns it.  Returns
+    ``{t: (score at X(t+1), gamma at X(t))}`` per target, highest first, the
+    configs in order on axis 2; no target gives ``{}``.  One reverse sweep,
+    seeded with the final layer's scores for the "last" configs' p values,
+    reaches every target; a "next" score is the layer score at X(t+1).  Each
+    target then takes one hop to its one-channel gamma field.  Callers pass
+    targets and configs ``validate_request`` accepts.
     """
     last_ps = [p for sup, p in configs if sup == "last"]
     swept = {}
     if last_ps and targets:  # the seed stack is passed unnamed, so that only the sweep holds it
-        swept = reverse_sweep(spec, acts, np.stack([layer_score(acts[-1], p) for p in last_ps], axis=2),
+        swept = reverse_sweep(spec, trace, np.stack([layer_score(trace[-1], p) for p in last_ps], axis=2),
                               len(spec.layers), {t + 1 for t in targets})
     stacks = {}
     for t in sorted(set(targets), reverse=True):
-        score = _score_stack(configs, swept.pop(t + 1, None), acts[t + 1])
-        stacks[t] = score, _gamma_hop(spec.layers[t], acts[t], acts[t + 1], score)
+        score = _score_stack(configs, swept.pop(t + 1, None), trace[t + 1])
+        stacks[t] = score, _gamma_hop(spec.layers[t], trace[t], trace[t + 1], score)
     return stacks
 
 
@@ -292,7 +292,7 @@ def connection_activeness(
     trace is checked on every call, with or without it.
     """
     T = validate_request(spec, request)
-    acts = trace_arrays(spec, trace)
+    trace_arrays(spec, trace)
     t = request.target_layer
     w, h, d, wp, hp, dp = sample
     conn = receptive_sets(spec, t)
@@ -301,10 +301,10 @@ def connection_activeness(
     if hop_score is None:
         hop_score = backprop_score(spec, trace, T, request.p, t + 1)
     hop = spec.layers[t]
-    if hop.apply_relu and not acts[t + 1][wp, hp, dp] > 0:
+    if hop.apply_relu and not trace[t + 1][wp, hp, dp] > 0:
         return 0.0
     alpha = hop_score[wp, hp, dp]
-    return float(acts[t][w, h, d] * alpha)
+    return float(trace[t][w, h, d] * alpha)
 
 
 def neuron_activeness(
@@ -319,28 +319,29 @@ def neuron_activeness(
     """
     T = validate_request(spec, request)
     t = request.target_layer
-    acts = trace_arrays(spec, trace)
-    _, stack = gamma_stacks(spec, acts, [t], [(request.supervision, request.p)])[t]
-    gamma = np.broadcast_to(stack[:, :, 0], acts[t].shape)  # a read-only view
-    activeness = acts[t] * gamma
-    map2d = acts[t].shape[2] * stack[:, :, 0, 0]
+    trace_arrays(spec, trace)
+    _, stack = gamma_stacks(spec, trace, [t], [(request.supervision, request.p)])[t]
+    gamma = np.broadcast_to(stack[:, :, 0], trace[t].shape)  # a read-only view
+    activeness = trace[t] * gamma
+    map2d = trace[t].shape[2] * stack[:, :, 0, 0]
     summarize = np.max if request.summarize == "max" else np.mean
     feature = summarize(activeness, axis=(0, 1))
     for arr in (activeness, map2d, feature):
         arr.flags.writeable = False
-    ll = log_likelihood(acts[T].mean(axis=(0, 1)), request.p)
+    ll = log_likelihood(trace[T].mean(axis=(0, 1)), request.p)
     return ActivenessResult(
         gamma=gamma, activeness=activeness, map2d=map2d, feature=feature, log_likelihood=ll
     )
 
 
-def weighted_features(spec: NetworkSpec, acts: list, targets: list[int]) -> dict:
+def weighted_features(spec: NetworkSpec, trace: tuple, targets: list[int]) -> dict:
     """Max-summarized activeness features of several targets under every
     (supervision, p) of ``WEIGHTED_CONFIGS``, from one ``gamma_stacks`` pass.
 
-    Returns ``{t: array (4, *batch, D_t)}`` in ``WEIGHTED_CONFIGS`` order:
+    ``trace`` is a checked trace, as ``forward`` returns it, with any batch
+    axes.  Returns ``{t: array (4, *batch, D_t)}`` in ``WEIGHTED_CONFIGS`` order:
     X(t) times its broadcast gamma field, maxed over (w, h), which equals the
     ``feature`` of the matching ``neuron_activeness`` request with ``summarize="max"``.
     """
-    stacks = gamma_stacks(spec, acts, targets, WEIGHTED_CONFIGS)
-    return {t: (gamma * _lift(acts[t], gamma)).max(axis=(0, 1)) for t, (_, gamma) in stacks.items()}
+    stacks = gamma_stacks(spec, trace, targets, WEIGHTED_CONFIGS)
+    return {t: (gamma * _lift(trace[t], gamma)).max(axis=(0, 1)) for t, (_, gamma) in stacks.items()}

@@ -89,8 +89,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging(verbose: int) -> None:
-    env = os.environ.get("INTERACTIVE_LOG", "").upper()
-    level = getattr(logging, env, logging.WARNING) if env else logging.WARNING
+    level = getattr(logging, os.environ.get("INTERACTIVE_LOG", "").upper(), None)
+    if not isinstance(level, int):  # unset, unknown, or a non-level name such as BASIC_FORMAT
+        level = logging.WARNING
     if verbose == 1:
         level = min(level, logging.INFO)
     elif verbose >= 2:
@@ -151,8 +152,7 @@ def cmd_activeness(args) -> int:
     img = read_image(args.image)
     t = _resolve_target(spec, args.layer)
     request = ActivenessRequest(target_layer=t, supervision=args.config, p=args.p, summarize=args.summarize)
-    x0 = _prepare_input(img, spec, args.mean)
-    trace = forward(spec, x0)
+    trace = forward(spec, _prepare_input(img, spec, args.mean).array)
     result = neuron_activeness(spec, trace, request)
     if args.heatmap is not None:
         _write_heatmap(result.map2d, img.width, img.height, args.heatmap)
@@ -170,8 +170,7 @@ def cmd_activeness(args) -> int:
 def cmd_gradcheck(args) -> int:
     spec = load_model(args.model)
     rng = np.random.default_rng(args.seed)
-    x0 = Tensor3.from_array(rng.standard_normal(spec.input_shape))
-    trace = forward(spec, x0)
+    trace = forward(spec, rng.standard_normal(spec.input_shape))
     targets = valid_targets(spec)
     if not targets:
         raise ValueError("model has no conv layer to check")
@@ -228,10 +227,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_toybench(args) -> int:
     spec = load_model(args.model)
+    targets = None  # compare_pipelines takes every valid target
     if args.layers is not None:
         targets = [_resolve_target(spec, name.strip()) for name in args.layers.split(",")]
-    else:
-        targets = valid_targets(spec)
     w0, h0, d0 = spec.input_shape
     dataset = ToyDatasetSpec(seed=args.dataset_seed, image_size=(w0, h0), channels=d0)
     report = compare_pipelines(dataset, spec, targets)

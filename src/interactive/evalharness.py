@@ -21,13 +21,9 @@ import numpy as np
 
 from .activeness import WEIGHTED_CONFIGS, ActivenessRequest, target_name, valid_targets, validate_request
 from .activeness import weighted_features
-from .activeness import neuron_activeness  # noqa: F401
+from .activeness import neuron_activeness  # noqa: F401 -- only the benchmark's tracer wraps it here
 from .image import RasterImage, to_input_tensor
-from .net import NetworkSpec, forward, forward_arrays  # noqa: F401
-
-# ``forward`` and ``neuron_activeness`` are the per-image calls whose results
-# the batched path reproduces.  They stay importable from this module because
-# the benchmark's tracer (perfbench/tracing.py) wraps them here by name.
+from .net import NetworkSpec, forward
 
 SLACK_C = 10.0
 INPUT_MEAN = 128.0
@@ -172,10 +168,10 @@ def accuracy(weights: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _group_vectors(spec: NetworkSpec, x: np.ndarray, targets: list[int]) -> dict:
     """Feature rows for a (W, H, N, D) image stack: ``{t: array (6, N, D_t)}``
     in ``PIPELINE_CONFIGS`` order."""
-    acts = forward_arrays(spec, x)
-    weighted = weighted_features(spec, acts, targets)
+    trace = forward(spec, x)
+    weighted = weighted_features(spec, trace, targets)
     return {
-        t: np.stack([acts[t].mean(axis=(0, 1)), acts[t].max(axis=(0, 1)), *weighted[t]])
+        t: np.stack([trace[t].mean(axis=(0, 1)), trace[t].max(axis=(0, 1)), *weighted[t]])
         for t in targets
     }
 

@@ -6,10 +6,12 @@ produces ``X(i+1)``.  ``X(0)`` is the input tensor, so activation indices
 run 0..L.  Fully-connected layers are expressed as conv layers whose
 kernel spans the full spatial extent, so there is a single code path.
 
-The forward pass keeps one array per activation and no pre-ReLU copy.
-Backward code reads every mask off it: a ReLU output is positive exactly
-where its input is, so ``X(i+1) > 0`` is the whole indicator, and a max
-pool's winner is its first tap, in scan order, equal to ``X(i+1)``.
+``forward`` is the one forward pass and the place where the network input
+enters: it checks the input array and returns the trace, a tuple of one
+read-only array per activation, with no pre-ReLU copy.  Backward code
+reads every mask off it: a ReLU output is positive exactly where its input
+is, so ``X(i+1) > 0`` is the whole indicator, and a max pool's winner is
+its first tap, in scan order, equal to ``X(i+1)``.
 
 Every conv and pool kernel walks its windows through ``window_taps``: one
 whole-array step per kernel offset, on a strided view of the input, never
@@ -18,10 +20,10 @@ kw*kh copies of the input, a view copies nothing.  Zero padding
 contributes zero terms only; padded positions are not neurons and never
 appear in connectivity sets.
 
-The kernels take arrays shaped (W, H, *batch, D): any batch axes (images,
-stacked seeds) sit between the spatial axes and the channel axis, so a
-tap view ``x[tap]`` and ``x[tap] @ K[a, b]`` carry them along unchanged.
-A single image is the case with no batch axes.
+``forward`` and the kernels take arrays shaped (W, H, *batch, D): any batch
+axes (images, stacked seeds) sit between the spatial axes and the channel
+axis, so a tap view ``x[tap]`` and ``x[tap] @ K[a, b]`` carry them along
+unchanged.  A single image is the case with no batch axes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor3, _as_finite_f64
+from .tensor import ShapeError, _as_finite_f64
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,44 +207,37 @@ def apply_pool(layer: PoolLayer, x: np.ndarray) -> np.ndarray:
     return out if layer.mode == "max" else out / len(taps)
 
 
-def forward_arrays(spec: NetworkSpec, x: np.ndarray) -> list:
-    """Run the network on a (W, H, *batch, D) array.
+def forward(spec: NetworkSpec, x) -> tuple:
+    """Run the network on a (W, H, *batch, D) array; returns its trace.
 
-    Returns ``acts``: ``acts[j]`` is X(j) for j = 0..L (``acts[0]`` is
-    ``x``).  Every array keeps the batch axes of ``x`` between its spatial
-    axes and its channel axis.  Each layer output is checked for NaN/Inf
-    once, before any ReLU (which would turn a -inf into 0), and a failure
-    names the layer; numpy's own overflow warnings are silenced, since that
-    check reports the same fault with the layer's name.  The ReLU then
-    runs in place, so a layer keeps one array.
+    ``trace[j]`` is X(j) for j = 0..L as a read-only array that keeps the
+    batch axes of ``x`` between its spatial axes and its channel axis:
+    ``trace[0]`` is a read-only view of the input (``x`` itself stays
+    writable), ``trace[i+1]`` the output of layer i, post-ReLU where the
+    layer applies one; no pre-ReLU copy is kept (``X(i+1) > 0`` is the
+    ReLU's indicator).  The input is checked for NaN/Inf and shape where it
+    enters.  Each layer output is checked for NaN/Inf once, before any ReLU
+    (which would turn a -inf into 0), and a failure names the layer; numpy's
+    own overflow warnings are silenced, since that check reports the same
+    fault with the layer's name.  The ReLU then runs in place, so a layer
+    keeps one array.
     """
+    x = _as_finite_f64(x, "tensor data").view()
     if x.ndim < 3 or (*x.shape[:2], x.shape[-1]) != spec.input_shape:
         raise ShapeError(f"input shape {x.shape} != network input {spec.input_shape}")
-    acts = [x]
+    x.flags.writeable = False
+    trace = [x]
     with np.errstate(over="ignore", invalid="ignore"):
         for name, layer in zip(spec.names, spec.layers):
             conv = isinstance(layer, ConvLayer)
-            out = apply_conv(layer, acts[-1]) if conv else apply_pool(layer, acts[-1])
+            out = apply_conv(layer, trace[-1]) if conv else apply_pool(layer, trace[-1])
             if not np.isfinite(out).all():
                 raise ValueError(f"layer {name}: output contains NaN or Inf")
             if conv and layer.apply_relu:
                 np.maximum(out, 0.0, out=out)
-            acts.append(out)
-    return acts
-
-
-def forward(spec: NetworkSpec, x0: Tensor3) -> tuple:
-    """Run the network on one image; returns its trace.
-
-    ``trace[j]`` is X(j) for j = 0..L as a read-only (W, H, D) array:
-    ``trace[0]`` is the input, ``trace[i+1]`` the output of layer i,
-    post-ReLU where the layer applies one; no pre-ReLU copy is kept
-    (``X(i+1) > 0`` is the ReLU's indicator).
-    """
-    acts = forward_arrays(spec, x0.array)
-    for a in acts:
-        a.flags.writeable = False
-    return tuple(acts)
+            out.flags.writeable = False
+            trace.append(out)
+    return tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,11 @@ def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequ
     the activation pattern.
     """
     T = validate_request(spec, request)
-    acts = trace_arrays(spec, trace)
+    trace_arrays(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
     w, h, d, wp, hp, dp = connection
-    x = acts[t]
+    x = trace[t]
     kw, kh, _, _ = hop.kernel.shape
     conn = receptive_sets(spec, t)
     if not conn.connected(w, h, d, wp, hp, dp):
@@ -125,7 +125,7 @@ def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequ
         column[kw_off, kh_off, d] += delta
         pres.append((window * column).sum() + hop.bias[dp])
     entries = [pre if pre > 0 or not hop.apply_relu else 0.0 for pre in pres]
-    quotient, agree = _fd_replay(spec, acts[t + 1], t + 1, T, request.p, (wp, hp, dp), entries)
+    quotient, agree = _fd_replay(spec, trace[t + 1], t + 1, T, request.p, (wp, hp, dp), entries)
     same_sign = not hop.apply_relu or (pres[0] > 0) == (pres[1] > 0)
     return quotient if agree and same_sign else None
 
@@ -145,10 +145,10 @@ def fd_activation_score(
     ``IndexError``; a negative one does not wrap around.  A trace of another
     network raises ``ShapeError``.
     """
-    acts = trace_arrays(spec, trace)
+    trace_arrays(spec, trace)
     if not 0 <= layer_index <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= layer_index <= T <= {len(spec.layers)}")
-    base = acts[layer_index]
+    base = trace[layer_index]
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     coord = tuple(coord)  # a list would index whole rows
@@ -176,7 +176,7 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
     the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
-    acts = trace_arrays(spec, trace)
+    trace_arrays(spec, trace)
     conn = receptive_sets(spec, t)
     if conn.connection_count() > ENUMERATION_GUARD:
         raise ValueError(
@@ -185,7 +185,7 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
         )
     hop = spec.layers[t]
     scores = np.stack([backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)], axis=-1)
-    active = acts[t + 1] > 0
+    active = trace[t + 1] > 0
     # The walk reads X(t+1) as nested lists, one w' slab at a time: slab w' is
     # converted when column w first reaches its window and dropped once w has
     # passed it, so the lists never hold more than the slabs one column reads.

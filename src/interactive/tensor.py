@@ -1,7 +1,9 @@
-"""The checked network input, and the shape error every module raises.
+"""The shape error every module raises, the finiteness check, and ``Tensor3``.
 
-A ``Tensor3`` is where an input enters the engine: a width x height x
-depth block of finite float64 scalars, read-only.  Everything the engine
+``_as_finite_f64`` is the NaN/Inf check where data enters: ``forward``
+runs it on the network input, ``ConvLayer`` on its kernel and bias.
+A ``Tensor3`` (what ``image.to_input_tensor`` returns) is a width x height
+x depth block of finite float64 scalars, read-only.  Everything the engine
 returns (every activation, score, gamma field and feature) is a plain
 read-only float64 numpy array of the same layout.  The flat layout is
 w-major, then h, then d, i.e. ``flat[(w * H + h) * D + d]``, which is the

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from interactive import Tensor3, forward, generate_model
+from interactive import forward, generate_model
 
 
 def random_input(spec, seed):
     rng = np.random.default_rng(seed)
-    return Tensor3.from_array(rng.standard_normal(spec.input_shape))
+    return rng.standard_normal(spec.input_shape)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from interactive import (
     ConvLayer,
     NetworkSpec,
     ShapeError,
-    Tensor3,
     backprop_score,
     connection_activeness,
     forward,
@@ -31,7 +30,7 @@ from interactive.activeness import (
     trace_arrays,
     validate_request,
 )
-from interactive.net import apply_conv, forward_arrays
+from interactive.net import apply_conv
 from interactive.oracle import enumerate_gamma, fd_activation_score
 
 from conftest import random_input
@@ -88,7 +87,7 @@ class TestBackpropScore:
                 input_shape=(1, 1, 1),
                 names=("conv-1",),
             )
-            trace = forward(spec, Tensor3(1, 1, 1, [x]))
+            trace = forward(spec, np.full((1, 1, 1), x))
             return backprop_score(spec, trace, T=1, p=p, down_to=0)[0, 0, 0]
 
         # positive pre-activation
@@ -172,8 +171,7 @@ class TestTraceBoundary:
 
 class TestConnectionActiveness:
     def test_zero_upstream_neuron(self, tiny_net):
-        x0 = Tensor3.from_array(np.zeros(tiny_net.input_shape))
-        trace = forward(tiny_net, x0)
+        trace = forward(tiny_net, np.zeros(tiny_net.input_shape))
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
         conn = receptive_sets(tiny_net, 0)
         wp, hp, dp = 2, 2, 1
@@ -202,7 +200,7 @@ class TestConnectionActiveness:
 
 class TestNeuronActiveness:
     def test_zero_input_zeroes_activeness_not_gamma(self, tiny_net):
-        trace = forward(tiny_net, Tensor3.from_array(np.zeros(tiny_net.input_shape)))
+        trace = forward(tiny_net, np.zeros(tiny_net.input_shape))
         request = ActivenessRequest(target_layer=0, supervision="last", p=1)
         result = neuron_activeness(tiny_net, trace, request)
         npt.assert_array_equal(result.activeness, 0.0)
@@ -217,7 +215,7 @@ class TestNeuronActiveness:
             input_shape=(1, 1, 2),
             names=("conv-1",),
         )
-        trace = forward(spec, Tensor3(1, 1, 2, [0.5, 0.25]))
+        trace = forward(spec, np.array([0.5, 0.25]).reshape(1, 1, 2))
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         result = neuron_activeness(spec, trace, request)
         npt.assert_allclose(result.gamma, float(dout), atol=1e-12)
@@ -302,7 +300,7 @@ class TestNeuronActiveness:
         x = random_input(spec, seed=14)
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         m1 = neuron_activeness(spec, forward(spec, x), request).map2d
-        x3 = Tensor3.from_array(3.0 * x.array)
+        x3 = 3.0 * x
         m3 = neuron_activeness(spec, forward(spec, x3), request).map2d
         assert np.unravel_index(np.argmax(m1), m1.shape) == np.unravel_index(np.argmax(m3), m3.shape)
 
@@ -368,7 +366,7 @@ class TestNonTemplatePaths:
             input_shape=(4, 4, 1),
             names=("pool-1",),
         )
-        trace = forward(spec, Tensor3.from_array(np.ones((4, 4, 1))))
+        trace = forward(spec, np.ones((4, 4, 1)))
         grad = backprop_score(spec, trace, T=1, p=1, down_to=0)
         # every 2x2 window ties; the (0, 0) window cell wins, weight 1/(2*2)
         expected = np.zeros((4, 4, 1))
@@ -437,7 +435,7 @@ class TestGammaStacks:
         spec = generate_model(arch, seed=1)
         w, h, d = spec.input_shape
         x = np.random.default_rng(2).standard_normal((w, h, *batch, d))
-        acts = forward_arrays(spec, x)
+        acts = forward(spec, x)
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
         for t, (score, gamma) in gamma_stacks(spec, acts, targets, configs).items():
@@ -525,14 +523,14 @@ def tie_record(arch, seed):
     configs, and ``gamma_stacks`` on a two-image stack, on flat regions."""
     spec = generate_model(arch, seed)
     x = flat_regions(spec.input_shape)
-    trace = forward(spec, Tensor3.from_array(x))
+    trace = forward(spec, x)
     targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
     record = {}
     for t in targets:
         for sup, p in TIE_CONFIGS:
             result = neuron_activeness(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p))
             record[f"{t}/{sup}/p{p}"] = {"feature": result.feature.tolist(), "map2d": _digest(result.map2d)}
-    acts = forward_arrays(spec, np.stack([x, x[::-1]], axis=2))
+    acts = forward(spec, np.stack([x, x[::-1]], axis=2))
     for t, (score, gamma) in gamma_stacks(spec, acts, targets, TIE_CONFIGS).items():
         record[f"{t}/stack"] = {"score": _digest(score), "gamma": _digest(gamma)}
     return record
@@ -546,7 +544,7 @@ def test_tie_heavy_outputs_match_record_exactly(arch, seed):
 
 def test_tie_record_input_ties_max_pool_windows():
     spec = generate_model("toy-cnn", 0)
-    x1 = forward(spec, Tensor3.from_array(flat_regions(spec.input_shape)))[1]
+    x1 = forward(spec, flat_regions(spec.input_shape))[1]
     windows = [x1[a::2, b::2][:8, :8] for a in range(2) for b in range(2)]
     top = np.max(windows, axis=0)
     ties = (sum(v == top for v in windows) > 1) & (top > 0)

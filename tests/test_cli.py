@@ -1,4 +1,5 @@
 import json
+import logging
 import struct
 import warnings
 from pathlib import Path
@@ -104,6 +105,16 @@ class TestGenModel:
         monkeypatch.setenv("INTERACTIVE_LOG", "debug")
         out = tmp_path / "m.model"
         assert main(["gen-model", "--arch", "tiny-2conv", "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("verbose, level", [([], logging.WARNING), (["-v"], logging.INFO)], ids=["plain", "v"])
+    def test_log_env_var_naming_no_level_falls_back_to_warning(self, tmp_path, monkeypatch, verbose, level):
+        # logging.BASIC_FORMAT is a format string, not a level: it counts as an unknown name
+        monkeypatch.setenv("INTERACTIVE_LOG", "basic_format")
+        levels = []
+        monkeypatch.setattr("interactive.cli.logging.basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+        out = tmp_path / "m.model"
+        assert main([*verbose, "gen-model", "--arch", "tiny-2conv", "--out", str(out)]) == EXIT_OK
+        assert levels == [level]
 
 
 class TestActiveness:
@@ -392,7 +403,7 @@ class TestToybench:
     ], ids=["empty", "repeated"])
     def test_bad_layer_list_exits_2_before_any_forward_pass(self, model_path, tmp_path, capsys, monkeypatch,
                                                              layers, message):
-        monkeypatch.setattr("interactive.evalharness.forward_arrays",
+        monkeypatch.setattr("interactive.evalharness.forward",
                             lambda *args: pytest.fail("forward pass ran"))
         out = tmp_path / "r.txt"
         assert main(["toybench", "--model", str(model_path), "--layers", layers, "--out", str(out)]) == EXIT_USAGE

@@ -18,7 +18,6 @@ from interactive import (
     ConvLayer,
     NetworkSpec,
     PoolLayer,
-    Tensor3,
     backprop_score,
     connection_activeness,
     enumerate_gamma,
@@ -56,7 +55,7 @@ def nets(draw):
             layers.append(PoolLayer(window=window, stride=stride, mode=kind))
             w, h = (w - window) // stride + 1, (h - window) // stride + 1
     spec = NetworkSpec(layers=layers, input_shape=shape, names=[f"layer-{i}" for i in range(len(layers))])
-    return spec, forward(spec, Tensor3.from_array(rng.standard_normal(shape)))
+    return spec, forward(spec, rng.standard_normal(shape))
 
 
 def _agree(engine, fd):

@@ -188,7 +188,7 @@ class TestComparePipelines:
     def test_rejects_bad_targets_before_any_forward_pass(self, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)  # conv-1, pool-1, conv-2
         dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
-        monkeypatch.setattr(evalharness, "forward_arrays", lambda *args: pytest.fail("forward pass ran"))
+        monkeypatch.setattr(evalharness, "forward", lambda *args: pytest.fail("forward pass ran"))
         with pytest.raises(ShapeError, match="followed by pooling layer 'pool-1'"):
             compare_pipelines(dataset, spec, targets=[0, 1])
         with pytest.raises(ShapeError, match="final layer"):
@@ -220,7 +220,7 @@ class TestComparePipelines:
         for t, batched in zip(targets, seen):
             assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):
-                trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d))
+                trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d).array)
                 x_t = trace[t]
                 expected = [x_t.mean(axis=(0, 1)), x_t.max(axis=(0, 1))]
                 for sup in ("next", "last"):

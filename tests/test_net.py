@@ -9,7 +9,6 @@ from interactive import (
     NetworkSpec,
     PoolLayer,
     ShapeError,
-    Tensor3,
     forward,
     infer_shapes,
     receptive_sets,
@@ -124,11 +123,11 @@ def test_pool_layer_validation():
 
 def test_forward_one_by_one_conv_relu():
     spec = conv_spec(np.full((1, 1, 1, 1), 3.0), np.array([-1.0]))
-    trace = forward(spec, Tensor3(1, 1, 1, [2.0]))
+    trace = forward(spec, np.full((1, 1, 1), 2.0))
     assert trace[1][0, 0, 0] == 5.0  # 2*3 - 1
 
     spec = conv_spec(np.full((1, 1, 1, 1), 3.0), np.array([-7.0]))
-    trace = forward(spec, Tensor3(1, 1, 1, [2.0]))
+    trace = forward(spec, np.full((1, 1, 1), 2.0))
     assert trace[1][0, 0, 0] == 0.0  # ReLU clamps 2*3 - 7
 
 
@@ -136,7 +135,7 @@ def test_forward_max_pool():
     spec = NetworkSpec(
         layers=(PoolLayer(window=2, stride=2, mode="max"),), input_shape=(2, 2, 1), names=("pool-1",)
     )
-    trace = forward(spec, Tensor3(2, 2, 1, [1, 2, 3, 4]))
+    trace = forward(spec, np.arange(1.0, 5.0).reshape(2, 2, 1))
     assert trace[1].shape == (1, 1, 1)
     assert trace[1][0, 0, 0] == 4.0
 
@@ -147,14 +146,14 @@ def test_forward_average_pool():
         input_shape=(2, 2, 1),
         names=("pool-1",),
     )
-    trace = forward(spec, Tensor3(2, 2, 1, [1, 2, 3, 4]))
+    trace = forward(spec, np.arange(1.0, 5.0).reshape(2, 2, 1))
     assert trace[1][0, 0, 0] == 2.5
 
 
 def test_forward_shape_mismatch():
     spec = conv_spec(np.ones((1, 1, 1, 1)), np.zeros(1))
     with pytest.raises(ShapeError):
-        forward(spec, Tensor3(2, 1, 1, [1.0, 2.0]))
+        forward(spec, np.array([1.0, 2.0]).reshape(2, 1, 1))
 
 
 def test_forward_overflow_names_layer():
@@ -163,7 +162,27 @@ def test_forward_overflow_names_layer():
     for weight in (1e308, -1e308):
         spec = conv_spec(np.full((1, 1, 1, 1), weight), np.zeros(1))
         with pytest.raises(ValueError, match="layer conv-1: output contains NaN or Inf"):
-            forward(spec, Tensor3(1, 1, 1, [1e10]))
+            forward(spec, np.full((1, 1, 1), 1e10))
+
+
+def test_forward_rejects_nan_that_no_window_reads():
+    # a 1x1 conv at stride 2 reads only the corners and the centre of a 3x3
+    # input, so (0, 1) never reaches a layer output: the input check alone sees it
+    layer = ConvLayer(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1), stride=2)
+    spec = NetworkSpec(layers=(layer,), input_shape=(3, 3, 1), names=("conv-1",))
+    x = np.zeros((3, 3, 1))
+    x[0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="^tensor data contains NaN or Inf$"):
+        forward(spec, x)
+
+
+def test_forward_leaves_the_input_writable_and_the_trace_read_only(tiny_net):
+    x = random_input(tiny_net, seed=3)
+    trace = forward(tiny_net, x)
+    assert x.flags.writeable and np.shares_memory(trace[0], x)
+    assert not any(a.flags.writeable for a in trace)
+    with pytest.raises(ValueError):
+        trace[0][0, 0, 0] = 1.0
 
 
 def test_conv_matches_naive_reference():

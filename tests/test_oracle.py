@@ -11,7 +11,6 @@ from interactive import (
     ConvLayer,
     NetworkSpec,
     ShapeError,
-    Tensor3,
     connection_activeness,
     enumerate_gamma,
     fd_connection_check,
@@ -40,13 +39,12 @@ def _padded_stride2_net():
         ConvLayer(kernel=0.3 * rng.standard_normal((3, 3, 4, 2)), bias=np.full(2, 0.05), padding=1),
     )
     spec = NetworkSpec(layers=layers, input_shape=(9, 9, 3), names=("conv-1", "conv-2"))
-    x0 = Tensor3.from_array(rng.standard_normal(spec.input_shape))
+    x0 = rng.standard_normal(spec.input_shape)
     return spec, x0, forward(spec, x0)
 
 
 def test_fd_zero_upstream_activation(tiny_net):
-    x0 = Tensor3.from_array(np.zeros(tiny_net.input_shape))
-    trace = forward(tiny_net, x0)
+    trace = forward(tiny_net, np.zeros(tiny_net.input_shape))
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     conn = receptive_sets(tiny_net, 0)
     wp, hp, dp = 3, 3, 0
@@ -120,8 +118,7 @@ def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
         input_shape=(1, 1, 1),
         names=("conv-1",),
     )
-    x0 = Tensor3.from_array(np.ones((1, 1, 1)))
-    trace = forward(spec, x0)
+    trace = forward(spec, np.ones((1, 1, 1)))
     request = ActivenessRequest(target_layer=0, supervision="last", p=1)
     assert fd_connection_check(spec, trace, request, (0, 0, 0, 0, 0, 0)) is None
 
@@ -229,8 +226,7 @@ class TestEnumerateGamma:
             input_shape=(1, 1, 2),
             names=("conv-1",),
         )
-        x = Tensor3(1, 1, 2, [1.0, 2.0])
-        trace = forward(spec, x)
+        trace = forward(spec, np.array([1.0, 2.0]).reshape(1, 1, 2))
         post = trace[1][0, 0]
         expected = sum(2.0 * v for v in post if v > 0)
         request = ActivenessRequest(target_layer=0, supervision="next", p=2)
@@ -268,7 +264,7 @@ class TestEnumerateGamma:
             input_shape=(5, 5, 2),
             names=("conv-1",),
         )
-        trace = forward(spec, Tensor3.from_array(rng.standard_normal(spec.input_shape)))
+        trace = forward(spec, rng.standard_normal(spec.input_shape))
         stacked = enumerate_gamma(spec, trace, 0, CONFIGS)
         for k, (sup, p) in enumerate(CONFIGS):
             engine = neuron_activeness(spec, trace, ActivenessRequest(target_layer=0, supervision=sup, p=p)).gamma
@@ -314,7 +310,7 @@ class TestEnumerateGamma:
         )
         conn = receptive_sets(spec, 0)
         assert conn.connection_count() > ENUMERATION_GUARD
-        trace = forward(spec, Tensor3.from_array(np.zeros((32, 32, 8))))
+        trace = forward(spec, np.zeros((32, 32, 8)))
         request = ActivenessRequest(target_layer=0, supervision="next", p=1)
         with pytest.raises(ValueError, match="guard"):
             enumerate_gamma(spec, trace, request.target_layer, [(request.supervision, request.p)])

@@ -8,6 +8,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from interactive import generate_model, save_model
+from interactive.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "interactive"
@@ -36,6 +39,19 @@ def test_no_traced_name_is_a_generator_function():
             obj = getattr(obj, part)
         func = getattr(obj, "__func__", obj)  # a classmethod resolves to a bound method
         assert not inspect.isgeneratorfunction(func), f"{module}.{attr}"
+
+
+def test_tracer_sees_toybench_forward(tmp_path):
+    # toybench's batched path must call ``forward`` by the name the tracer wraps
+    model = tmp_path / "m.model"
+    save_model(generate_model("tiny-2conv", seed=7), model)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert main(["toybench", "--model", str(model), "--out", str(tmp_path / "r.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    assert "net.forward" in {span[0] for span in tracer.spans}
 
 
 def _unused_imports(source: str) -> set[str]:

@@ -35,10 +35,9 @@ JITTER = 1
 
 # Input elements per image group in ``compare_pipelines``: 8 toy-cnn images
 # at 16x16x3.  Every intermediate of the forward pass and the reverse sweep
-# grows with the group: after three in-process toy-cnn toybench runs the
-# process's peak RSS was 38.8 MB with groups of one image, 40.3 MB with
-# groups of 8, 42.3 MB with 16 and 50.3 MB with all 48 in one stack.  An
-# image larger than the budget is a group of one.
+# grows with the group, so the process's peak RSS does too (README, "Toy
+# benchmark", has the figures per group size).  An image larger than the
+# budget is a group of one.
 GROUP_INPUT_ELEMENTS = 8 * 16 * 16 * 3
 
 PIPELINE_CONFIGS = ("orig-avg", "orig-max", *(f"{sup}-p{p}" for sup, p in WEIGHTED_CONFIGS))
@@ -55,13 +54,14 @@ class ToyDatasetSpec:
     the canvas is uniform noise in [0, ``NOISE_LEVEL``); the blob's sigma is
     ``BLOB_SIGMA`` pixels and per-sample jitter moves it by up to ``JITTER``
     pixels.  These three are module constants, the same for every dataset.
+    The spec holds no image shape: ``toy_image`` and ``toy_samples`` paint
+    at the (W, H, D) they are given, the network's input shape in
+    ``compare_pipelines``.
     """
 
     seed: int = 0
     classes: int = 3
     samples_per_class: int = 16
-    image_size: tuple[int, int] = (16, 16)
-    channels: int = 3
 
     def __post_init__(self):
         if self.seed < 0:
@@ -70,39 +70,40 @@ class ToyDatasetSpec:
             raise ValueError("need at least two classes")
         if self.samples_per_class < 2:
             raise ValueError("need at least two samples per class")
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
 
 
-def toy_image(spec: ToyDatasetSpec, label: int, sample: int) -> RasterImage:
-    """One deterministic sample of the toy dataset."""
-    w, h = spec.image_size
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, label, sample])))
-    canvas = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, spec.channels))
+def toy_image(dataset: ToyDatasetSpec, shape, label: int, sample: int) -> RasterImage:
+    """One deterministic sample of the toy dataset, painted at ``shape`` = (W, H, D)."""
+    w, h, d = shape
+    if d not in (1, 3):
+        raise ValueError("channels must be 1 or 3")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([dataset.seed, label, sample])))
+    canvas = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, d))
 
-    angle = 2.0 * math.pi * label / spec.classes
+    angle = 2.0 * math.pi * label / dataset.classes
     cx = w * (0.5 + 0.27 * math.cos(angle)) + rng.integers(-JITTER, JITTER + 1)
     cy = h * (0.5 + 0.27 * math.sin(angle)) + rng.integers(-JITTER, JITTER + 1)
     ys, xs = np.mgrid[0:h, 0:w]
     bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * BLOB_SIGMA**2))
     freq = 1.5 + 1.25 * label
-    orient = math.pi * label / spec.classes
+    orient = math.pi * label / dataset.classes
     phase = math.cos(orient) * (xs - cx) + math.sin(orient) * (ys - cy)
     ripple = 0.7 + 0.3 * np.sin(2.0 * math.pi * freq * phase / w)
-    mix = np.array([1.0, 0.85, 0.7][: spec.channels])  # identical for every class
+    mix = np.array([1.0, 0.85, 0.7][:d])  # identical for every class
     canvas += 195.0 * bump[:, :, None] * ripple[:, :, None] * mix[None, None, :]
     return RasterImage(pixels=np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
 
 
-def toy_samples(spec: ToyDatasetSpec) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
-    """All images, labels, and a stratified half/half train/test split as index arrays."""
+def toy_samples(dataset: ToyDatasetSpec, shape) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
+    """All images at ``shape`` = (W, H, D), labels, and a stratified half/half
+    train/test split as index arrays."""
     images, labels, train_idx, test_idx = [], [], [], []
-    for label in range(spec.classes):
-        for sample in range(spec.samples_per_class):
+    for label in range(dataset.classes):
+        for sample in range(dataset.samples_per_class):
             idx = len(images)
-            images.append(toy_image(spec, label, sample))
+            images.append(toy_image(dataset, shape, label, sample))
             labels.append(label)
-            (train_idx if sample < spec.samples_per_class // 2 else test_idx).append(idx)
+            (train_idx if sample < dataset.samples_per_class // 2 else test_idx).append(idx)
     return images, np.array(labels), np.array(train_idx), np.array(test_idx)
 
 
@@ -220,12 +221,6 @@ def compare_pipelines(
     original features under average and max pooling, then the weighted
     features for supervision next/last and norms p = 1/2.
     """
-    w0, h0, d0 = spec.input_shape
-    if dataset.image_size != (w0, h0) or dataset.channels != d0:
-        raise ValueError(
-            f"dataset images {dataset.image_size}x{dataset.channels} do not fit "
-            f"network input {spec.input_shape}"
-        )
     if targets is None:
         targets = valid_targets(spec)
     if not targets:
@@ -235,8 +230,8 @@ def compare_pipelines(
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated target layers in {[target_name(spec, t) for t in targets]}")
 
-    images, labels, train, test = toy_samples(dataset)
-    mean = [INPUT_MEAN] * dataset.channels
+    images, labels, train, test = toy_samples(dataset, spec.input_shape)
+    mean = [INPUT_MEAN] * spec.input_shape[2]
 
     # One forward and one reverse sweep per group of images, stacked on a
     # batch axis between the spatial axes and the channel axis.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, PoolLayer, _out_dim, infer_shapes
+from .net import ConvLayer, NetworkSpec, PoolLayer, infer_shapes
 from .tensor import ShapeError
 
 MAGIC = "interactive-model/1"
@@ -256,39 +256,36 @@ def generate_model(
 
     Kernel weights are standard normal draws scaled by 1/sqrt(fan-in) and
     quantized to float32 so the spec round-trips the model file exactly;
-    biases are the constant ``BIAS_INIT``.  An input dimension < 1 is
-    rejected first; the input, every conv's padded input and every layer
-    output then pass the loader's size guard before any kernel exists.
+    biases are the constant ``BIAS_INIT``.  Each layer reads its input
+    shape from the spec of the layers built so far, which is built again
+    once the layer is appended, so the network's own shape inference and
+    fit check run on it.  The input passes the loader's size guard before
+    any kernel is drawn, a conv's zero-padded input before its own kernel,
+    and each layer output once that layer is built.
     """
     if arch not in ARCHITECTURES:
         raise KeyError(f"unknown architecture {arch!r}; available: {', '.join(sorted(ARCHITECTURES))}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     template = ARCHITECTURES[arch]
-    shape = tuple(input_shape) if input_shape is not None else template.input_shape
-    if min(shape) < 1:  # a negative product would pass the size guard
-        raise ShapeError(f"bad input shape {shape}")
-    layers = []
-    names = []
-    w, h, d_in = shape
-    check_size("input", shape)
+    shape = template.input_shape if input_shape is None else input_shape
+    spec = NetworkSpec(layers=(), input_shape=shape, names=())  # rejects a dimension < 1 before the guard
+    check_size("input", spec.input_shape)
     for i, bp in enumerate(template.blueprint):
-        names.append(bp.name)
+        w, h, d_in = [spec.input_shape, *infer_shapes(spec)][-1]
         if isinstance(bp, ConvBlueprint):
             kw, kh = (w, h) if bp.full_extent else (CONV_KERNEL, CONV_KERNEL)
             padding = 0 if bp.full_extent else CONV_PADDING
             check_size(f"{bp.name} padded input", (w + 2 * padding, h + 2 * padding, d_in))
             fan_in = kw * kh * d_in
-            w, h = _out_dim(w, kw, CONV_STRIDE, padding), _out_dim(h, kh, CONV_STRIDE, padding)
-            check_size(bp.name, (w, h, bp.out_channels))
             rng = _layer_rng(seed, i)
             kernel = rng.standard_normal((kw, kh, d_in, bp.out_channels))
             kernel = (kernel / math.sqrt(fan_in)).astype(np.float32).astype(np.float64)
             bias = np.full(bp.out_channels, BIAS_INIT)
-            layers.append(ConvLayer(kernel=kernel, bias=bias, stride=CONV_STRIDE, padding=padding))
-            d_in = bp.out_channels
+            layer = ConvLayer(kernel=kernel, bias=bias, stride=CONV_STRIDE, padding=padding)
         else:
             # one PoolLayer per pool: perfbench/tracing.py names layers by id()
-            layers.append(PoolLayer(window=POOL_WINDOW, stride=POOL_STRIDE))
-            w, h = _out_dim(w, POOL_WINDOW, POOL_STRIDE, 0), _out_dim(h, POOL_WINDOW, POOL_STRIDE, 0)
-    return NetworkSpec(layers=tuple(layers), input_shape=shape, names=tuple(names))
+            layer = PoolLayer(window=POOL_WINDOW, stride=POOL_STRIDE)
+        spec = NetworkSpec(layers=spec.layers + (layer,), input_shape=shape, names=spec.names + (bp.name,))
+        check_size(bp.name, infer_shapes(spec)[-1])
+    return spec

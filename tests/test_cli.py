@@ -101,6 +101,13 @@ class TestGenModel:
         assert len(err) == 1 and err[0].startswith(f"error: {layer} shape ") and "guard" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("w, h", [("1", "1"), ("3", "1")])
+    def test_input_too_small_for_a_layer_exits_2_naming_it(self, tmp_path, capsys, w, h):
+        out = tmp_path / "small.model"
+        assert main(["gen-model", "--arch", "tiny-fc", "--input", w, h, "3", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: layer pool-1: pool window 2 exceeds input {w}x{h}\n"
+        assert not out.exists()
+
     def test_log_env_var_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERACTIVE_LOG", "debug")
         out = tmp_path / "m.model"
@@ -169,7 +176,7 @@ class TestActiveness:
     def toy_files(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("frozen")
         save_model(generate_model("toy-cnn", seed=0), tmp / "toy.model")
-        write_image(toy_image(ToyDatasetSpec(), 0, 0), tmp / "toy.ppm")
+        write_image(toy_image(ToyDatasetSpec(), (16, 16, 3), 0, 0), tmp / "toy.ppm")
         return tmp / "toy.model", tmp / "toy.ppm"
 
     @pytest.mark.parametrize("key", sorted(FROZEN_ACTIVENESS))
@@ -409,6 +416,14 @@ class TestToybench:
         assert main(["toybench", "--model", str(model_path), "--layers", layers, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
+
+    def test_two_channel_model_exits_2_with_one_line(self, tmp_path, capsys):
+        model, out = tmp_path / "two.model", tmp_path / "r.txt"
+        assert main(["gen-model", "--arch", "tiny-2conv", "--input", "8", "8", "2", "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["toybench", "--model", str(model), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: channels must be 1 or 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--out", ""], ["--out", "r.txt", "--json", ""]], ids=["out", "json"])

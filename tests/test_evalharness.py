@@ -126,15 +126,15 @@ def test_sigmoid_is_bit_identical_to_the_masked_formula():
 class TestToyDataset:
     def test_deterministic_given_seed(self):
         spec = ToyDatasetSpec(seed=9)
-        a = toy_image(spec, label=1, sample=2)
-        b = toy_image(spec, label=1, sample=2)
+        a = toy_image(spec, (16, 16, 3), label=1, sample=2)
+        b = toy_image(spec, (16, 16, 3), label=1, sample=2)
         assert np.array_equal(a.pixels, b.pixels)
-        c = toy_image(ToyDatasetSpec(seed=10), label=1, sample=2)
+        c = toy_image(ToyDatasetSpec(seed=10), (16, 16, 3), label=1, sample=2)
         assert not np.array_equal(a.pixels, c.pixels)
 
     def test_samples_shape_and_split(self):
-        spec = ToyDatasetSpec(seed=0, classes=3, samples_per_class=6, image_size=(8, 8))
-        images, labels, train_idx, test_idx = toy_samples(spec)
+        spec = ToyDatasetSpec(seed=0, classes=3, samples_per_class=6)
+        images, labels, train_idx, test_idx = toy_samples(spec, (8, 8, 3))
         assert len(images) == 18 and labels.shape == (18,)
         assert len(train_idx) == 9 and len(test_idx) == 9
         assert set(train_idx) | set(test_idx) == set(range(18))
@@ -145,8 +145,8 @@ class TestToyDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             ToyDatasetSpec(classes=1)
-        with pytest.raises(ValueError):
-            ToyDatasetSpec(channels=2)
+        with pytest.raises(ValueError, match="channels must be 1 or 3"):
+            toy_samples(ToyDatasetSpec(), (8, 8, 2))
 
     def test_negative_seed_rejected_naming_the_field(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
@@ -156,7 +156,7 @@ class TestToyDataset:
 @pytest.fixture(scope="module")
 def seed3_report():
     spec = generate_model("tiny-2conv", seed=3)
-    dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+    dataset = ToyDatasetSpec(seed=3)
     return compare_pipelines(dataset, spec)
 
 
@@ -174,20 +174,14 @@ class TestComparePipelines:
 
     def test_report_is_pure_function_of_inputs(self, seed3_report):
         spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+        dataset = ToyDatasetSpec(seed=3)
         again = compare_pipelines(dataset, spec)
         assert again.to_text() == seed3_report.to_text()
         assert json.dumps(again.to_json_dict()) == json.dumps(seed3_report.to_json_dict())
 
-    def test_size_mismatch_rejected(self):
-        spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3, image_size=(16, 16), channels=3)
-        with pytest.raises(ValueError, match="fit"):
-            compare_pipelines(dataset, spec)
-
     def test_rejects_bad_targets_before_any_forward_pass(self, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)  # conv-1, pool-1, conv-2
-        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+        dataset = ToyDatasetSpec(seed=3)
         monkeypatch.setattr(evalharness, "forward", lambda *args: pytest.fail("forward pass ran"))
         with pytest.raises(ShapeError, match="followed by pooling layer 'pool-1'"):
             compare_pipelines(dataset, spec, targets=[0, 1])
@@ -198,7 +192,7 @@ class TestComparePipelines:
 
     def test_group_size_does_not_change_report(self, seed3_report, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3, image_size=(8, 8), channels=3)
+        dataset = ToyDatasetSpec(seed=3)
         monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 1)  # a group per image
         assert compare_pipelines(dataset, spec).to_text() == seed3_report.to_text()
 
@@ -206,7 +200,7 @@ class TestComparePipelines:
     def test_batched_features_equal_per_image_features(self, arch, monkeypatch):
         spec = generate_model(arch, seed=1)
         w, h, d = spec.input_shape
-        dataset = ToyDatasetSpec(seed=2, samples_per_class=5, image_size=(w, h), channels=d)
+        dataset = ToyDatasetSpec(seed=2, samples_per_class=5)
         # groups of 4 for 15 images: the last group is short
         monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 4 * w * h * d + 1)
         seen = []
@@ -216,7 +210,7 @@ class TestComparePipelines:
         targets = valid_targets(spec)
         assert len(seen) == len(targets)
 
-        images = toy_samples(dataset)[0]
+        images = toy_samples(dataset, spec.input_shape)[0]
         for t, batched in zip(targets, seen):
             assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):

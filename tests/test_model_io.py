@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ def test_unknown_arch_and_bad_seed():
 def test_nonpositive_input_dimension_rejected_before_size_guard(shape):
     with pytest.raises(ShapeError, match=rf"^bad input shape \({shape[0]}, {shape[1]}, {shape[2]}\)$"):
         generate_model("tiny-2conv", seed=0, input_shape=shape)
+
+
+@pytest.mark.parametrize("shape", [(), (5, 5)], ids=["empty", "rank-2"])
+def test_input_shape_of_wrong_rank_rejected(shape):
+    with pytest.raises(ShapeError, match=rf"^bad input shape {re.escape(str(shape))}$"):
+        generate_model("tiny-2conv", 0, input_shape=shape)
 
 
 def test_generator_guards_the_padded_input_the_loader_guards():

@@ -23,7 +23,6 @@ from .net import (
     NetworkSpec,
     PoolLayer,
     forward,
-    infer_shapes,
     receptive_sets,
 )
 from .oracle import enumerate_gamma, fd_connection_check
@@ -47,7 +46,6 @@ __all__ = [
     "fd_connection_check",
     "forward",
     "generate_model",
-    "infer_shapes",
     "layer_score",
     "load_model",
     "log_likelihood",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, infer_shapes, receptive_sets, window_taps
+from .net import ConvLayer, NetworkSpec, receptive_sets, window_taps
 from .tensor import ShapeError
 
 SUPERVISION_MODES = ("last", "next")
@@ -77,7 +77,7 @@ def validate_request(spec: NetworkSpec, request: ActivenessRequest) -> int:
     The one place that decides which activation indices are activeness
     targets: those consumed by a conv layer."""
     t = request.target_layer
-    if 0 < t == len(spec.layers):
+    if t == len(spec.layers):
         raise ShapeError(
             f"layer {target_name(spec, t)!r} is the final layer; activeness needs a successor conv layer"
         )
@@ -175,13 +175,12 @@ def _lift(arr: np.ndarray, like: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[:2] + (1,) * (like.ndim - arr.ndim) + arr.shape[2:])
 
 
-def trace_arrays(spec: NetworkSpec, trace: tuple) -> tuple:
-    """Check a trace (the tuple ``forward`` returns) against the network; returns it.
+def check_trace(spec: NetworkSpec, trace: tuple) -> None:
+    """Check a trace (the tuple ``forward`` returns) against the network's shapes.
     Each public function that reads a trace calls this where the trace enters."""
-    shapes, expected = [a.shape for a in trace], [spec.input_shape, *infer_shapes(spec)]
-    if shapes != expected:
-        raise ShapeError(f"trace activation shapes {shapes} != network shapes {expected}")
-    return trace
+    shapes = tuple(a.shape for a in trace)
+    if shapes != spec.shapes:
+        raise ShapeError(f"trace activation shapes {list(shapes)} != network shapes {list(spec.shapes)}")
 
 
 def reverse_sweep(spec: NetworkSpec, trace: tuple, seed: np.ndarray, T: int, keep: set[int]) -> dict:
@@ -221,7 +220,7 @@ def backprop_score(spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
     """
     if not 0 <= down_to <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= down_to <= T <= {len(spec.layers)}, got down_to={down_to}, T={T}")
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     return reverse_sweep(spec, trace, layer_score(trace[T], p), T, {down_to})[down_to]
 
 
@@ -292,7 +291,7 @@ def connection_activeness(
     trace is checked on every call, with or without it.
     """
     T = validate_request(spec, request)
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     t = request.target_layer
     w, h, d, wp, hp, dp = sample
     conn = receptive_sets(spec, t)
@@ -319,7 +318,7 @@ def neuron_activeness(
     """
     T = validate_request(spec, request)
     t = request.target_layer
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     _, stack = gamma_stacks(spec, trace, [t], [(request.supervision, request.p)])[t]
     gamma = np.broadcast_to(stack[:, :, 0], trace[t].shape)  # a read-only view
     activeness = trace[t] * gamma

@@ -37,7 +37,7 @@ from .activeness import (
 from .evalharness import ToyDatasetSpec, compare_pipelines
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
-from .net import ConvLayer, forward, infer_shapes, receptive_sets
+from .net import ConvLayer, forward, receptive_sets
 from .oracle import enumerate_gamma, fd_connection_check
 from .tensor import Tensor3
 
@@ -112,13 +112,10 @@ def _resolve_target(spec, name: str) -> int:
 def cmd_gen_model(args) -> int:
     spec = generate_model(args.arch, args.seed, input_shape=tuple(args.input) if args.input else None)
     save_model(spec, args.out)
-    shapes = infer_shapes(spec)
-    w, h, d = spec.input_shape
+    kinds = ["conv" if isinstance(layer, ConvLayer) else "pool" for layer in spec.layers]
     print(f"{'layer':<10} {'kind':<5} {'output':>12}")
-    print(f"{'(input)':<10} {'':<5} {f'{w}x{h}x{d}':>12}")
-    for name, layer, (ow, oh, od) in zip(spec.names, spec.layers, shapes):
-        kind = "conv" if isinstance(layer, ConvLayer) else "pool"
-        print(f"{name:<10} {kind:<5} {f'{ow}x{oh}x{od}':>12}")
+    for name, kind, (w, h, d) in zip(["(input)", *spec.names], ["", *kinds], spec.shapes):
+        print(f"{name:<10} {kind:<5} {f'{w}x{h}x{d}':>12}")
     print(f"model written to {args.out}")
     return EXIT_OK
 

@@ -22,27 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConvLayer, NetworkSpec, PoolLayer, infer_shapes
-from .tensor import ShapeError
+from .net import ConvLayer, NetworkSpec, PoolLayer, check_size
 
 MAGIC = "interactive-model/1"
-
-# Most elements the input, any layer output or any conv's zero-padded input of
-# a loaded model may hold: 4 Mi float64 values, 32 MB per array.  A 224x224x3
-# input is 150528 elements (28x below the guard), toy-cnn's widest output at
-# 224x224 is 301056.  Without it a header like [100000, 100000, 3] only fails
-# when the first array is allocated.
-SHAPE_GUARD = 1 << 22
 
 
 class ModelFormatError(ValueError):
     """Raised for malformed, truncated or unsupported model files."""
-
-
-def check_size(name: str, shape) -> None:
-    """Reject an array shape of more than ``SHAPE_GUARD`` elements."""
-    if math.prod(shape) > SHAPE_GUARD:
-        raise ShapeError(f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard")
 
 
 def save_model(spec: NetworkSpec, path) -> None:
@@ -62,7 +48,7 @@ def save_model(spec: NetworkSpec, path) -> None:
             )
             payload.append(layer.kernel.astype("<f4").tobytes())
             payload.append(layer.bias.astype("<f4").tobytes())
-        elif isinstance(layer, PoolLayer):
+        else:
             layers.append(
                 {
                     "name": name,
@@ -72,8 +58,6 @@ def save_model(spec: NetworkSpec, path) -> None:
                     "mode": layer.mode,
                 }
             )
-        else:
-            raise TypeError(f"cannot serialize layer of type {type(layer).__name__}")
     header = {"input_shape": list(spec.input_shape), "layers": layers}
     header_bytes = json.dumps(header, indent=1, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -154,7 +138,7 @@ def load_model(path) -> NetworkSpec:
     layers = []
     offset = 0
     scalars = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    try:  # the constructors reject NaN weights and impossible shapes, the guard huge ones
+    try:  # the constructors reject NaN weights, impossible shapes and shapes past the size guard
         for desc in descriptors:
             if desc["kind"] == "conv":
                 shape = desc["kernel_shape"]
@@ -167,16 +151,9 @@ def load_model(path) -> NetworkSpec:
             else:
                 layers.append(PoolLayer(window=desc["window"], stride=desc["stride"], mode=desc["mode"]))
         names = tuple(desc["name"] for desc in descriptors)
-        spec = NetworkSpec(layers=tuple(layers), input_shape=tuple(input_shape), names=names)
-        shapes = [spec.input_shape, *infer_shapes(spec)]
-        for name, shape in zip(["input", *names], shapes):
-            check_size(name, shape)
-        for name, layer, (w, h, d) in zip(names, layers, shapes):
-            if isinstance(layer, ConvLayer):  # ``apply_conv`` allocates the zero-padded input
-                check_size(f"{name} padded input", (w + 2 * layer.padding, h + 2 * layer.padding, d))
+        return NetworkSpec(layers=tuple(layers), input_shape=tuple(input_shape), names=names)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    return spec
 
 
 # Every template conv layer is 3x3, stride 1, padding 1, with a ReLU (a
@@ -258,10 +235,11 @@ def generate_model(
     quantized to float32 so the spec round-trips the model file exactly;
     biases are the constant ``BIAS_INIT``.  Each layer reads its input
     shape from the spec of the layers built so far, which is built again
-    once the layer is appended, so the network's own shape inference and
-    fit check run on it.  The input passes the loader's size guard before
-    any kernel is drawn, a conv's zero-padded input before its own kernel,
-    and each layer output once that layer is built.
+    once the layer is appended, so the network's own shape inference, fit
+    check and size guard run on it.  A conv's zero-padded input also meets
+    the guard before its kernel is drawn: the spec sees a layer only once
+    its kernel exists, and a kernel grows with its input (at ``(1, 1,
+    4194304)`` conv-1's would take more than 1 GB).
     """
     if arch not in ARCHITECTURES:
         raise KeyError(f"unknown architecture {arch!r}; available: {', '.join(sorted(ARCHITECTURES))}")
@@ -269,10 +247,9 @@ def generate_model(
         raise ValueError(f"seed must be >= 0, got {seed}")
     template = ARCHITECTURES[arch]
     shape = template.input_shape if input_shape is None else input_shape
-    spec = NetworkSpec(layers=(), input_shape=shape, names=())  # rejects a dimension < 1 before the guard
-    check_size("input", spec.input_shape)
+    spec = NetworkSpec(layers=(), input_shape=shape, names=())  # checks the input before any kernel is drawn
     for i, bp in enumerate(template.blueprint):
-        w, h, d_in = [spec.input_shape, *infer_shapes(spec)][-1]
+        w, h, d_in = spec.shapes[-1]
         if isinstance(bp, ConvBlueprint):
             kw, kh = (w, h) if bp.full_extent else (CONV_KERNEL, CONV_KERNEL)
             padding = 0 if bp.full_extent else CONV_PADDING
@@ -287,5 +264,4 @@ def generate_model(
             # one PoolLayer per pool: perfbench/tracing.py names layers by id()
             layer = PoolLayer(window=POOL_WINDOW, stride=POOL_STRIDE)
         spec = NetworkSpec(layers=spec.layers + (layer,), input_shape=shape, names=spec.names + (bp.name,))
-        check_size(bp.name, infer_shapes(spec)[-1])
     return spec

@@ -93,17 +93,32 @@ def _out_dim(size: int, extent: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - extent) // stride + 1
 
 
+# Most elements the input, any layer output or any conv's zero-padded input
+# (``apply_conv`` allocates one) of a network may hold: 4 Mi float64 values,
+# 32 MB per array.  A 224x224x3 input is 150528 elements (28x below the
+# guard), toy-cnn's widest output at 224x224 is 301056.  Without it a model
+# header like [100000, 100000, 3] only fails when the first array is allocated.
+SHAPE_GUARD = 1 << 22
+
+
+def check_size(name: str, shape) -> None:
+    """Reject an array shape of more than ``SHAPE_GUARD`` elements."""
+    if math.prod(shape) > SHAPE_GUARD:
+        raise ShapeError(f"{name} shape {'x'.join(map(str, shape))} exceeds the {SHAPE_GUARD}-element guard")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """An ordered stack of layers with a fixed input shape and unique names.
 
-    Its layer output shapes are inferred, and checked, once when it is built,
-    together with the connectivity of each conv layer."""
+    ``shapes`` holds the shape of every activation X(0)..X(L).  They are
+    inferred, fit-checked and held to ``SHAPE_GUARD`` once, when the spec is
+    built, together with the connectivity of each conv layer."""
 
     layers: tuple
     input_shape: tuple[int, int, int]
     names: tuple[str, ...]
-    _shapes: tuple = field(init=False, repr=False, compare=False)
+    shapes: tuple = field(init=False, repr=False, compare=False)
     _conns: tuple = field(init=False, repr=False, compare=False)  # per layer; None for a pool
 
     def __post_init__(self):
@@ -123,7 +138,7 @@ class NetworkSpec:
         if len(self.input_shape) != 3 or any(v < 1 for v in self.input_shape):
             raise ShapeError(f"bad input shape {self.input_shape}")
         shapes, conns = _infer_shapes(self)
-        object.__setattr__(self, "_shapes", tuple(shapes))
+        object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "_conns", tuple(conns))
 
     def layer_index(self, name: str) -> int:
@@ -133,39 +148,38 @@ class NetworkSpec:
             raise KeyError(f"no layer named {name!r}; layers are {', '.join(self.names)}") from None
 
 
-def infer_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
-    """Output shape of every layer in order: a fresh list of the shapes the spec stored when built."""
-    return list(spec._shapes)
-
-
 def _infer_shapes(spec: NetworkSpec) -> tuple[list, list]:
-    """Output shape of every layer in order, and its ``ConvConnectivity`` (None
-    for a pool); rejects shapes with dims < 1."""
-    shapes, conns = [], []
+    """Shape of every activation X(0)..X(L), and each layer's ``ConvConnectivity``
+    (None for a pool).  Rejects a layer that does not fit its input and, in
+    order, an input, padded conv input or layer output past ``SHAPE_GUARD``."""
+    check_size("input", spec.input_shape)
+    shapes, conns = [spec.input_shape], []
     w, h, d = spec.input_shape
-    for i, layer in enumerate(spec.layers):
-        name = spec.names[i]
+    for name, layer in zip(spec.names, spec.layers):
         if isinstance(layer, ConvLayer):
             kw, kh, din, dout = layer.kernel.shape
+            s, p = layer.stride, layer.padding
             if din != d:
                 raise ShapeError(f"layer {name}: expects {din} input channels, gets {d}")
-            ow = _out_dim(w, kw, layer.stride, layer.padding)
-            oh = _out_dim(h, kh, layer.stride, layer.padding)
+            ow, oh = _out_dim(w, kw, s, p), _out_dim(h, kh, s, p)
             if ow < 1 or oh < 1:
                 raise ShapeError(
-                    f"layer {name}: kernel {kw}x{kh} (stride {layer.stride}, padding "
-                    f"{layer.padding}) does not fit input {w}x{h}"
+                    f"layer {name}: kernel {kw}x{kh} (stride {s}, padding {p}) does not fit input {w}x{h}"
                 )
-            conns.append(ConvConnectivity((w, h, d), (ow, oh, dout), kw, kh, layer.stride, layer.padding))
-            w, h, d = ow, oh, dout
-        else:
+            check_size(f"{name} padded input", (w + 2 * p, h + 2 * p, d))
+            conns.append(ConvConnectivity((w, h, d), (ow, oh, dout), kw, kh, s, p))
+            d = dout
+        elif isinstance(layer, PoolLayer):
             ow = _out_dim(w, layer.window, layer.stride, 0)
             oh = _out_dim(h, layer.window, layer.stride, 0)
             if ow < 1 or oh < 1:
                 raise ShapeError(f"layer {name}: pool window {layer.window} exceeds input {w}x{h}")
             conns.append(None)
-            w, h = ow, oh
+        else:
+            raise ShapeError(f"layer {name}: expected a ConvLayer or PoolLayer, got {type(layer).__name__}")
+        w, h = ow, oh
         shapes.append((w, h, d))
+        check_size(name, shapes[-1])
     return shapes, conns
 
 

@@ -14,7 +14,7 @@ active consumer's scores to all the configs' sums at once; a U-set equal
 to the one just walked at the same (w, h) reuses its sums.  Both ship in
 the library so the CLI can expose a user-facing gradient check.  Each
 takes a trace, the tuple ``forward`` returns, and checks it against the
-network (``trace_arrays``) where it enters.
+network (``check_trace``) where it enters.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: a connection probe whose directly perturbed neuron
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .activeness import ActivenessRequest, backprop_score, log_likelihood, trace_arrays, validate_request
+from .activeness import ActivenessRequest, backprop_score, check_trace, log_likelihood, validate_request
 from .net import ConvLayer, NetworkSpec, apply_conv, apply_pool, receptive_sets
 from .net import forward  # noqa: F401 -- not called here; the benchmark's tracer wraps it here by name
 
@@ -102,7 +102,7 @@ def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequ
     the activation pattern.
     """
     T = validate_request(spec, request)
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
     w, h, d, wp, hp, dp = connection
@@ -145,7 +145,7 @@ def fd_activation_score(
     ``IndexError``; a negative one does not wrap around.  A trace of another
     network raises ``ShapeError``.
     """
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     if not 0 <= layer_index <= T <= len(spec.layers):
         raise IndexError(f"need 0 <= layer_index <= T <= {len(spec.layers)}")
     base = trace[layer_index]
@@ -176,7 +176,7 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
     the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
-    trace_arrays(spec, trace)
+    check_trace(spec, trace)
     conn = receptive_sets(spec, t)
     if conn.connection_count() > ENUMERATION_GUARD:
         raise ValueError(

@@ -27,7 +27,6 @@ from interactive.activeness import (
     _pool_backward,
     gamma_stacks,
     reverse_sweep,
-    trace_arrays,
     validate_request,
 )
 from interactive.net import apply_conv
@@ -410,7 +409,7 @@ class TestGammaStacks:
     @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-3conv"])
     def test_one_config_equals_its_slice_of_four(self, arch):
         spec = generate_model(arch, seed=1)
-        acts = trace_arrays(spec, forward(spec, random_input(spec, seed=2)))
+        acts = forward(spec, random_input(spec, seed=2))
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
         four = gamma_stacks(spec, acts, targets, configs)
@@ -422,8 +421,7 @@ class TestGammaStacks:
                 npt.assert_array_equal(gamma[:, :, 0], four[t][1][:, :, k])
 
     def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
-        acts = trace_arrays(tiny_net, tiny_trace)
-        score, _ = gamma_stacks(tiny_net, acts, [0], [("last", 2)])[0]
+        score, _ = gamma_stacks(tiny_net, tiny_trace, [0], [("last", 2)])[0]
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1))
 
     @pytest.mark.parametrize("arch, batch", [

@@ -210,6 +210,15 @@ class TestActiveness:
         assert code == EXIT_USAGE
         assert "layer 'conv-2' is the final layer" in capsys.readouterr().err
 
+    def test_input_of_a_zero_layer_model_is_the_final_layer(self, image_path, tmp_path, capsys):
+        model = tmp_path / "empty.model"
+        save_model(NetworkSpec(layers=(), input_shape=(8, 8, 3), names=()), model)
+        code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: layer 'input' is the final layer; activeness needs a successor conv layer\n"
+        )
+
     # on toy-cnn, +-1e308 overflows in conv-1 and 1e200 only in the weighted response
     @pytest.mark.parametrize("mean, message", [
         ("1e308", "error: layer conv-1: output contains NaN or Inf"),

@@ -11,12 +11,11 @@ from interactive import (
     ShapeError,
     forward,
     generate_model,
-    infer_shapes,
     load_model,
     save_model,
 )
 from interactive.cli import EXIT_USAGE, main
-from interactive.model_io import BIAS_INIT, ModelFormatError
+from interactive.model_io import BIAS_INIT, MAGIC, ModelFormatError
 
 from conftest import random_input
 
@@ -65,19 +64,19 @@ def test_generate_is_deterministic_and_seed_sensitive():
 
 def test_tiny_2conv_shapes_match_inference():
     spec = generate_model("tiny-2conv", seed=7)
-    assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4), (4, 4, 8)]
+    assert spec.shapes[1:] == ((8, 8, 4), (4, 4, 4), (4, 4, 8))
 
 
 def test_tiny_fc_final_layer_spans_full_extent():
     spec = generate_model("tiny-fc", seed=7)
-    assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4), (1, 1, 10)]
+    assert spec.shapes[1:] == ((8, 8, 4), (4, 4, 4), (1, 1, 10))
     fc = spec.layers[-1]
     assert fc.kernel.shape == (4, 4, 4, 10)  # kernel covers the whole 4x4 map
 
 
 def test_input_override_adapts_full_extent_kernel():
     spec = generate_model("tiny-fc", seed=7, input_shape=(12, 12, 1))
-    assert infer_shapes(spec) == [(12, 12, 4), (6, 6, 4), (1, 1, 10)]
+    assert spec.shapes[1:] == ((12, 12, 4), (6, 6, 4), (1, 1, 10))
     assert spec.layers[-1].kernel.shape == (6, 6, 4, 10)
 
 
@@ -112,6 +111,28 @@ def test_generator_guards_the_padded_input_the_loader_guards():
     # conv-1's output, 2x524288x4, sits at the guard; its padded input 4x524290x3 is past it
     with pytest.raises(ShapeError, match="conv-1 padded input shape 4x524290x3 exceeds"):
         generate_model("tiny-2conv", seed=0, input_shape=(2, 524288, 3))
+
+
+def test_loader_and_generator_report_the_same_guard_line(tmp_path, capsys):
+    # tiny-2conv at 1448x1448x2: the input fits, conv-1's padded input 1450x1450x2 comes
+    # first in layer order past the guard, then its output 1448x1448x4.  A spec this size
+    # cannot be built, so the model file is written by hand, with zero weights.
+    header = {"input_shape": [1448, 1448, 2], "layers": [
+        {"name": "conv-1", "kind": "conv", "kernel_shape": [3, 3, 2, 4], "stride": 1, "padding": 1, "relu": True},
+        {"name": "pool-1", "kind": "pool", "window": 2, "stride": 2, "mode": "max"},
+        {"name": "conv-2", "kind": "conv", "kernel_shape": [3, 3, 4, 8], "stride": 1, "padding": 1, "relu": True},
+    ]}
+    body = json.dumps(header).encode("utf-8")
+    path = tmp_path / "big.model"
+    blob = bytes(4 * (3 * 3 * 2 * 4 + 4 + 3 * 3 * 4 * 8 + 8))
+    path.write_bytes(f"{MAGIC}\n{len(body)}\n".encode("ascii") + body + b"\n" + blob)
+    line = "error: conv-1 padded input shape 1450x1450x2 exceeds the 4194304-element guard\n"
+    out = tmp_path / "gen.model"
+    assert main(["gen-model", "--arch", "tiny-2conv", "--input", "1448", "1448", "2", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+    assert main(["gradcheck", "--model", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == line
 
 
 def test_generated_models_light_up_relus():

@@ -1,16 +1,18 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import interactive
 from interactive import (
     ConvLayer,
     NetworkSpec,
     PoolLayer,
     ShapeError,
     forward,
-    infer_shapes,
     receptive_sets,
 )
 from interactive.activeness import _conv_backward_input, _pool_backward
@@ -56,21 +58,20 @@ def test_infer_shapes_examples():
         input_shape=(8, 8, 3),
         names=("conv-1", "pool-1"),
     )
-    assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4)]
+    assert spec.shapes[1:] == ((8, 8, 4), (4, 4, 4))
 
 
-def test_infer_shapes_returns_a_fresh_list_per_call():
+def test_spec_shapes_are_a_tuple_matching_forward():
     layers = (ConvLayer(kernel=np.zeros((3, 3, 3, 4)), bias=np.zeros(4), padding=1), PoolLayer(window=2, stride=2))
     spec = NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-1"))
-    first = infer_shapes(spec)
-    first.append((1, 1, 1))
-    first[0] = (0, 0, 0)
-    assert infer_shapes(spec) == [(8, 8, 4), (4, 4, 4)]
-    assert infer_shapes(spec) is not infer_shapes(spec)
+    assert type(spec.shapes) is tuple
+    assert spec.shapes == tuple(a.shape for a in forward(spec, np.ones((8, 8, 3))))
+    with pytest.raises(AttributeError):
+        spec.shapes = ()
     # the stored shapes take no part in == or repr
     twin = NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-1"))
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
-    assert "_shapes" not in repr(spec)
+    assert "shapes" not in repr(spec)
     assert twin != NetworkSpec(layers=layers, input_shape=(8, 8, 3), names=("conv-1", "pool-2"))
     assert NetworkSpec(layers=layers[:1], input_shape=(8, 8, 3), names=("conv-1",)) != spec
 
@@ -83,6 +84,43 @@ def test_infer_shapes_rejects_oversized_kernel():
             input_shape=(4, 4, 1),
             names=("conv-1",),
         )
+
+
+@pytest.mark.parametrize("layer, input_shape, message", [
+    (PoolLayer(window=1, stride=1), (2049, 2048, 1), "input shape 2049x2048x1 exceeds the 4194304-element guard"),
+    (ConvLayer(kernel=np.zeros((3, 3, 1, 1)), bias=np.zeros(1), padding=1), (2047, 2047, 1),
+     "c padded input shape 2049x2049x1 exceeds the 4194304-element guard"),
+    (ConvLayer(kernel=np.zeros((1, 1, 1, 2)), bias=np.zeros(2)), (2048, 2048, 1),
+     "c shape 2048x2048x2 exceeds the 4194304-element guard"),
+], ids=["input", "padded-input", "layer-output"])
+def test_hand_built_spec_is_held_to_the_size_guard(layer, input_shape, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        NetworkSpec(layers=(layer,), input_shape=input_shape, names=("c",))
+
+
+def _named(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_the_size_guard_has_one_home():
+    # a second copy of the guard would drift from the one NetworkSpec runs
+    stores, calls = set(), set()
+    for path in sorted(Path(interactive.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Store) and _named(node) == "SHAPE_GUARD":
+                    stores.add(path.stem)
+                elif isinstance(node, ast.Call) and _named(node.func) == "check_size":
+                    calls.add(where)
+    assert stores == {"net"}
+    # generate_model checks a conv's padded input before it draws a kernel as large as that input
+    assert {where for where in calls if where[0] != "net"} == {("model_io", "generate_model")}
+
+
+def test_foreign_layer_object_is_a_shape_error():
+    with pytest.raises(ShapeError, match="^layer x: expected a ConvLayer or PoolLayer, got object$"):
+        NetworkSpec((object(),), (4, 4, 3), ("x",))
 
 
 def test_network_spec_validation():
@@ -295,24 +333,23 @@ def test_receptive_sets_interior_and_corner():
 
 def test_uv_duality(tiny_net):
     rng = np.random.default_rng(17)
-    shapes = infer_shapes(tiny_net)
+    shapes = tiny_net.shapes
     for t in (0, 2):  # conv layers of tiny-2conv
         conn = receptive_sets(tiny_net, t)
-        in_shape = tiny_net.input_shape if t == 0 else shapes[t - 1]
         for _ in range(30):
-            w, h, d = (int(rng.integers(s)) for s in in_shape)
-            wp, hp, dp = (int(rng.integers(s)) for s in shapes[t])
+            w, h, d = (int(rng.integers(s)) for s in shapes[t])
+            wp, hp, dp = (int(rng.integers(s)) for s in shapes[t + 1])
             in_u = (wp, hp, dp) in conn.u_set(w, h, d)
             in_v = (w, h, d) in conn.v_set(wp, hp, dp)
             assert in_u == in_v == conn.connected(w, h, d, wp, hp, dp)
 
 
 def test_receptive_sets_returns_the_connectivity_built_with_the_spec(tiny_net):
-    shapes = infer_shapes(tiny_net)
+    shapes = tiny_net.shapes
     layer = tiny_net.layers[2]
     conn = receptive_sets(tiny_net, 2)
     assert receptive_sets(tiny_net, 2) is conn
-    assert conn == ConvConnectivity(shapes[1], shapes[2], *layer.kernel.shape[:2], layer.stride, layer.padding)
+    assert conn == ConvConnectivity(shapes[2], shapes[3], *layer.kernel.shape[:2], layer.stride, layer.padding)
     assert "_conns" not in repr(tiny_net)
 
 

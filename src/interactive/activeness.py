@@ -232,12 +232,17 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
     conv layer without fused ReLU carries no indicator).  The hop is a
     differentiation in the connection weights, hence weight-free, and no
     downstream set depends on the input channel: the masked score, summed
-    over output channels, is box-summed into a one-channel field.
+    over output channels, is box-summed into a one-channel field: added at
+    each tap of ``window_taps``, with no kernel.
     """
     if hop.apply_relu:
         hop_score = hop_score * _lift(x_next > 0, hop_score)
     field = hop_score.sum(axis=-1, keepdims=True)
-    return _conv_backward_input(np.ones(hop.kernel.shape[:2] + (1, 1)), hop.stride, hop.padding, field, x_t.shape)
+    (w, h), p = x_t.shape[:2], hop.padding
+    gxp = np.zeros((w + 2 * p, h + 2 * p, *field.shape[2:]))
+    for _, _, tap in window_taps(*hop.kernel.shape[:2], hop.stride, *field.shape[:2]):
+        gxp[tap] += field
+    return gxp[p : p + w, p : p + h]
 
 
 def _score_stack(configs, swept: np.ndarray | None, x_next: np.ndarray) -> np.ndarray:

@@ -131,8 +131,9 @@ def train_linear(
     ``X`` is a (C, N, D) stack of C training sets that share the N labels
     ``y``; returns a (C, K, D+1) tensor of C independent fits, K = y.max() + 1,
     last column the intercept (which is not regularized).  Deterministic:
-    zero init, fixed iteration count.  ``track_loss`` gets the length-C loss
-    array per epoch.
+    zero init, fixed iteration count.  An all-zero feature column gets zero
+    gradient and zero regularization, so its weight stays exactly 0.0.
+    ``track_loss`` gets the length-C loss array per epoch.
     """
     if y.size == 0:
         raise ValueError("empty training split")
@@ -241,13 +242,17 @@ def compare_pipelines(
         x = np.stack([to_input_tensor(img, mean).array for img in images[i : i + size]], axis=2)
         groups.append(_group_vectors(spec, x, targets))
 
+    # All targets' six configs train as one stack, rows zero-padded to the widest D:
+    # a zero column keeps an exactly zero weight, so each target's slice is its own fit.
+    feats = [l2_normalize_rows(np.concatenate([g[t] for g in groups], axis=1)) for t in targets]
+    width = max(f.shape[2] for f in feats)
+    padded = [np.pad(f[:, train], ((0, 0), (0, 0), (0, width - f.shape[2]))) for f in feats]
+    weights = np.split(train_linear(np.concatenate(padded), labels[train]), len(targets))
     rows = []
-    for t in targets:
-        # the six configs of a target share a feature dimension and train as one stack
-        feats = l2_normalize_rows(np.concatenate([g[t] for g in groups], axis=1))
-        weights = train_linear(feats[:, train], labels[train])
-        for config, acc in zip(PIPELINE_CONFIGS, accuracy(weights, feats[:, test], labels[test])):
-            rows.append((target_name(spec, t), config, feats.shape[2], float(acc)))
+    for t, f, w in zip(targets, feats, weights):
+        # slice the first D_t columns and the intercept before testing the unpadded rows
+        for config, acc in zip(PIPELINE_CONFIGS, accuracy(w[..., [*range(f.shape[2]), -1]], f[:, test], labels[test])):
+            rows.append((target_name(spec, t), config, f.shape[2], float(acc)))
     return PipelineReport(
         rows=tuple(rows),
         dataset_seed=dataset.seed,

@@ -226,6 +226,43 @@ class TestComparePipelines:
                 # may differ (1.8e-12 absolute on entries near 7.5e3 was seen)
                 npt.assert_allclose(batched[:, n], np.stack(expected), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dataset_seed", [0, 1])
+    @pytest.mark.parametrize("model_seed", [0, 3])
+    @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-fc", "tiny-2conv", "tiny-3conv"])
+    def test_one_padded_fit_equals_separate_fits(self, arch, model_seed, dataset_seed, monkeypatch):
+        # every target's slice of the one zero-padded fit is, bit for bit, the fit
+        # of its own unpadded rows, and each padded weight column stays 0.0
+        spec = generate_model(arch, seed=model_seed)
+        dataset = ToyDatasetSpec(seed=dataset_seed)
+        feats, fits, tested = [], [], []
+        normalize = evalharness.l2_normalize_rows
+        monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: feats.append(normalize(m)) or feats[-1])
+        monkeypatch.setattr(evalharness, "train_linear", lambda X, y: fits.append(train_linear(X, y)) or fits[-1])
+        monkeypatch.setattr(evalharness, "accuracy", lambda w, X, y: tested.append((w, X)) or accuracy(w, X, y))
+        report = compare_pipelines(dataset, spec)
+
+        _, labels, train, test = toy_samples(dataset, spec.input_shape)
+        targets, n = valid_targets(spec), len(PIPELINE_CONFIGS)
+        [fused] = fits
+        assert fused.shape[0] == n * len(targets) and len(feats) == len(tested) == len(targets)
+        for i, (f, (w, X_test)) in enumerate(zip(feats, tested)):
+            d = f.shape[2]
+            alone = train_linear(f[:, train], labels[train])
+            block = fused[i * n : (i + 1) * n]
+            assert np.array_equal(block[..., :d], alone[..., :d]) and np.array_equal(block[..., -1], alone[..., -1])
+            assert np.all(block[..., d:-1] == 0.0)
+            assert np.array_equal(w, alone) and np.array_equal(X_test, f[:, test])
+            assert [row[2] for row in report.rows[i * n : (i + 1) * n]] == [d] * n
+
+    @pytest.mark.parametrize("targets", [[0], None])
+    def test_one_classifier_fit_per_run(self, targets, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evalharness, "train_linear", lambda X, y: calls.append(X.shape) or train_linear(X, y))
+        spec = generate_model("toy-cnn", seed=0)
+        compare_pipelines(ToyDatasetSpec(seed=0, samples_per_class=4), spec, targets=targets)
+        assert len(calls) == 1
+        assert calls[0][0] == len(PIPELINE_CONFIGS) * (1 if targets else len(valid_targets(spec)))
+
     def test_text_report_shape(self, seed3_report):
         lines = seed3_report.to_text().splitlines()
         assert len(lines) == 2 + 12  # header lines + 6 configs x 2 layers

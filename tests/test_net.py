@@ -15,7 +15,7 @@ from interactive import (
     forward,
     receptive_sets,
 )
-from interactive.activeness import _conv_backward_input, _pool_backward
+from interactive.activeness import _conv_backward_input, _gamma_hop, _pool_backward
 from interactive.net import ConvConnectivity, apply_conv, apply_pool
 from interactive.oracle import _max_pool_choice
 
@@ -459,7 +459,9 @@ def test_pool_kernels_match_naive_reference():
     assert overlapping and gapped and ties
 
 
-def test_conv_backward_input_matches_naive_reference():
+def conv_backward_cases():
+    """40 random transposed-conv cases (kernel, stride, padding, grad_out, (W, H, d_in)):
+    kernels up to 4x4, stride 1-3, padding 0-2, the same draws on every call."""
     rng = np.random.default_rng(41)
     for _ in range(40):
         kw, kh = (int(v) for v in rng.integers(1, 5, size=2))
@@ -472,13 +474,40 @@ def test_conv_backward_input_matches_naive_reference():
         oh = (H + 2 * padding - kh) // stride + 1
         kernel = rng.standard_normal((kw, kh, din, dout))
         grad_out = rng.integers(-3, 4, size=(ow, oh, dout)).astype(np.float64)
-        for k in (kernel, np.ones_like(kernel)):  # the gamma hop runs the ones kernel
+        yield kernel, stride, padding, grad_out, (W, H, din)
+
+
+def test_conv_backward_input_matches_naive_reference():
+    for kernel, stride, padding, grad_out, in_shape in conv_backward_cases():
+        for k in (kernel, np.ones_like(kernel)):  # a drawn kernel, and the all-ones one
             npt.assert_allclose(
-                _conv_backward_input(k, stride, padding, grad_out, (W, H, din)),
-                naive_conv_backward_input(k, stride, padding, grad_out, (W, H, din)),
+                _conv_backward_input(k, stride, padding, grad_out, in_shape),
+                naive_conv_backward_input(k, stride, padding, grad_out, in_shape),
                 rtol=0,
                 atol=1e-12,
             )
+
+
+def test_gamma_hop_equals_the_ones_kernel_transposed_conv():
+    """The hop's plain-tap box sum gives the bits of the masked, channel-summed
+    score sent through ``_conv_backward_input`` with a (kw, kh, 1, 1) ones kernel,
+    for a (W', H', 1) field and for a stacked (W', H', S, N, 1) one."""
+    data = np.random.default_rng(43)
+    for case, (kernel, stride, padding, _, (W, H, din)) in enumerate(conv_backward_cases()):
+        relu = case % 4 != 3
+        layer = ConvLayer(kernel=kernel, bias=data.standard_normal(kernel.shape[3]), stride=stride,
+                          padding=padding, apply_relu=relu)
+        for stack, batch in (((), ()), ((2,), (3,))):
+            x_t = data.standard_normal((W, H, *batch, din))
+            x_next = apply_conv(layer, x_t)
+            x_next = np.maximum(x_next, 0.0) if relu else x_next
+            score = data.standard_normal((*x_next.shape[:2], *stack, *x_next.shape[2:]))
+            mask = (x_next > 0).reshape(x_next.shape[:2] + (1,) * len(stack) + x_next.shape[2:])
+            field = (score * mask if relu else score).sum(axis=-1, keepdims=True)
+            old = _conv_backward_input(np.ones(kernel.shape[:2] + (1, 1)), stride, padding, field, x_t.shape)
+            got = _gamma_hop(layer, x_t, x_next, score)
+            assert got.shape == (W, H, *stack, *batch, 1)
+            assert np.array_equal(got, old)
 
 
 def test_batched_kernels_equal_per_image_calls():

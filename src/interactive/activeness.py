@@ -112,7 +112,7 @@ def log_likelihood(xbar: np.ndarray, p: int) -> float:
     """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
-    return float(-(xbar.sum() if p == 1 else (xbar * xbar).sum()))
+    return float(-(xbar**p).sum())
 
 
 def layer_score(xT: np.ndarray, p: int) -> np.ndarray:
@@ -125,11 +125,8 @@ def layer_score(xT: np.ndarray, p: int) -> np.ndarray:
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
     w, h = xT.shape[:2]
-    scale = 1.0 / (w * h)
-    if p == 1:
-        return np.full(xT.shape, scale)
     xbar = xT.mean(axis=(0, 1))
-    return np.broadcast_to(2.0 * scale * xbar, xT.shape).copy()
+    return np.broadcast_to(p / (w * h) * xbar ** (p - 1), xT.shape).copy()
 
 
 def _conv_backward_input(

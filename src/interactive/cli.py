@@ -34,7 +34,7 @@ from .activeness import (
     valid_targets,
     validate_request,
 )
-from .evalharness import ToyDatasetSpec, compare_pipelines
+from .evalharness import compare_pipelines
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import ConvLayer, forward, receptive_sets
@@ -230,7 +230,7 @@ def cmd_toybench(args) -> int:
     targets = None  # compare_pipelines takes every valid target
     if args.layers is not None:
         targets = [_resolve_target(spec, name.strip()) for name in args.layers.split(",")]
-    report = compare_pipelines(ToyDatasetSpec(seed=args.dataset_seed), spec, targets)
+    report = compare_pipelines(args.dataset_seed, spec, targets)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(report.to_text())
     print(f"report written to {args.out}")
@@ -247,16 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="interactive",
         description="Activeness-weighted deep features and heatmaps for small conv nets.",
     )
-    parser.add_argument(
-        "--seed", dest="global_seed", type=_bounded_int(0), default=0,
-        help="global seed (subcommand --seed overrides)",
-    )
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-model", help="generate and save a seeded random model")
     gen.add_argument("--arch", required=True, choices=sorted(ARCHITECTURES), help="architecture template")
-    gen.add_argument("--seed", type=_bounded_int(0), default=None, help="generator seed")
+    gen.add_argument("--seed", type=_bounded_int(0), default=0, help="generator seed")
     gen.add_argument("--input", type=_bounded_int(1), nargs=3, metavar=("W", "H", "C"),
                      help="override input shape")
     gen.add_argument("--out", required=True, help="output model path")
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="verify the engine against the oracles")
     grad.add_argument("--model", required=True)
-    grad.add_argument("--seed", type=_bounded_int(0), default=None, help="input/sampling seed")
+    grad.add_argument("--seed", type=_bounded_int(0), default=0, help="input/sampling seed")
     grad.add_argument("--samples", type=_bounded_int(1, MAX_SAMPLES), default=200,
                       help=f"connections to sample (at most {MAX_SAMPLES})")
     grad.set_defaults(func=cmd_gradcheck)
@@ -295,8 +291,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    if getattr(args, "seed", None) is None:
-        args.seed = args.global_seed
     try:
         # an overflow past the forward pass's own check ends in one line, not a numpy warning
         with np.errstate(over="raise", invalid="raise"):

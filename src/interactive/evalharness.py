@@ -1,12 +1,13 @@
 """Desk-scale feature evaluation: toy dataset, linear classifier, pipeline table.
 
-A seeded toy dataset paints small, off-center class signatures onto noisy
-canvases, deliberately leaving most of each image uninformative so that
-spatial weighting has signal to exploit.  Features are l2-normalized and
-scored with a one-vs-rest logistic regression trained by full-batch
-gradient descent (the same linear hypothesis class as an SVM, with no
-external solver); the regularizer maps a slack constant C through
-reg = 1 / (C * N), C fixed at 10.
+A toy dataset, fixed but for its seed, paints small, off-center class
+signatures onto noisy canvases, deliberately leaving most of each image
+uninformative so that spatial weighting has signal to exploit.  Features
+are l2-normalized and scored with a one-vs-rest logistic regression
+trained by full-batch gradient descent (the same linear hypothesis class
+as an SVM, with no external solver); the regularizer maps a slack
+constant C through reg = 1 / (C * N).  The class count, samples per
+class, C, epoch count and learning rate are module constants.
 
 Accuracy DIFFERENCES between pipelines are reported, never asserted:
 a random-weight toy net carries no promise about their ordering.
@@ -25,10 +26,16 @@ from .activeness import neuron_activeness  # noqa: F401 -- only the benchmark's 
 from .image import RasterImage, to_input_tensor
 from .net import NetworkSpec, forward
 
+# The classifier: slack C, and a fixed number of full-batch steps of one size
 SLACK_C = 10.0
+EPOCHS = 300
+LEARNING_RATE = 1.0
 INPUT_MEAN = 128.0
 
-# The toy dataset's fixed blob width, noise level and jitter (``ToyDatasetSpec``)
+# The toy dataset (``toy_image``): class count, samples per class (half train,
+# half test), blob width, noise level and jitter
+CLASSES = 3
+SAMPLES_PER_CLASS = 16
 BLOB_SIGMA = 2.0
 NOISE_LEVEL = 60
 JITTER = 1
@@ -43,9 +50,8 @@ GROUP_INPUT_ELEMENTS = 8 * 16 * 16 * 3
 PIPELINE_CONFIGS = ("orig-avg", "orig-max", *(f"{sup}-p{p}" for sup, p in WEIGHTED_CONFIGS))
 
 
-@dataclass(frozen=True)
-class ToyDatasetSpec:
-    """Deterministic image-classification toy problem.
+def toy_image(seed: int, shape, label: int, sample: int) -> RasterImage:
+    """One deterministic sample of the toy dataset ``seed``, painted at ``shape`` = (W, H, D).
 
     Each class paints a small gaussian blob at a class-specific off-center
     position, textured by a ripple whose frequency and orientation encode
@@ -53,40 +59,23 @@ class ToyDatasetSpec:
     nothing global (mean color, total energy) separates them.  The rest of
     the canvas is uniform noise in [0, ``NOISE_LEVEL``); the blob's sigma is
     ``BLOB_SIGMA`` pixels and per-sample jitter moves it by up to ``JITTER``
-    pixels.  These three are module constants, the same for every dataset.
-    The spec holds no image shape: ``toy_image`` and ``toy_samples`` paint
-    at the (W, H, D) they are given, the network's input shape in
-    ``compare_pipelines``.
+    pixels.
     """
-
-    seed: int = 0
-    classes: int = 3
-    samples_per_class: int = 16
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.classes < 2:
-            raise ValueError("need at least two classes")
-        if self.samples_per_class < 2:
-            raise ValueError("need at least two samples per class")
-
-
-def toy_image(dataset: ToyDatasetSpec, shape, label: int, sample: int) -> RasterImage:
-    """One deterministic sample of the toy dataset, painted at ``shape`` = (W, H, D)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     w, h, d = shape
     if d not in (1, 3):
-        raise ValueError("channels must be 1 or 3")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([dataset.seed, label, sample])))
+        raise ValueError(f"toy dataset paints 1 or 3 channels; network input is {w}x{h}x{d}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, label, sample])))
     canvas = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, d))
 
-    angle = 2.0 * math.pi * label / dataset.classes
+    angle = 2.0 * math.pi * label / CLASSES
     cx = w * (0.5 + 0.27 * math.cos(angle)) + rng.integers(-JITTER, JITTER + 1)
     cy = h * (0.5 + 0.27 * math.sin(angle)) + rng.integers(-JITTER, JITTER + 1)
     ys, xs = np.mgrid[0:h, 0:w]
     bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * BLOB_SIGMA**2))
     freq = 1.5 + 1.25 * label
-    orient = math.pi * label / dataset.classes
+    orient = math.pi * label / CLASSES
     phase = math.cos(orient) * (xs - cx) + math.sin(orient) * (ys - cy)
     ripple = 0.7 + 0.3 * np.sin(2.0 * math.pi * freq * phase / w)
     mix = np.array([1.0, 0.85, 0.7][:d])  # identical for every class
@@ -94,16 +83,16 @@ def toy_image(dataset: ToyDatasetSpec, shape, label: int, sample: int) -> Raster
     return RasterImage(pixels=np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
 
 
-def toy_samples(dataset: ToyDatasetSpec, shape) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
-    """All images at ``shape`` = (W, H, D), labels, and a stratified half/half
-    train/test split as index arrays."""
+def toy_samples(seed: int, shape) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
+    """All images of the toy dataset ``seed`` at ``shape`` = (W, H, D), labels,
+    and a stratified half/half train/test split as index arrays."""
     images, labels, train_idx, test_idx = [], [], [], []
-    for label in range(dataset.classes):
-        for sample in range(dataset.samples_per_class):
+    for label in range(CLASSES):
+        for sample in range(SAMPLES_PER_CLASS):
             idx = len(images)
-            images.append(toy_image(dataset, shape, label, sample))
+            images.append(toy_image(seed, shape, label, sample))
             labels.append(label)
-            (train_idx if sample < dataset.samples_per_class // 2 else test_idx).append(idx)
+            (train_idx if sample < SAMPLES_PER_CLASS // 2 else test_idx).append(idx)
     return images, np.array(labels), np.array(train_idx), np.array(test_idx)
 
 
@@ -119,21 +108,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def train_linear(
-    X: np.ndarray,
-    y: np.ndarray,
-    epochs: int = 300,
-    lr: float = 1.0,
-    track_loss: list | None = None,
-) -> np.ndarray:
+def train_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One-vs-rest logistic regression by full-batch gradient descent.
 
     ``X`` is a (C, N, D) stack of C training sets that share the N labels
     ``y``; returns a (C, K, D+1) tensor of C independent fits, K = y.max() + 1,
     last column the intercept (which is not regularized).  Deterministic:
-    zero init, fixed iteration count.  An all-zero feature column gets zero
-    gradient and zero regularization, so its weight stays exactly 0.0.
-    ``track_loss`` gets the length-C loss array per epoch.
+    zero init, then ``EPOCHS`` steps of size ``LEARNING_RATE``.  An all-zero
+    feature column gets zero gradient and zero regularization, so its weight
+    stays exactly 0.0.
     """
     if y.size == 0:
         raise ValueError("empty training split")
@@ -148,15 +131,10 @@ def train_linear(
     W = np.zeros((c, k, d + 1))
     mask = np.ones((1, 1, d + 1))
     mask[..., -1] = 0.0  # intercept unregularized
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         S = _sigmoid(Xb @ W.transpose(0, 2, 1))
-        if track_loss is not None:
-            eps = 1e-12
-            bce = -(Y * np.log(S + eps) + (1 - Y) * np.log(1 - S + eps)).sum(axis=2).mean(axis=1)
-            loss = bce + reg * ((W * mask) ** 2).sum(axis=(1, 2))
-            track_loss.append(loss)
         grad = (S - Y).transpose(0, 2, 1) @ Xb / n + 2.0 * reg * (W * mask)
-        W = W - lr * grad
+        W = W - LEARNING_RATE * grad
     return W
 
 
@@ -211,11 +189,7 @@ class PipelineReport:
         }
 
 
-def compare_pipelines(
-    dataset: ToyDatasetSpec,
-    spec: NetworkSpec,
-    targets: list[int] | None = None,
-) -> PipelineReport:
+def compare_pipelines(dataset_seed: int, spec: NetworkSpec, targets: list[int] | None = None) -> PipelineReport:
     """Test accuracy of original vs activeness-weighted features per layer.
 
     Six configurations per target layer mirror the standard comparison:
@@ -231,7 +205,7 @@ def compare_pipelines(
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated target layers in {[target_name(spec, t) for t in targets]}")
 
-    images, labels, train, test = toy_samples(dataset, spec.input_shape)
+    images, labels, train, test = toy_samples(dataset_seed, spec.input_shape)
     mean = [INPUT_MEAN] * spec.input_shape[2]
 
     # One forward and one reverse sweep per group of images, stacked on a
@@ -255,8 +229,8 @@ def compare_pipelines(
             rows.append((target_name(spec, t), config, f.shape[2], float(acc)))
     return PipelineReport(
         rows=tuple(rows),
-        dataset_seed=dataset.seed,
-        classes=dataset.classes,
+        dataset_seed=dataset_seed,
+        classes=CLASSES,
         train_size=len(train),
         test_size=len(test),
     )

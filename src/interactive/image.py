@@ -2,9 +2,9 @@
 
 Only the binary netpbm variants (P5 grayscale, P6 color, maxval 255) are
 read; header comments are honored.  ``resize_to_area`` reproduces the
-input-sizing protocol: scale to roughly a target pixel count while
-keeping both dimensions multiples of a divisor and the aspect ratio as
-close to the original as the rounding allows.
+input-sizing protocol: scale to roughly ``TARGET_AREA`` pixels while
+keeping both dimensions multiples of ``DIVISOR`` and the aspect ratio as
+close to the original as the rounding allows.  Both are fixed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from .tensor import Tensor3
 
-DEFAULT_TARGET_AREA = 512 * 512
-DEFAULT_DIVISOR = 32
+TARGET_AREA = 512 * 512
+DIVISOR = 32
 
 
 class ImageFormatError(ValueError):
@@ -125,23 +125,20 @@ def write_image(img: RasterImage, path) -> None:
         fh.write(img.pixels.tobytes())
 
 
-def _round_to_multiple(value: float, divisor: int) -> int:
-    return max(divisor, int(np.floor(value / divisor + 0.5)) * divisor)
+def _round_to_multiple(value: float) -> int:
+    return max(DIVISOR, int(np.floor(value / DIVISOR + 0.5)) * DIVISOR)
 
 
-def resize_dims(
-    width: int, height: int, target_area: int = DEFAULT_TARGET_AREA, divisor: int = DEFAULT_DIVISOR
-) -> tuple[int, int]:
+def resize_dims(width: int, height: int) -> tuple[int, int]:
     """Output dimensions of the sizing protocol.
 
-    Images larger than the target area are scaled down to approximately
-    ``target_area`` pixels; smaller images keep their size.  Each axis is
-    then rounded to the nearest multiple of ``divisor`` (half up) and
-    clamped to at least one multiple, so degenerate inputs land on
-    divisor x divisor.
+    Images larger than ``TARGET_AREA`` are scaled down to approximately
+    that many pixels; smaller images keep their size.  Each axis is then
+    rounded to the nearest multiple of ``DIVISOR`` (half up) and clamped
+    to at least one multiple, so degenerate inputs land on DIVISOR x DIVISOR.
     """
-    scale = min(1.0, np.sqrt(target_area / (width * height)))
-    return _round_to_multiple(scale * width, divisor), _round_to_multiple(scale * height, divisor)
+    scale = min(1.0, np.sqrt(TARGET_AREA / (width * height)))
+    return _round_to_multiple(scale * width), _round_to_multiple(scale * height)
 
 
 def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -164,13 +161,10 @@ def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def resize_to_area(
-    img: RasterImage, target_area: int = DEFAULT_TARGET_AREA, divisor: int = DEFAULT_DIVISOR
-) -> RasterImage:
-    """Resize so the pixel count approximates ``target_area`` with both
-    dimensions multiples of ``divisor`` and minimal aspect distortion."""
-    out_w, out_h = resize_dims(img.width, img.height, target_area, divisor)
-    return resample_to(img, out_w, out_h)
+def resize_to_area(img: RasterImage) -> RasterImage:
+    """Resize to ``resize_dims``: a pixel count near ``TARGET_AREA``, both
+    dimensions multiples of ``DIVISOR``, minimal aspect distortion."""
+    return resample_to(img, *resize_dims(img.width, img.height))
 
 
 def resample_to(img: RasterImage, out_w: int, out_h: int) -> RasterImage:

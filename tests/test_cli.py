@@ -22,7 +22,7 @@ from interactive.activeness import gamma_stacks, valid_targets
 from interactive.cli import (
     EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
 )
-from interactive.evalharness import ToyDatasetSpec, toy_image
+from interactive.evalharness import toy_image
 
 # ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
 # keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
@@ -71,12 +71,6 @@ class TestGenModel:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: argument --arch: invalid choice")
         assert "tiny-2conv" in err[0]
-
-    def test_global_seed_fallback(self, tmp_path):
-        a, b = tmp_path / "a.model", tmp_path / "b.model"
-        main(["--seed", "5", "gen-model", "--arch", "tiny-2conv", "--out", str(a)])
-        main(["gen-model", "--arch", "tiny-2conv", "--seed", "5", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
     def test_io_failure_exits_3(self, tmp_path):
         out = tmp_path / "missing" / "dir" / "x.model"
@@ -176,7 +170,7 @@ class TestActiveness:
     def toy_files(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("frozen")
         save_model(generate_model("toy-cnn", seed=0), tmp / "toy.model")
-        write_image(toy_image(ToyDatasetSpec(), (16, 16, 3), 0, 0), tmp / "toy.ppm")
+        write_image(toy_image(0, (16, 16, 3), 0, 0), tmp / "toy.ppm")
         return tmp / "toy.model", tmp / "toy.ppm"
 
     @pytest.mark.parametrize("key", sorted(FROZEN_ACTIVENESS))
@@ -432,7 +426,7 @@ class TestToybench:
         assert main(["gen-model", "--arch", "tiny-2conv", "--input", "8", "8", "2", "--out", str(model)]) == EXIT_OK
         capsys.readouterr()
         assert main(["toybench", "--model", str(model), "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: channels must be 1 or 3\n"
+        assert capsys.readouterr().err == "error: toy dataset paints 1 or 3 channels; network input is 8x8x2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--out", ""], ["--out", "r.txt", "--json", ""]], ids=["out", "json"])
@@ -456,13 +450,12 @@ GEN = ["gen-model", "--arch", "tiny-2conv", "--out", "@out"]
     (GEN + ["--input", "5", "5", "-1"], "argument --input: must be >= 1, got -1"),
     (GEN + ["--input", "-100000", "-100000", "3"], "argument --input: must be >= 1, got -100000"),
     (GEN + ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
-    (["--seed", "-2"] + GEN, "argument --seed: must be >= 0, got -2"),
     (["toybench", "--model", "@model", "--out", "@out", "--dataset-seed", "-1"],
      "argument --dataset-seed: must be >= 0, got -1"),
     (["gradcheck", "--model", "@model", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["gradcheck", "--model", "@model", "--samples", "x"], "argument --samples: must be an integer, got 'x'"),
     (["gradcheck", "--model", "@model", "--samples", "0"], "argument --samples: must be >= 1, got 0"),
-], ids=["input-negative", "input-huge-negative", "gen-model-seed", "global-seed", "dataset-seed",
+], ids=["input-negative", "input-huge-negative", "gen-model-seed", "dataset-seed",
         "gradcheck-seed", "samples-not-an-integer", "samples-zero"])
 def test_bad_integer_flag_exits_2_naming_the_flag(model_path, tmp_path, capsys, argv, line):
     out = tmp_path / "x.out"
@@ -471,6 +464,17 @@ def test_bad_integer_flag_exits_2_naming_the_flag(model_path, tmp_path, capsys, 
         main([paths.get(arg, arg) for arg in argv])
     assert exc.value.code == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
+def test_seed_before_the_subcommand_is_a_usage_error(tmp_path, capsys):
+    # --seed belongs to gen-model and gradcheck; there is no global one
+    out = tmp_path / "x.model"
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "gen-model", "--arch", "tiny-2conv", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 

@@ -43,7 +43,8 @@ def argv_for(draw, name, flags):
     two, which take an odd one.  A drawn None leaves the flag out, a list
     gives it several values."""
     odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
-    argv = draw(st.sampled_from([*[[]] * 4, ["--seed", "3"], ["--seed", "-1"], ["-h"]])) + [name]
+    # global flags: -v and -h, and a --seed that belongs after the subcommand (a usage error)
+    argv = draw(st.sampled_from([*[[]] * 4, ["-v"], ["--seed", "3"], ["-h"]])) + [name]
     for flag, (valid, unusual) in flags.items():
         value = draw(unusual if flag in odd else valid)
         if value is not None:

@@ -16,7 +16,7 @@ from interactive.activeness import valid_targets
 from interactive.evalharness import (
     INPUT_MEAN,
     PIPELINE_CONFIGS,
-    ToyDatasetSpec,
+    SLACK_C,
     accuracy,
     compare_pipelines,
     toy_image,
@@ -49,32 +49,47 @@ def two_blob_set(n_per_class=20, separation=4.0, seed=0, shuffle_labels=False):
     return feats[None, train], labels[train], feats[None, test], labels[test]
 
 
+def regularized_loss(W, X, y):
+    """The objective ``train_linear`` descends, per stacked set: mean binary
+    cross-entropy over the one-vs-rest outputs plus reg * ||W||^2, the
+    intercept column unregularized."""
+    n = X.shape[1]
+    Xb = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    Y = (y[:, None] == np.arange(W.shape[1])[None, :]).astype(np.float64)
+    S = evalharness._sigmoid(Xb @ np.swapaxes(W, -1, -2))
+    eps = 1e-12
+    bce = -(Y * np.log(S + eps) + (1 - Y) * np.log(1 - S + eps)).sum(axis=-1).mean(axis=-1)
+    return bce + (W[..., :-1] ** 2).sum(axis=(-2, -1)) / (SLACK_C * n)
+
+
 class TestTrainLinear:
     def test_separable_classes_reach_full_accuracy(self):
         X, y, X_test, y_test = two_blob_set()
-        w = train_linear(X, y, epochs=400, lr=1.0)
+        w = train_linear(X, y)
         assert accuracy(w, X_test, y_test).tolist() == [1.0]
 
     def test_shuffled_labels_sit_at_chance(self):
         accs = []
         for seed in range(5):
             X, y, X_test, y_test = two_blob_set(seed=seed, shuffle_labels=True)
-            w = train_linear(X, y, epochs=200, lr=1.0)
+            w = train_linear(X, y)
             accs.append(accuracy(w, X_test, y_test)[0])
         assert 0.4 <= float(np.mean(accs)) <= 0.6
 
     def test_identical_rows_stay_at_chance(self):
         feats = np.ones((1, 30, 4))
         labels = np.array([0, 1, 2] * 10)
-        w = train_linear(feats[:, :15], labels[:15], epochs=100, lr=1.0)
+        w = train_linear(feats[:, :15], labels[:15])
         assert accuracy(w, feats[:, 15:], labels[15:])[0] == pytest.approx(1.0 / 3.0)
 
-    def test_loss_monotone_nonincreasing(self):
+    def test_loss_monotone_nonincreasing(self, monkeypatch):
+        # the weights after 0, 10, ..., 150 steps: the objective never rises
         X, y, _, _ = two_blob_set(separation=1.0, seed=3)
         losses = []
-        train_linear(X, y, epochs=150, lr=1.0, track_loss=losses)
-        diffs = np.diff([loss[0] for loss in losses])
-        assert np.all(diffs <= 1e-12)
+        for epochs in range(0, 151, 10):
+            monkeypatch.setattr(evalharness, "EPOCHS", epochs)
+            losses.append(regularized_loss(train_linear(X, y), X, y)[0])
+        assert np.all(np.diff(losses) <= 1e-12)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((1, 3, 2))
@@ -83,8 +98,8 @@ class TestTrainLinear:
 
     def test_deterministic(self):
         X, y, _, _ = two_blob_set(seed=5)
-        w1 = train_linear(X, y, epochs=50, lr=0.5)
-        w2 = train_linear(X, y, epochs=50, lr=0.5)
+        w1 = train_linear(X, y)
+        w2 = train_linear(X, y)
         assert np.array_equal(w1, w2)
 
     def test_stacked_fit_equals_separate_fits(self):
@@ -92,16 +107,13 @@ class TestTrainLinear:
         X = np.concatenate([X for X, _, _, _ in sets])
         X_test = np.concatenate([X_test for _, _, X_test, _ in sets])
         _, y, _, y_test = sets[0]
-        losses = []
-        weights = train_linear(X, y, epochs=60, lr=0.7, track_loss=losses)
-        assert weights.shape == (3, 2, 3) and losses[0].shape == (3,)
+        weights = train_linear(X, y)
+        assert weights.shape == (3, 2, 3)
         accs = accuracy(weights, X_test, y_test)
         for c, (X_c, y_c, X_test_c, y_test_c) in enumerate(sets):
-            single = []
-            alone = train_linear(X_c, y_c, epochs=60, lr=0.7, track_loss=single)
-            assert alone.shape == (1, 2, 3) and single[0].shape == (1,)
+            alone = train_linear(X_c, y_c)
+            assert alone.shape == (1, 2, 3)
             npt.assert_allclose(weights[c], alone[0], rtol=0, atol=1e-12)
-            npt.assert_allclose([loss[c] for loss in losses], [loss[0] for loss in single], rtol=0, atol=1e-12)
             assert accs[c] == accuracy(weights[c : c + 1], X_test_c, y_test_c)[0]
 
 
@@ -125,16 +137,15 @@ def test_sigmoid_is_bit_identical_to_the_masked_formula():
 
 class TestToyDataset:
     def test_deterministic_given_seed(self):
-        spec = ToyDatasetSpec(seed=9)
-        a = toy_image(spec, (16, 16, 3), label=1, sample=2)
-        b = toy_image(spec, (16, 16, 3), label=1, sample=2)
+        a = toy_image(9, (16, 16, 3), label=1, sample=2)
+        b = toy_image(9, (16, 16, 3), label=1, sample=2)
         assert np.array_equal(a.pixels, b.pixels)
-        c = toy_image(ToyDatasetSpec(seed=10), (16, 16, 3), label=1, sample=2)
+        c = toy_image(10, (16, 16, 3), label=1, sample=2)
         assert not np.array_equal(a.pixels, c.pixels)
 
-    def test_samples_shape_and_split(self):
-        spec = ToyDatasetSpec(seed=0, classes=3, samples_per_class=6)
-        images, labels, train_idx, test_idx = toy_samples(spec, (8, 8, 3))
+    def test_samples_shape_and_split(self, monkeypatch):
+        monkeypatch.setattr(evalharness, "SAMPLES_PER_CLASS", 6)
+        images, labels, train_idx, test_idx = toy_samples(0, (8, 8, 3))
         assert len(images) == 18 and labels.shape == (18,)
         assert len(train_idx) == 9 and len(test_idx) == 9
         assert set(train_idx) | set(test_idx) == set(range(18))
@@ -143,21 +154,17 @@ class TestToyDataset:
         assert set(labels[list(train_idx)]) == set(labels[list(test_idx)]) == {0, 1, 2}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ToyDatasetSpec(classes=1)
-        with pytest.raises(ValueError, match="channels must be 1 or 3"):
-            toy_samples(ToyDatasetSpec(), (8, 8, 2))
+        with pytest.raises(ValueError, match=r"^toy dataset paints 1 or 3 channels; network input is 8x8x2$"):
+            toy_samples(0, (8, 8, 2))
 
     def test_negative_seed_rejected_naming_the_field(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            ToyDatasetSpec(seed=-1)
+            toy_image(-1, (8, 8, 3), 0, 0)
 
 
 @pytest.fixture(scope="module")
 def seed3_report():
-    spec = generate_model("tiny-2conv", seed=3)
-    dataset = ToyDatasetSpec(seed=3)
-    return compare_pipelines(dataset, spec)
+    return compare_pipelines(3, generate_model("tiny-2conv", seed=3))
 
 
 class TestComparePipelines:
@@ -173,44 +180,40 @@ class TestComparePipelines:
         assert got == SEED3_SNAPSHOT
 
     def test_report_is_pure_function_of_inputs(self, seed3_report):
-        spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3)
-        again = compare_pipelines(dataset, spec)
+        again = compare_pipelines(3, generate_model("tiny-2conv", seed=3))
         assert again.to_text() == seed3_report.to_text()
         assert json.dumps(again.to_json_dict()) == json.dumps(seed3_report.to_json_dict())
 
     def test_rejects_bad_targets_before_any_forward_pass(self, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)  # conv-1, pool-1, conv-2
-        dataset = ToyDatasetSpec(seed=3)
         monkeypatch.setattr(evalharness, "forward", lambda *args: pytest.fail("forward pass ran"))
         with pytest.raises(ShapeError, match="followed by pooling layer 'pool-1'"):
-            compare_pipelines(dataset, spec, targets=[0, 1])
+            compare_pipelines(3, spec, targets=[0, 1])
         with pytest.raises(ShapeError, match="final layer"):
-            compare_pipelines(dataset, spec, targets=[3])
+            compare_pipelines(3, spec, targets=[3])
         with pytest.raises(ValueError, match=r"repeated target layers in \['input', 'pool-1', 'input'\]"):
-            compare_pipelines(dataset, spec, targets=[0, 2, 0])
+            compare_pipelines(3, spec, targets=[0, 2, 0])
 
     def test_group_size_does_not_change_report(self, seed3_report, monkeypatch):
         spec = generate_model("tiny-2conv", seed=3)
-        dataset = ToyDatasetSpec(seed=3)
         monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 1)  # a group per image
-        assert compare_pipelines(dataset, spec).to_text() == seed3_report.to_text()
+        assert compare_pipelines(3, spec).to_text() == seed3_report.to_text()
 
     @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-fc"])
     def test_batched_features_equal_per_image_features(self, arch, monkeypatch):
         spec = generate_model(arch, seed=1)
         w, h, d = spec.input_shape
-        dataset = ToyDatasetSpec(seed=2, samples_per_class=5)
+        monkeypatch.setattr(evalharness, "SAMPLES_PER_CLASS", 5)
         # groups of 4 for 15 images: the last group is short
         monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 4 * w * h * d + 1)
         seen = []
         normalize = evalharness.l2_normalize_rows
         monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: seen.append(m) or normalize(m))
-        compare_pipelines(dataset, spec)
+        compare_pipelines(2, spec)
         targets = valid_targets(spec)
         assert len(seen) == len(targets)
 
-        images = toy_samples(dataset, spec.input_shape)[0]
+        images = toy_samples(2, spec.input_shape)[0]
         for t, batched in zip(targets, seen):
             assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
             for n, img in enumerate(images):
@@ -233,15 +236,14 @@ class TestComparePipelines:
         # every target's slice of the one zero-padded fit is, bit for bit, the fit
         # of its own unpadded rows, and each padded weight column stays 0.0
         spec = generate_model(arch, seed=model_seed)
-        dataset = ToyDatasetSpec(seed=dataset_seed)
         feats, fits, tested = [], [], []
         normalize = evalharness.l2_normalize_rows
         monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: feats.append(normalize(m)) or feats[-1])
         monkeypatch.setattr(evalharness, "train_linear", lambda X, y: fits.append(train_linear(X, y)) or fits[-1])
         monkeypatch.setattr(evalharness, "accuracy", lambda w, X, y: tested.append((w, X)) or accuracy(w, X, y))
-        report = compare_pipelines(dataset, spec)
+        report = compare_pipelines(dataset_seed, spec)
 
-        _, labels, train, test = toy_samples(dataset, spec.input_shape)
+        _, labels, train, test = toy_samples(dataset_seed, spec.input_shape)
         targets, n = valid_targets(spec), len(PIPELINE_CONFIGS)
         [fused] = fits
         assert fused.shape[0] == n * len(targets) and len(feats) == len(tested) == len(targets)
@@ -256,10 +258,11 @@ class TestComparePipelines:
 
     @pytest.mark.parametrize("targets", [[0], None])
     def test_one_classifier_fit_per_run(self, targets, monkeypatch):
+        monkeypatch.setattr(evalharness, "SAMPLES_PER_CLASS", 4)
         calls = []
         monkeypatch.setattr(evalharness, "train_linear", lambda X, y: calls.append(X.shape) or train_linear(X, y))
         spec = generate_model("toy-cnn", seed=0)
-        compare_pipelines(ToyDatasetSpec(seed=0, samples_per_class=4), spec, targets=targets)
+        compare_pipelines(0, spec, targets=targets)
         assert len(calls) == 1
         assert calls[0][0] == len(PIPELINE_CONFIGS) * (1 if targets else len(valid_targets(spec)))
 

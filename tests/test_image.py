@@ -151,8 +151,8 @@ class TestResizeProtocol:
 
     def test_resized_image_has_protocol_dims(self):
         img = gradient_image(100, 60, 3, seed=6)
-        out = resize_to_area(img, target_area=64 * 64, divisor=32)
-        assert (out.width, out.height) == resize_dims(100, 60, 64 * 64, 32)
+        out = resize_to_area(img)
+        assert (out.width, out.height) == resize_dims(100, 60) == (96, 64)
 
 
 class TestBilinear:

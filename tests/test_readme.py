@@ -6,7 +6,7 @@ from pathlib import Path
 
 import interactive
 from interactive.cli import main
-from interactive.evalharness import ToyDatasetSpec, toy_image
+from interactive.evalharness import toy_image
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,7 +23,7 @@ def test_command_line_example_runs(tmp_path, monkeypatch):
     commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("interactive ")]
     assert len(commands) == 4
     monkeypatch.chdir(tmp_path)
-    interactive.write_image(toy_image(ToyDatasetSpec(), (16, 16, 3), 0, 0), "photo.ppm")
+    interactive.write_image(toy_image(0, (16, 16, 3), 0, 0), "photo.ppm")
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
 

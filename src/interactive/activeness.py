@@ -125,7 +125,7 @@ def layer_score(xT: np.ndarray, p: int) -> np.ndarray:
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
     w, h = xT.shape[:2]
-    xbar = xT.mean(axis=(0, 1))
+    xbar = xT.sum(axis=(0, 1)) / (w * h)  # numpy's mean, the same bits, without its wrapper
     return np.broadcast_to(p / (w * h) * xbar ** (p - 1), xT.shape).copy()
 
 

@@ -50,8 +50,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Upper bound of ``gradcheck --samples``: at two replays per sample, 100000 is
-# minutes of work, so a larger count is refused as a typo before any work starts.
+# Upper bound of ``gradcheck --samples``: 100000 probes are minutes of work, so
+# a larger count is refused as a typo before any work starts.
 MAX_SAMPLES = 100_000
 
 
@@ -85,6 +85,20 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
         )
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse sets an unknown flag before the subcommand aside and reads its value as
+        # the subcommand, so ``--seed 5 gen-model`` would be "invalid choice: '5'"; name the flag
+        args = sys.argv[1:] if args is None else list(args)
+        commands = next((a.choices for a in self._actions if isinstance(a, argparse._SubParsersAction)), {})
+        for arg in args if commands else ():
+            if arg in commands:
+                break
+            flag = arg.split("=")[0]
+            owners = [name for name, sub in commands.items() if flag in sub._option_string_actions]
+            if owners and flag not in self._option_string_actions:
+                self.error(f"{flag} is an option of {', '.join(owners)}; put it after the subcommand")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -188,33 +202,37 @@ def cmd_gradcheck(args) -> int:
         float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()) for t, (_, gammas) in stacks.items()
     )
 
-    max_rel = 0.0
-    max_small_abs = 0.0
-    skipped = 0
-    compared = 0
+    # every probe is drawn first, in the order one-by-one probing drew them, then the
+    # probes of each (target, config) go to one finite-difference call
+    groups = {}
     for j in range(args.samples):
         t = sampled[int(rng.integers(len(sampled)))]
-        k = j % len(combos)
-        sup, p = combos[k]
         conn = conns[t]
         sources = []
         while not sources:  # an output window wholly in padding has no source: draw again
             wp, hp, dp = (int(rng.integers(n)) for n in conn.out_shape)
             sources = conn.v_set(wp, hp, dp)
         w, h, d = sources[int(rng.integers(len(sources)))]
-        connection = (w, h, d, wp, hp, dp)
+        groups.setdefault((t, j % len(combos)), []).append((w, h, d, wp, hp, dp))
+
+    max_rel = 0.0
+    max_small_abs = 0.0
+    skipped = 0
+    compared = 0
+    for (t, k), connections in groups.items():
+        sup, p = combos[k]
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-        engine = connection_activeness(spec, trace, request, connection, hop_score=stacks[t][0][:, :, k])
-        fd = fd_connection_check(spec, trace, request, connection)
-        if fd is None:
-            skipped += 1
-            continue
-        compared += 1
-        scale = max(abs(engine), abs(fd))
-        if scale <= 1e-6:
-            max_small_abs = max(max_small_abs, abs(engine - fd))
-        else:
-            max_rel = max(max_rel, abs(engine - fd) / scale)
+        for connection, fd in zip(connections, fd_connection_check(spec, trace, request, connections)):
+            if fd is None:
+                skipped += 1
+                continue
+            compared += 1
+            engine = connection_activeness(spec, trace, request, connection, hop_score=stacks[t][0][:, :, k])
+            scale = max(abs(engine), abs(fd))
+            if scale <= 1e-6:
+                max_small_abs = max(max_small_abs, abs(engine - fd))
+            else:
+                max_rel = max(max_rel, abs(engine - fd) / scale)
 
     ok = compared > 0 and max_rel <= 1e-4 and max_small_abs <= 1e-7 and enum_max <= 1e-10
     print(f"connections sampled: {args.samples} (compared {compared}, kink-skipped {skipped})")

@@ -1,20 +1,24 @@
 """Slow verifiers: finite differences and explicit enumeration.
 
 The finite-difference (FD) probes replay the forward pass only:
-``fd_connection_check`` (one connection weight) and
+``fd_connection_check`` (a list of connection weights of one layer) and
 ``fd_activation_score`` (one activation entry) take central differences
 with step ``FD_STEP``, rerunning the layers above the probed weight or
-activation twice per probe through one replay helper, and differentiate
-the ln f the engine reports (``log_likelihood``); they never use the
-engine's backward path.  ``enumerate_gamma`` checks the hop: for each
-requested (supervision, p) config it takes the engine's score at X(t+1)
-(``backprop_score``), then makes one literal walk of every connectivity
-set of the target, applying the activation indicator and adding each
-active consumer's scores to all the configs' sums at once; a U-set equal
-to the one just walked at the same (w, h) reuses its sums.  Both ship in
-the library so the CLI can expose a user-facing gradient check.  Each
-takes a trace, the tuple ``forward`` returns, and checks it against the
-network (``check_trace``) where it enters.
+activation on a bumped-up and a bumped-down copy per probe, and
+differentiate the ln f the engine reports (``log_likelihood``); they never
+use the engine's backward path.  One replay helper runs the copies of many
+probes as one stack on the forward kernels' batch axes, bounded by
+``FD_STACK_ELEMENTS``; a single probe is a stack of one.
+
+``enumerate_gamma`` checks the hop: for each requested (supervision, p)
+config it takes the engine's score at X(t+1) (``backprop_score``), then
+makes one literal walk of every connectivity set of the target, applying
+the activation indicator and adding each active consumer's scores to all
+the configs' sums at once; a U-set equal to the one just walked at the
+same (w, h) reuses its sums.  Both oracles ship in the library so the CLI
+can expose a user-facing gradient check.  Each takes a trace, the tuple
+``forward`` returns, and checks it against the network (``check_trace``)
+where it enters.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: a connection probe whose directly perturbed neuron
@@ -34,6 +38,10 @@ from .net import forward  # noqa: F401 -- not called here; the benchmark's trace
 
 ENUMERATION_GUARD = 10**7
 FD_STEP = 1e-4  # central-difference step, in weight or activation units
+# Bound of one stacked FD replay, in elements of X(start) over all its bumped
+# copies: 2^13 float64 (64 KB) keeps the replay's temporaries small, so a large
+# model replays its probes a few at a time instead of raising peak RSS.
+FD_STACK_ELEMENTS = 2**13
 KINK_GUARD = 1e-6  # a hit neuron's pre-activation closer than this to 0 skips the probe
 
 
@@ -42,92 +50,127 @@ def _max_pool_choice(layer, x: np.ndarray) -> np.ndarray:
     order: numpy ``argmax`` over the window's taps stacked w-outer, h-inner."""
     k, s = layer.window, layer.stride
     ow, oh = (x.shape[0] - k) // s + 1, (x.shape[1] - k) // s + 1
-    return np.argmax([x[a : a + ow * s : s, b : b + oh * s : s] for a in range(k) for b in range(k)], axis=0)
+    taps = [x[a : a + ow * s : s, b : b + oh * s : s] for a in range(k) for b in range(k)]
+    return np.stack(taps, axis=-1).argmax(axis=-1)  # taps last, so argmax reads them without a copy
 
 
 def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
-    """Apply layers start..stop-1 to x; returns (X(stop), activation pattern).
-
-    The pattern records each conv layer's ReLU sign field and each pool
-    layer's argmax grid, so callers can tell whether two nearby inputs
-    follow the same linear piece of the network.
+    """Apply layers start..stop-1 to a (W, H, n, 2, D) stack of n pairs of
+    copies of X(start); returns X(stop) and, per pair, whether its two copies
+    follow the same linear piece of the network: the same ReLU sign field at
+    every conv layer and the same argmax grid at every max-pool layer.
     """
-    pattern = []
-    for i in range(start, stop):
-        layer = spec.layers[i]
+    agree = np.ones(x.shape[2], dtype=bool)
+    for layer in spec.layers[start:stop]:
+        field = None
         if isinstance(layer, ConvLayer):
-            pre = apply_conv(layer, x)
+            x = apply_conv(layer, x)
             if layer.apply_relu:
-                mask = pre > 0
-                pattern.append(mask.tobytes())
-                x = np.where(mask, pre, 0.0)
-            else:
-                x = pre
+                field = x > 0
+                np.maximum(x, 0.0, out=x)
         else:
             if layer.mode == "max":
-                pattern.append(_max_pool_choice(layer, x).tobytes())
+                field = _max_pool_choice(layer, x)
             x = apply_pool(layer, x)
-    return x, tuple(pattern)
+        if field is not None:
+            agree &= (field[:, :, :, 0] == field[:, :, :, 1]).all(axis=(0, 1, 3))
+    return x, agree
 
 
-def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, coord, entries):
-    """Replay layers start..T-1 on two copies of X(start) = ``base``, with ``base[coord]``
-    set to each of ``entries`` (bumped up, then down); returns the central
-    difference of -ln f over ``2 * FD_STEP`` and whether the two patterns agree."""
-    values, patterns = [], []
-    for entry in entries:
-        x = base.copy()
-        x[coord] = entry
-        xT, pattern = _run_from(spec, x, start, T)
-        values.append(-log_likelihood(xT.mean(axis=(0, 1)), p))
-        patterns.append(pattern)
-    return (values[0] - values[1]) / (2.0 * FD_STEP), patterns[0] == patterns[1]
+def _bumped_copies(base: np.ndarray, probes) -> np.ndarray:
+    """A (W, H, n, 2, D) stack of copies of ``base``, one pair per probe
+    (coord, up, down): copy (i, 0) has ``base[coord]`` set to up, copy (i, 1)
+    to down."""
+    w, h, d = base.shape
+    stack = np.broadcast_to(base[:, :, None, None], (w, h, len(probes), 2, d)).copy()
+    for i, ((cw, ch, cd), up, down) in enumerate(probes):
+        stack[cw, ch, i, :, cd] = up, down
+    return stack
 
 
-def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connection) -> float | None:
-    """Central difference of -ln f in one connection weight of layer t, or
-    None when the probe sits at a kink.
+def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, probes) -> list:
+    """Replay layers start..T-1 on one stack, the ``_bumped_copies`` of X(start)
+    = ``base`` for ``probes``; returns, per probe, the central difference of
+    -ln f over ``2 * FD_STEP``, or None where its two copies do not follow the
+    same linear piece (the difference straddled a kink).
 
-    ``connection`` is (w, h, d, w', h', d') and must name a real kernel
-    entry feeding (w', h', d') from (w, h, d) (``ValueError`` otherwise);
-    a trace of another network raises ``ShapeError``.  The bumped weight
-    applies to the single connection only: X(t+1) is copied from the
-    forward trace, and the one entry the weight feeds is recomputed from
-    its receptive window against a kernel column with the weight changed.
-    The window is cut once per probe: its in-range part is copied into
-    zeros, which stand for the padding.  Returns None when that entry's
-    unbumped pre-activation magnitude is below ``KINK_GUARD`` or when the
-    two passes land on different linear pieces.  Only the bumped entry
-    differs from the trace, so its sign is the hop layer's whole share of
-    the activation pattern.
+    The stack is built in the call to ``_run_from``, which drops it once the
+    first layer has read it.  The pair axis sits last before D, so every conv
+    product has at least two rows and a stack of one pair rounds as a stack of
+    many does.
+    """
+    xT, agree = _run_from(spec, _bumped_copies(base, probes), start, T)
+    return [
+        (log_likelihood(down, p) - log_likelihood(up, p)) / (2.0 * FD_STEP) if same else None
+        for (up, down), same in zip(xT.mean(axis=(0, 1)), agree.tolist())
+    ]
+
+
+def _fd_probes(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, probes) -> list:
+    """``_fd_replay`` over ``probes``, a list of (coord, up, down) bumps of
+    X(start) = ``base``, in stacks of at most ``FD_STACK_ELEMENTS`` elements of
+    X(start) (a probe larger than that is a stack of one); one quotient or None
+    per probe, in order."""
+    size = max(1, FD_STACK_ELEMENTS // (2 * base.size))
+    chunks = (probes[lo : lo + size] for lo in range(0, len(probes), size))
+    return [quotient for chunk in chunks for quotient in _fd_replay(spec, base, start, T, p, chunk)]
+
+
+def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connections) -> list:
+    """Central differences of -ln f in connection weights of layer t: a list
+    with one ``float | None`` per connection, in order, None where the probe
+    sits at a kink.
+
+    Each connection is (w, h, d, w', h', d') and must name a real kernel entry
+    feeding (w', h', d') from (w, h, d); every connection is checked before
+    any replay, and one that does not exist raises ``ValueError``.  A trace of
+    another network raises ``ShapeError``.  The bumped weight applies to the
+    single connection only: X(t+1) is copied from the forward trace, and the
+    one entry the weight feeds is recomputed from its receptive window against
+    a kernel column with the weight changed.  The window is cut once per
+    probe: its in-range part is copied into zeros, which stand for the
+    padding.  A probe is None when that entry's unbumped pre-activation
+    magnitude is below ``KINK_GUARD``, when its two bumped pre-activations
+    differ in sign, or when the two passes land on different linear pieces.
+    Only the bumped entry differs from the trace, so its sign is the hop
+    layer's whole share of the activation pattern.  The probes that pass the
+    first two rules are replayed in stacks bounded by ``FD_STACK_ELEMENTS``.
     """
     T = validate_request(spec, request)
     check_trace(spec, trace)
     t = request.target_layer
     hop = spec.layers[t]
-    w, h, d, wp, hp, dp = connection
+    conn = receptive_sets(spec, t)
+    for connection in connections:
+        if not conn.connected(*connection):
+            raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
     x = trace[t]
     kw, kh, _, _ = hop.kernel.shape
-    conn = receptive_sets(spec, t)
-    if not conn.connected(w, h, d, wp, hp, dp):
-        raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
-    w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
-    w_lo, w_hi = max(w0, 0), min(w0 + kw, x.shape[0])
-    h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
-    window = np.zeros((kw, kh, x.shape[2]))
-    window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
-    if hop.apply_relu and abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < KINK_GUARD:
-        return None
-    kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
-    pres = []
-    for delta in (+FD_STEP, -FD_STEP):
-        column = hop.kernel[:, :, :, dp].copy()
-        column[kw_off, kh_off, d] += delta
-        pres.append((window * column).sum() + hop.bias[dp])
-    entries = [pre if pre > 0 or not hop.apply_relu else 0.0 for pre in pres]
-    quotient, agree = _fd_replay(spec, trace[t + 1], t + 1, T, request.p, (wp, hp, dp), entries)
-    same_sign = not hop.apply_relu or (pres[0] > 0) == (pres[1] > 0)
-    return quotient if agree and same_sign else None
+    quotients = [None] * len(connections)
+    indices, probes = [], []
+    for j, (w, h, d, wp, hp, dp) in enumerate(connections):
+        w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
+        w_lo, w_hi = max(w0, 0), min(w0 + kw, x.shape[0])
+        h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
+        window = np.zeros((kw, kh, x.shape[2]))
+        window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
+        if hop.apply_relu and abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < KINK_GUARD:
+            continue
+        kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
+        pres = []
+        for delta in (+FD_STEP, -FD_STEP):
+            column = hop.kernel[:, :, :, dp].copy()
+            column[kw_off, kh_off, d] += delta
+            pres.append((window * column).sum() + hop.bias[dp])
+        if hop.apply_relu:
+            if (pres[0] > 0) != (pres[1] > 0):
+                continue
+            pres = [pre if pre > 0 else 0.0 for pre in pres]
+        indices.append(j)
+        probes.append(((wp, hp, dp), *pres))
+    for j, quotient in zip(indices, _fd_probes(spec, trace[t + 1], t + 1, T, request.p, probes)):
+        quotients[j] = quotient
+    return quotients
 
 
 def fd_activation_score(
@@ -152,9 +195,7 @@ def fd_activation_score(
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     coord = tuple(coord)  # a list would index whole rows
-    entries = (base[coord] + FD_STEP, base[coord] - FD_STEP)
-    quotient, agree = _fd_replay(spec, base, layer_index, T, p, coord, entries)
-    return quotient if agree else None
+    return _fd_probes(spec, base, layer_index, T, p, [(coord, base[coord] + FD_STEP, base[coord] - FD_STEP)])[0]
 
 
 def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_criterion_1_gradient_correctness():
             w, h, d = sources[int(rng.integers(len(sources)))]
             sample = (w, h, d, wp, hp, dp)
             engine = connection_activeness(spec, trace, request, sample, hop_score=hop_scores[(t, sup, p)])
-            fd = fd_connection_check(spec, trace, request, sample)
+            fd = fd_connection_check(spec, trace, request, [sample])[0]
             if fd is None:
                 skipped += 1
                 continue

@@ -353,7 +353,7 @@ class TestNonTemplatePaths:
         sample = (w, h, d, wp, hp, dp)
         engine = connection_activeness(spec, trace, request, sample)
         assert engine != 0.0  # an activated-only rule would zero this out
-        fd = fd_connection_check(spec, trace, request, sample)
+        fd = fd_connection_check(spec, trace, request, [sample])[0]
         assert fd is not None
         assert abs(engine - fd) <= 1e-4 * max(abs(fd), 1e-6)
 

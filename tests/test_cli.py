@@ -275,7 +275,8 @@ class TestGradcheck:
         assert code == EXIT_VERIFY
 
     def test_nothing_compared_fails(self, model_path, monkeypatch, capsys):
-        monkeypatch.setattr("interactive.cli.fd_connection_check", lambda *args, **kwargs: None)
+        monkeypatch.setattr("interactive.cli.fd_connection_check",
+                            lambda spec, trace, request, connections: [None] * len(connections))
         code = main(["gradcheck", "--model", str(model_path), "--seed", "1", "--samples", "20"])
         assert code == EXIT_VERIFY
         out = capsys.readouterr().out
@@ -475,6 +476,7 @@ def test_seed_before_the_subcommand_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert "--seed" in err[0]
     assert not out.exists()
 
 

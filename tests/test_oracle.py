@@ -20,7 +20,7 @@ from interactive import (
     receptive_sets,
 )
 from interactive import oracle
-from interactive.activeness import backprop_score, validate_request
+from interactive.activeness import backprop_score, valid_targets, validate_request
 from interactive.net import ConvConnectivity, apply_conv
 from interactive.oracle import ENUMERATION_GUARD, FD_STEP, fd_activation_score
 
@@ -49,7 +49,7 @@ def test_fd_zero_upstream_activation(tiny_net):
     conn = receptive_sets(tiny_net, 0)
     wp, hp, dp = 3, 3, 0
     w, h, d = conn.v_set(wp, hp, dp)[0]
-    fd = fd_connection_check(tiny_net, trace, request, (w, h, d, wp, hp, dp))
+    fd = fd_connection_check(tiny_net, trace, request, [(w, h, d, wp, hp, dp)])[0]
     assert fd is not None and abs(fd) <= 1e-8
 
 
@@ -63,7 +63,7 @@ def test_fd_clamped_downstream_flat_region(tiny_net, tiny_trace):
     for w, h, d in conn.v_set(wp, hp, dp):
         x = tiny_trace[0][w, h, d]
         if margin > FD_STEP * abs(x) * 10 and abs(x) > 0.1:
-            fd = fd_connection_check(tiny_net, tiny_trace, request, (w, h, d, wp, hp, dp))
+            fd = fd_connection_check(tiny_net, tiny_trace, request, [(w, h, d, wp, hp, dp)])[0]
             assert fd is not None and abs(fd) <= 1e-8
             return
     pytest.fail("no safely clamped connection found")
@@ -82,7 +82,7 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
                 w, h, d = sources[int(rng.integers(len(sources)))]
                 sample = (w, h, d, wp, hp, dp)
                 engine = connection_activeness(tiny_net, tiny_trace, request, sample)
-                fd = fd_connection_check(tiny_net, tiny_trace, request, sample)
+                fd = fd_connection_check(tiny_net, tiny_trace, request, [sample])[0]
                 if fd is None:
                     continue
                 scale = max(abs(engine), abs(fd))
@@ -97,16 +97,16 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
 def test_fd_rejects_unconnected(tiny_net, tiny_trace):
     request = ActivenessRequest(target_layer=0, supervision="last", p=2)
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_check(tiny_net, tiny_trace, request, (0, 0, 0, 7, 7, 0))
+        fd_connection_check(tiny_net, tiny_trace, request, [(0, 0, 0, 7, 7, 0)])[0]
     # one step outside the 3x3 pad-1 window: kernel offset -1, which must not
     # wrap around to the kernel's far column and probe another weight
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_check(tiny_net, tiny_trace, request, (4, 4, 0, 6, 6, 0))
+        fd_connection_check(tiny_net, tiny_trace, request, [(4, 4, 0, 6, 6, 0)])[0]
     # on a pad-2, stride-2 conv: the tap one step into the top-left padding of
     # output (0, 0), given as its wrapped coordinate
     spec, _, trace = _padded_stride2_net()
     with pytest.raises(ValueError, match="does not exist"):
-        fd_connection_check(spec, trace, request, (8, 8, 0, 0, 0, 0))
+        fd_connection_check(spec, trace, request, [(8, 8, 0, 0, 0, 0)])[0]
 
 
 def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
@@ -120,7 +120,7 @@ def test_probe_whose_bump_crosses_the_hit_relu_is_skipped():
     )
     trace = forward(spec, np.ones((1, 1, 1)))
     request = ActivenessRequest(target_layer=0, supervision="last", p=1)
-    assert fd_connection_check(spec, trace, request, (0, 0, 0, 0, 0, 0)) is None
+    assert fd_connection_check(spec, trace, request, [(0, 0, 0, 0, 0, 0)])[0] is None
 
 
 def test_fd_step_halving_is_stable(tiny_net, tiny_trace, monkeypatch):
@@ -135,9 +135,9 @@ def test_fd_step_halving_is_stable(tiny_net, tiny_trace, monkeypatch):
         sources = conn.v_set(wp, hp, dp)
         w, h, d = sources[int(rng.integers(len(sources)))]
         sample = (w, h, d, wp, hp, dp)
-        e_h = fd_connection_check(tiny_net, tiny_trace, request, sample)
+        e_h = fd_connection_check(tiny_net, tiny_trace, request, [sample])[0]
         monkeypatch.setattr(oracle, "FD_STEP", FD_STEP / 2)
-        e_h2 = fd_connection_check(tiny_net, tiny_trace, request, sample)
+        e_h2 = fd_connection_check(tiny_net, tiny_trace, request, [sample])[0]
         monkeypatch.undo()
         if e_h is None or e_h2 is None:
             continue
@@ -174,7 +174,7 @@ class TestTraceOfAnotherNetwork:
     def test_fd_connection_check_rejects_it(self, mismatch):
         spec, _, trace = mismatch
         with pytest.raises(ShapeError, match="trace activation shapes"):
-            fd_connection_check(spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0))
+            fd_connection_check(spec, trace, ActivenessRequest(target_layer=0), [(0, 0, 0, 0, 0, 0)])[0]
 
     def test_fd_activation_score_rejects_it(self, mismatch):
         spec, _, trace = mismatch
@@ -212,9 +212,66 @@ class TestWindowCutAtTheBorder:
                 dp = int(trace[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
                 connection = (w, h, k % 3, wp, hp, dp)
                 engine = connection_activeness(spec, trace, request, connection)
-                fd = fd_connection_check(spec, trace, request, connection)
+                fd = fd_connection_check(spec, trace, request, [connection])[0]
                 assert engine != 0.0 and fd is not None
                 assert abs(engine - fd) <= 1e-6 * max(abs(engine), abs(fd)), (sup, connection, engine, fd)
+
+
+def _drawn_connections(conn, rng, count):
+    """``count`` connections drawn as gradcheck draws them: an output neuron, then one of its sources."""
+    connections = []
+    while len(connections) < count:
+        wp, hp, dp = (int(rng.integers(n)) for n in conn.out_shape)
+        sources = conn.v_set(wp, hp, dp)
+        if sources:
+            w, h, d = sources[int(rng.integers(len(sources)))]
+            connections.append((w, h, d, wp, hp, dp))
+    return connections
+
+
+class TestStackedProbes:
+    @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-2conv", "tiny-3conv", "tiny-fc"])
+    @pytest.mark.parametrize("model_seed", [0, 3])
+    def test_a_stack_equals_one_probe_calls(self, arch, model_seed, monkeypatch):
+        spec = generate_model(arch, seed=model_seed)
+        trace = forward(spec, random_input(spec, seed=model_seed))
+        rng = np.random.default_rng(model_seed)
+        for i, t in enumerate(valid_targets(spec)):
+            sup, p = CONFIGS[i % len(CONFIGS)]
+            request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
+            connections = _drawn_connections(receptive_sets(spec, t), rng, 60)
+            singles = [fd_connection_check(spec, trace, request, [c])[0] for c in connections]
+            assert any(fd is not None for fd in singles)
+            for bound in (1, 4 * trace[t + 1].size, 2**40):  # stacks of 1, 2 and all probes
+                monkeypatch.setattr(oracle, "FD_STACK_ELEMENTS", bound)
+                assert fd_connection_check(spec, trace, request, connections) == singles, (t, bound)
+
+    def test_a_pair_that_straddles_a_kink_is_none_alone(self):
+        # X(1) = (1, 2); conv-2's pre-activation at w = 0 sits 1e-6 above its kink, so a
+        # 1e-4 bump of the weight into X(1)[0] crosses it, while the one into X(1)[1] does not
+        spec = NetworkSpec(
+            layers=(
+                ConvLayer(kernel=np.ones((1, 1, 1, 1)), bias=np.zeros(1)),
+                ConvLayer(kernel=np.ones((1, 1, 1, 1)), bias=np.array([-1.0 + 1e-6])),
+            ),
+            input_shape=(2, 1, 1),
+            names=("conv-1", "conv-2"),
+        )
+        trace = forward(spec, np.array([1.0, 2.0]).reshape(2, 1, 1))
+        request = ActivenessRequest(target_layer=0, supervision="last", p=1)
+        far, kink = (1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0)
+        got = fd_connection_check(spec, trace, request, [far, kink, far])
+        single = fd_connection_check(spec, trace, request, [far])[0]
+        assert got == [single, None, single]
+        assert single == pytest.approx(1.0)  # -ln f = (X(1)[0] - 1 + 1e-6 + X(1)[1] - 1 + 1e-6) / 2, X(1)[1] = 2 w
+
+    def test_an_unconnected_connection_anywhere_raises_before_any_replay(self, tiny_net, tiny_trace, monkeypatch):
+        request = ActivenessRequest(target_layer=0, supervision="last", p=2)
+        good = _drawn_connections(receptive_sets(tiny_net, 0), np.random.default_rng(5), 4)
+        monkeypatch.setattr(oracle, "_fd_replay", lambda *args: pytest.fail("replayed before checking"))
+        for at in (0, 2, 4):
+            with pytest.raises(ValueError, match=re.escape("connection (0, 0, 0, 7, 7, 0) does not exist")):
+                fd_connection_check(tiny_net, tiny_trace, request, [*good[:at], (0, 0, 0, 7, 7, 0), *good[at:]])
 
 
 class TestEnumerateGamma:

@@ -135,15 +135,15 @@ def cmd_gen_model(args) -> int:
 
 
 def _prepare_input(img: RasterImage, spec, mean: float) -> Tensor3:
-    """Fit an image to the network input: resample, channel-fix, mean-subtract."""
+    """Fit an image to the network input: resample (one channel, for a gray one), channel-fix, mean-subtract."""
     w0, h0, d0 = spec.input_shape
-    if img.channels == 1 and d0 == 3:
-        img = RasterImage(pixels=np.repeat(img.pixels, 3, axis=2))
-    elif img.channels != d0:
+    if img.channels != d0 and (img.channels, d0) != (1, 3):
         raise ValueError(f"image has {img.channels} channels but the network expects {d0}")
     if (img.width, img.height) != (w0, h0):
         log.info("resampling %dx%d image to network input %dx%d", img.width, img.height, w0, h0)
         img = resample_to(img, w0, h0)
+    if img.channels != d0:
+        img = RasterImage(pixels=np.repeat(img.pixels, 3, axis=2))
     return to_input_tensor(img, [mean] * d0)
 
 

@@ -16,7 +16,10 @@ its first tap, in scan order, equal to ``X(i+1)``.
 Every conv and pool kernel walks its windows through ``window_taps``: one
 whole-array step per kernel offset, on a strided view of the input, never
 a loop over output positions.  Unlike im2col, whose patch matrix holds
-kw*kh copies of the input, a view copies nothing.  Zero padding
+kw*kh copies of the input, a view copies nothing.  ``apply_conv`` runs all
+its taps on one cache-sized slab of whole output columns before the next:
+each column still gets one product per tap, the same terms in the same
+order, so the bits do not depend on the slab size.  Zero padding
 contributes zero terms only; padded positions are not neurons and never
 appear in connectivity sets.
 
@@ -193,8 +196,11 @@ def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
             yield a, b, (slice(a, a + ow * stride, stride), slice(b, b + oh * stride, stride))
 
 
+CONV_SLAB_ELEMENTS = 1 << 16  # most float64 values in a conv output slab: 512 KB, in a core's L2
+
+
 def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Pre-activation conv output for a (W, H, *batch, D) array."""
+    """Pre-activation conv output for a (W, H, *batch, D) array, in slabs of whole output columns."""
     kw, kh, _, dout = layer.kernel.shape
     s, p = layer.stride, layer.padding
     ow, oh = _out_dim(x.shape[0], kw, s, p), _out_dim(x.shape[1], kh, s, p)
@@ -203,9 +209,12 @@ def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
         xp = np.zeros((x.shape[0] + 2 * p, x.shape[1] + 2 * p, *x.shape[2:]), x.dtype)
         xp[p:-p, p:-p] = x
     out = np.zeros((ow, oh, *x.shape[2:-1], dout))
-    for a, b, tap in window_taps(kw, kh, s, ow, oh):
-        out += xp[tap] @ layer.kernel[a, b]
-    out += layer.bias
+    cols = max(1, CONV_SLAB_ELEMENTS // max(1, out[0].size))
+    for lo in range(0, ow, cols):
+        slab, xs = out[lo : lo + cols], xp[lo * s :]
+        for a, b, tap in window_taps(kw, kh, s, len(slab), oh):
+            slab += xs[tap] @ layer.kernel[a, b]
+        slab += layer.bias
     return out
 
 

@@ -20,9 +20,10 @@ from interactive import (
 )
 from interactive.activeness import gamma_stacks, valid_targets
 from interactive.cli import (
-    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, build_parser, main
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, _prepare_input, build_parser, main
 )
 from interactive.evalharness import toy_image
+from interactive.image import resample_to, to_input_tensor
 
 # ``activeness`` outputs of a 16x16 toy-cnn (seed 0) on the first toy image,
 # keyed "layer/config/p": the f32 feature values and the heatmap rows as hex
@@ -240,6 +241,30 @@ class TestActiveness:
                 code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", *flag)
                 results.append((code, capsys.readouterr().err))
             assert results[0] == results[1] == (EXIT_USAGE, message)
+
+    @pytest.mark.parametrize("w, h", [(5, 400), (100, 37), (222, 226), (300, 500), (224, 224)])
+    def test_gray_image_is_resampled_before_its_channel_is_tripled(self, w, h):
+        """Resampling treats each channel on its own, so a gray image resampled
+        and then tripled is, byte for byte, the tripled image resampled."""
+        spec = NetworkSpec(layers=(), input_shape=(224, 224, 3), names=())
+        gray = RasterImage(pixels=np.random.default_rng(w * h).integers(0, 256, size=(h, w, 1), dtype=np.uint8))
+        tripled = RasterImage(pixels=np.repeat(gray.pixels, 3, axis=2))
+        want = to_input_tensor(resample_to(tripled, 224, 224), [128.0] * 3).array
+        got = _prepare_input(gray, spec, 128.0).array
+        assert got.shape == want.shape == (224, 224, 3)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("image_channels, net_channels", [(1, 2), (3, 1), (3, 2)])
+    def test_channel_mismatch_exits_2_with_one_line(self, tmp_path, capsys, image_channels, net_channels):
+        model = tmp_path / "m.model"
+        save_model(generate_model("tiny-2conv", seed=7, input_shape=(8, 8, net_channels)), model)
+        image = tmp_path / "img.ppm"
+        write_image(RasterImage(pixels=np.zeros((10, 12, image_channels), dtype=np.uint8)), image)
+        code, _, _ = self.run(model, image, tmp_path, "--layer", "pool-1")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: image has {image_channels} channels but the network expects {net_channels}\n"
+        )
 
     def test_missing_model_exits_3(self, tmp_path, image_path):
         code, _, _ = self.run(tmp_path / "absent.model", image_path, tmp_path, "--layer", "pool-1")

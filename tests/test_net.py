@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from interactive import (
     forward,
     receptive_sets,
 )
+from interactive import net
 from interactive.activeness import _conv_backward_input, _gamma_hop, _pool_backward
 from interactive.net import ConvConnectivity, apply_conv, apply_pool
 from interactive.oracle import _max_pool_choice
@@ -261,6 +263,65 @@ def test_conv_padding_equals_np_pad_bitwise(padding, shape):
     got = apply_conv(layer, x)
     assert got.shape == reference.shape and got.dtype == reference.dtype
     assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+def whole_array_conv(layer, x):
+    """The tap loop over the whole output: one full-size product per tap, then the bias."""
+    kw, kh, _, dout = layer.kernel.shape
+    s, p = layer.stride, layer.padding
+    xp = np.pad(x, ((p, p), (p, p)) + ((0, 0),) * (x.ndim - 2))
+    ow, oh = (xp.shape[0] - kw) // s + 1, (xp.shape[1] - kh) // s + 1
+    out = np.zeros((ow, oh, *x.shape[2:-1], dout))
+    for a in range(kw):
+        for b in range(kh):
+            out += xp[a : a + ow * s : s, b : b + oh * s : s] @ layer.kernel[a, b]
+    out += layer.bias
+    return out
+
+
+def test_conv_slabs_keep_the_bits(monkeypatch):
+    """Cutting the output into column slabs changes no bit: slabs one column
+    wide, ragged ones (the last one shorter) and one whole slab all give the
+    whole-array tap loop, for any stride, padding and batch axes, and for
+    full-extent kernels.  An empty stack gives an empty output."""
+    rng = np.random.default_rng(67)
+    for case in range(60):
+        stride, padding = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        din, dout = (int(v) for v in rng.integers(1, 5, size=2))
+        batch = tuple(int(v) for v in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+        W, H = (int(v) for v in rng.integers(1, 12, size=2))
+        if case % 5 == 4:  # full extent: one output column
+            kw, kh = W + 2 * padding, H + 2 * padding
+        else:
+            kw, kh = (int(v) for v in rng.integers(1, 4, size=2))
+            W, H = max(W, kw) + 2 * stride, max(H, kh)
+        layer = ConvLayer(kernel=rng.standard_normal((kw, kh, din, dout)), bias=rng.standard_normal(dout),
+                          stride=stride, padding=padding)
+        x = rng.standard_normal((W, H, *batch, din))
+        want = whole_array_conv(layer, x)
+        ow, column = want.shape[0], want[0].size
+        for budget in (column, ow * column - 1, ow * column):  # 1 column; ow - 1 columns, then 1; all
+            monkeypatch.setattr(net, "CONV_SLAB_ELEMENTS", budget)
+            got = apply_conv(layer, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+    layer = ConvLayer(kernel=rng.standard_normal((3, 3, 2, 4)), bias=rng.standard_normal(4), padding=1)
+    assert apply_conv(layer, np.zeros((6, 5, 0, 2))).shape == (6, 5, 0, 4)
+
+
+def test_conv_slabs_bound_the_peak_memory():
+    """At 224x224x3 -> 6 no full-size per-tap product is made: the conv's peak
+    stays under its output, its padded input and two slabs."""
+    rng = np.random.default_rng(71)
+    layer = ConvLayer(kernel=rng.standard_normal((3, 3, 3, 6)), bias=rng.standard_normal(6), padding=1)
+    x = rng.standard_normal((224, 224, 3))
+    tracemalloc.start()
+    try:
+        apply_conv(layer, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (224 * 224 * 6 + 226 * 226 * 3 + 2 * net.CONV_SLAB_ELEMENTS)
 
 
 def test_forward_is_deterministic_bitwise(tiny_net):

@@ -31,6 +31,7 @@ unchanged.  A single image is the case with no batch axes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -269,7 +270,9 @@ class ConvConnectivity:
 
     For the layer consuming X(t) and producing X(t+1), ``u_set`` lists the
     downstream consumers of an input neuron and ``v_set`` the upstream
-    sources of an output neuron.  Padded positions are skipped.
+    sources of an output neuron.  Padded positions are skipped.  Every
+    channel of one (w, h) shares the consumer tuples built on its first
+    query; each ``u_set`` call returns a fresh list of them.
     """
 
     in_shape: tuple[int, int, int]
@@ -287,11 +290,7 @@ class ConvConnectivity:
     def u_set(self, w: int, h: int, d: int) -> list[tuple[int, int, int]]:
         """Downstream (t+1)-layer neurons reading input neuron (w, h, d)."""
         self._check_in(w, h, d)
-        return list(itertools.product(
-            self._covering(w, self.kernel_w, self.out_shape[0]),
-            self._covering(h, self.kernel_h, self.out_shape[1]),
-            range(self.out_shape[2]),
-        ))
+        return list(_consumers(self, w, h))
 
     def v_set(self, wp: int, hp: int, dp: int) -> list[tuple[int, int, int]]:
         """Upstream t-layer neurons feeding output neuron (wp, hp, dp)."""
@@ -339,6 +338,16 @@ class ConvConnectivity:
             0 <= wp < self.out_shape[0] and 0 <= hp < self.out_shape[1] and 0 <= dp < self.out_shape[2]
         ):
             raise IndexError(f"output neuron ({wp},{hp},{dp}) outside {self.out_shape}")
+
+
+@functools.lru_cache(maxsize=1)
+def _consumers(conn: ConvConnectivity, w: int, h: int) -> tuple[tuple[int, int, int], ...]:
+    """The (w, h) consumer tuples of ``u_set``; a walk asks for every channel of one (w, h) in a row."""
+    return tuple(itertools.product(
+        conn._covering(w, conn.kernel_w, conn.out_shape[0]),
+        conn._covering(h, conn.kernel_h, conn.out_shape[1]),
+        range(conn.out_shape[2]),
+    ))
 
 
 def receptive_sets(spec: NetworkSpec, t: int) -> ConvConnectivity:

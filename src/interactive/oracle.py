@@ -212,9 +212,9 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
     the one walked last at the same (w, h) is not walked again: its channel
     reuses that walk's K sums, the same terms in the same order.  Memory: the
     K score arrays at X(t+1) in numpy, plus, as Python lists, only the w'
-    slabs that the current input column reads.  Asymptotically slow; guarded
-    against nets with more than ``ENUMERATION_GUARD`` connections through
-    the hop layer.
+    slabs that the current input column reads and the one U-set ``u_set``
+    keeps for the current (w, h).  Asymptotically slow; guarded against nets
+    with more than ``ENUMERATION_GUARD`` connections through the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
     check_trace(spec, trace)

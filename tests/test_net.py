@@ -392,6 +392,28 @@ def test_receptive_sets_interior_and_corner():
     assert len(conn0.u_set(0, 0, 0)) < len(conn0.u_set(3, 3, 0))
 
 
+def test_u_set_lists_are_fresh_and_every_call_is_checked():
+    conn = ConvConnectivity(in_shape=(6, 6, 2), out_shape=(6, 6, 4), kernel_w=3, kernel_h=3, stride=1, padding=1)
+    first = conn.u_set(3, 3, 0)
+    expected = list(first)
+    first.clear()
+    assert conn.u_set(3, 3, 0) == expected
+    second = conn.u_set(3, 3, 1)
+    second.append((0, 0, 0))
+    assert conn.u_set(3, 3, 1) == expected
+    with pytest.raises(IndexError, match=r"input neuron \(3,3,2\)"):
+        conn.u_set(3, 3, 2)  # D is 2: the position's earlier answers do not cover it
+
+
+def test_u_set_channels_of_one_position_share_their_consumer_tuples():
+    # what lets a walk compare two channels' sets by identity, item by item
+    conn = ConvConnectivity(in_shape=(6, 6, 2), out_shape=(6, 6, 4), kernel_w=3, kernel_h=3, stride=1, padding=1)
+    u0, u1 = conn.u_set(2, 4, 0), conn.u_set(2, 4, 1)
+    assert u0 is not u1
+    assert len(u0) == len(u1) == 9 * 4
+    assert all(a is b for a, b in zip(u0, u1))
+
+
 def test_uv_duality(tiny_net):
     rng = np.random.default_rng(17)
     shapes = tiny_net.shapes
@@ -633,6 +655,16 @@ def test_connection_count_matches_literal_count():
 
 
 def test_v_set_matches_literal_nested_loops():
+    # u_set is held to its own literal loop on the same geometries
+    def literal_u_set(conn, w, h):
+        out = []
+        for wp in range(conn.out_shape[0]):
+            if 0 <= w - wp * conn.stride + conn.padding < conn.kernel_w:
+                for hp in range(conn.out_shape[1]):
+                    if 0 <= h - hp * conn.stride + conn.padding < conn.kernel_h:
+                        out.extend((wp, hp, dp) for dp in range(conn.out_shape[2]))
+        return out
+
     def literal_v_set(conn, wp, hp):
         out = []
         for a in range(conn.kernel_w):
@@ -660,5 +692,11 @@ def test_v_set_matches_literal_nested_loops():
                         for hp in range(oh):
                             for dp in range(3):
                                 assert conn.v_set(wp, hp, dp) == literal_v_set(conn, wp, hp)
+                    # forward, then back: the visits return to positions left earlier, and
+                    # each geometry ends at (0, 0), where the next one starts
+                    positions = [(w, h) for w in range(W) for h in range(H)]
+                    for w, h in positions + positions[::-1]:
+                        for d in range(2):
+                            assert conn.u_set(w, h, d) == literal_u_set(conn, w, h)
                     geometries += 1
     assert geometries > 150

@@ -275,37 +275,28 @@ def gamma_stacks(spec: NetworkSpec, trace: tuple, targets: list[int], configs) -
     return stacks
 
 
-def connection_activeness(
-    spec: NetworkSpec,
-    trace: tuple,
-    request: ActivenessRequest,
-    sample: tuple[int, int, int, int, int, int],
-    hop_score: np.ndarray | None = None,
-) -> float:
-    """Activeness of one connection (w, h, d) -> (w', h', d') through layer t.
+def connection_activeness(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connections) -> list:
+    """Activeness of connections (w, h, d) -> (w', h', d') through layer t: a
+    list with one float per connection, in order.
 
-    Returns x(t)[w,h,d] * alpha, where alpha multiplies the activated
-    indicator of the downstream neuron, the connectedness indicator and
-    the backpropagated score at the downstream neuron.  Unconnected
-    coordinate pairs yield 0.0; out-of-range coordinates raise.
-    ``hop_score`` may carry a precomputed score at X(t+1) to amortize
-    sweeps over many connections: any array indexed ``[w', h', d']``.  The
-    trace is checked on every call, with or without it.
+    Each is x(t)[w,h,d] * alpha, where alpha multiplies the activated
+    indicator of the downstream neuron, the connectedness indicator and the
+    backpropagated score at the downstream neuron.  An unconnected pair yields
+    0.0.  The request is checked once, and every connection's coordinates
+    before the sweep: one out of range raises ``IndexError``.  Then one
+    ``backprop_score`` call, which checks the trace, gives the score at
+    X(t+1) for the whole list.
     """
     T = validate_request(spec, request)
-    check_trace(spec, trace)
     t = request.target_layer
-    w, h, d, wp, hp, dp = sample
     conn = receptive_sets(spec, t)
-    if not conn.connected(w, h, d, wp, hp, dp):
-        return 0.0
-    if hop_score is None:
-        hop_score = backprop_score(spec, trace, T, request.p, t + 1)
-    hop = spec.layers[t]
-    if hop.apply_relu and not trace[t + 1][wp, hp, dp] > 0:
-        return 0.0
-    alpha = hop_score[wp, hp, dp]
-    return float(trace[t][w, h, d] * alpha)
+    linked = [conn.connected(*connection) for connection in connections]
+    score = backprop_score(spec, trace, T, request.p, t + 1)
+    relu = spec.layers[t].apply_relu
+    return [
+        float(trace[t][w, h, d] * score[wp, hp, dp]) if ok and (not relu or trace[t + 1][wp, hp, dp] > 0) else 0.0
+        for ok, (w, h, d, wp, hp, dp) in zip(linked, connections)
+    ]
 
 
 def neuron_activeness(

@@ -195,7 +195,7 @@ def cmd_gradcheck(args) -> int:
     # this order, not WEIGHTED_CONFIGS', picks each probe's config (j % 4); golden records and bench reference pin it
     combos = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
 
-    # one pass gives every target's hop scores and gamma, the combos on axis 2, as in toybench;
+    # one pass gives every target's gamma, the combos on axis 2, as in toybench;
     # one literal walk per target gives all four configs
     stacks = gamma_stacks(spec, trace, targets, combos)
     enum_max = max(
@@ -203,7 +203,7 @@ def cmd_gradcheck(args) -> int:
     )
 
     # every probe is drawn first, in the order one-by-one probing drew them, then the
-    # probes of each (target, config) go to one finite-difference call
+    # probes of each (target, config) go to one engine call and one finite-difference call
     groups = {}
     for j in range(args.samples):
         t = sampled[int(rng.integers(len(sampled)))]
@@ -222,12 +222,12 @@ def cmd_gradcheck(args) -> int:
     for (t, k), connections in groups.items():
         sup, p = combos[k]
         request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-        for connection, fd in zip(connections, fd_connection_check(spec, trace, request, connections)):
+        engines = connection_activeness(spec, trace, request, connections)
+        for engine, fd in zip(engines, fd_connection_check(spec, trace, request, connections)):
             if fd is None:
                 skipped += 1
                 continue
             compared += 1
-            engine = connection_activeness(spec, trace, request, connection, hop_score=stacks[t][0][:, :, k])
             scale = max(abs(engine), abs(fd))
             if scale <= 1e-6:
                 max_small_abs = max(max_small_abs, abs(engine - fd))

@@ -178,5 +178,5 @@ def to_input_tensor(img: RasterImage, mean) -> Tensor3:
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     if mean.size != img.channels:
         raise ValueError(f"{mean.size} means for {img.channels} channels")
-    arr = img.pixels.astype(np.float64).transpose(1, 0, 2) - mean
+    arr = img.pixels.transpose(1, 0, 2) - mean
     return Tensor3.from_array(arr)

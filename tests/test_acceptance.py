@@ -16,7 +16,6 @@ import pytest
 import interactive
 from interactive import (
     ActivenessRequest,
-    backprop_score,
     connection_activeness,
     enumerate_gamma,
     forward,
@@ -27,7 +26,7 @@ from interactive import (
     receptive_sets,
     save_model,
 )
-from interactive.activeness import valid_targets, validate_request
+from interactive.activeness import valid_targets
 from interactive.image import resize_dims
 from interactive.oracle import fd_connection_check
 
@@ -61,36 +60,33 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for arch, seed, spec, trace in seeded_nets():
         targets = valid_targets(spec)
-        hop_scores = {}
-        for t in targets:
-            for sup, p in COMBOS:
-                request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
-                T = validate_request(spec, request)
-                hop_scores[(t, sup, p)] = backprop_score(spec, trace, T, p, t + 1)
         rng = np.random.default_rng(seed + 900)
-        compared = skipped = 0
+        groups = {}
         for j in range(200):
             sup, p = COMBOS[j % 4]
             t = targets[j % len(targets)]
-            request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
             conn = receptive_sets(spec, t)
             wp, hp, dp = (int(rng.integers(s)) for s in conn.out_shape)
             sources = conn.v_set(wp, hp, dp)
             w, h, d = sources[int(rng.integers(len(sources)))]
-            sample = (w, h, d, wp, hp, dp)
-            engine = connection_activeness(spec, trace, request, sample, hop_score=hop_scores[(t, sup, p)])
-            fd = fd_connection_check(spec, trace, request, [sample])[0]
-            if fd is None:
-                skipped += 1
-                continue
-            compared += 1
-            scale = max(abs(engine), abs(fd))
-            if scale > 1e-6:
-                rel = abs(engine - fd) / scale
-                worst = max(worst, rel)
-                assert rel <= 1e-4, f"{arch} seed {seed}: rel err {rel:.3e} at {sample} ({sup}, p={p})"
-            else:
-                assert abs(engine - fd) <= 1e-7
+            groups.setdefault((t, sup, p), []).append((w, h, d, wp, hp, dp))
+        compared = skipped = 0
+        for (t, sup, p), samples in groups.items():
+            request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
+            engines = connection_activeness(spec, trace, request, samples)
+            fds = fd_connection_check(spec, trace, request, samples)
+            for sample, engine, fd in zip(samples, engines, fds):
+                if fd is None:
+                    skipped += 1
+                    continue
+                compared += 1
+                scale = max(abs(engine), abs(fd))
+                if scale > 1e-6:
+                    rel = abs(engine - fd) / scale
+                    worst = max(worst, rel)
+                    assert rel <= 1e-4, f"{arch} seed {seed}: rel err {rel:.3e} at {sample} ({sup}, p={p})"
+                else:
+                    assert abs(engine - fd) <= 1e-7
         assert compared >= 150, f"only {compared} comparable samples ({skipped} kink-skipped)"
     elapsed = time.monotonic() - t_start
     assert elapsed <= 60.0, f"gradient check took {elapsed:.1f}s"
@@ -140,14 +136,10 @@ def test_criterion_4_structural_identity():
                 assert np.array_equal(
                     result.activeness, trace[t] * result.gamma
                 )
-                T = validate_request(spec, request)
-                hop_score = backprop_score(spec, trace, T, p, t + 1)
                 for _ in range(4):
                     w, h, d = (int(rng.integers(s)) for s in conn.in_shape)
-                    total = sum(
-                        connection_activeness(spec, trace, request, (w, h, d, wp, hp, dp), hop_score=hop_score)
-                        for wp, hp, dp in conn.u_set(w, h, d)
-                    )
+                    connections = [(w, h, d, wp, hp, dp) for wp, hp, dp in conn.u_set(w, h, d)]
+                    total = sum(connection_activeness(spec, trace, request, connections))
                     assert abs(total - result.activeness[w, h, d]) <= 1e-12
     print("\n[PASS] criterion 4: structural identity (exact product, U-sum <= 1e-12)")
 

@@ -140,11 +140,7 @@ class TestTraceBoundary:
         "neuron_activeness": lambda spec, trace: neuron_activeness(spec, trace, ActivenessRequest(target_layer=0)),
         "backprop_score": lambda spec, trace: backprop_score(spec, trace, T=2, p=2, down_to=0),
         "connection_activeness": lambda spec, trace: connection_activeness(
-            spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0)
-        ),
-        # the path gradcheck takes: the score at X(t+1) comes precomputed
-        "connection_activeness/hop_score": lambda spec, trace: connection_activeness(
-            spec, trace, ActivenessRequest(target_layer=0), (0, 0, 0, 0, 0, 0), hop_score=np.ones((1, 1, 1))
+            spec, trace, ActivenessRequest(target_layer=0), [(0, 0, 0, 0, 0, 0)]
         ),
         "enumerate_gamma": lambda spec, trace: enumerate_gamma(spec, trace, 0, [("last", 2)]),
     }
@@ -175,7 +171,7 @@ class TestConnectionActiveness:
         conn = receptive_sets(tiny_net, 0)
         wp, hp, dp = 2, 2, 1
         w, h, d = conn.v_set(wp, hp, dp)[0]
-        assert connection_activeness(tiny_net, trace, request, (w, h, d, wp, hp, dp)) == 0.0
+        assert connection_activeness(tiny_net, trace, request, [(w, h, d, wp, hp, dp)]) == [0.0]
 
     def test_clamped_downstream_neuron(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
@@ -184,17 +180,74 @@ class TestConnectionActiveness:
         assert pre[wp, hp, dp] < 0
         conn = receptive_sets(tiny_net, 0)
         w, h, d = conn.v_set(wp, hp, dp)[0]
-        assert connection_activeness(tiny_net, tiny_trace, request, (w, h, d, wp, hp, dp)) == 0.0
+        assert connection_activeness(tiny_net, tiny_trace, request, [(w, h, d, wp, hp, dp)]) == [0.0]
 
     def test_unconnected_pair_is_zero_not_error(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
         # 3x3 pad-1 conv: (0,0) and output (7,7) are far apart
-        assert connection_activeness(tiny_net, tiny_trace, request, (0, 0, 0, 7, 7, 0)) == 0.0
+        assert connection_activeness(tiny_net, tiny_trace, request, [(0, 0, 0, 7, 7, 0)]) == [0.0]
 
     def test_out_of_range_raises(self, tiny_net, tiny_trace):
         request = ActivenessRequest(target_layer=0, supervision="last", p=2)
         with pytest.raises(IndexError):
-            connection_activeness(tiny_net, tiny_trace, request, (0, 0, 0, 8, 0, 0))
+            connection_activeness(tiny_net, tiny_trace, request, [(0, 0, 0, 8, 0, 0)])
+
+
+class TestConnectionGroup:
+    """``connection_activeness`` takes a list of connections and sweeps once for all of them."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return reverse_sweep(*args, **kwargs)
+
+        monkeypatch.setattr("interactive.activeness.reverse_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_one_sweep_per_call(self, tiny_net, tiny_trace, sweeps, n):
+        request = ActivenessRequest(target_layer=0, supervision="last", p=2)
+        conn = receptive_sets(tiny_net, 0)
+        connections = [(*conn.v_set(wp, 3, 1)[0], wp, 3, 1) for wp in range(8)] * 5
+        values = connection_activeness(tiny_net, tiny_trace, request, connections[:n])
+        assert len(values) == n and len(sweeps) == 1
+
+    @pytest.mark.parametrize("t, sup", [(0, "last"), (2, "last"), (2, "next")])
+    def test_values_in_order(self, tiny_net, tiny_trace, t, sup):
+        request = ActivenessRequest(target_layer=t, supervision=sup, p=2)
+        score = backprop_score(tiny_net, tiny_trace, validate_request(tiny_net, request), 2, t + 1)
+        conn = receptive_sets(tiny_net, t)
+        x, active = tiny_trace[t], tiny_trace[t + 1] > 0
+        rng = np.random.default_rng(t)
+        connections, want = [], []
+        while len(connections) < 60:
+            wp, hp, dp = (int(rng.integers(n)) for n in conn.out_shape)
+            if not active[wp, hp, dp]:
+                continue
+            sources = conn.v_set(wp, hp, dp)
+            w, h, d = sources[int(rng.integers(len(sources)))]
+            connections.append((w, h, d, wp, hp, dp))
+            want.append(float(x[w, h, d] * score[wp, hp, dp]))
+            far = (conn.in_shape[0] - 1 - w, conn.in_shape[1] - 1 - h, d, wp, hp, dp)
+            if not conn.connected(*far):
+                connections.append(far)
+                want.append(0.0)
+        assert 0.0 in want and len(set(want)) > 10
+        assert connection_activeness(tiny_net, tiny_trace, request, connections) == want
+
+    @pytest.mark.parametrize("bad", [(0, 0, 0, 8, 0, 0), (0, 0, 3, 0, 0, 0), (-1, 0, 0, 0, 0, 0)])
+    def test_out_of_range_anywhere_raises_before_the_sweep(self, tiny_net, tiny_trace, sweeps, bad):
+        request = ActivenessRequest(target_layer=0, supervision="last", p=2)
+        with pytest.raises(IndexError):
+            connection_activeness(tiny_net, tiny_trace, request, [(0, 0, 0, 0, 0, 0)] * 5 + [bad])
+        assert sweeps == []
+
+    def test_empty_list(self, tiny_net, tiny_trace):
+        request = ActivenessRequest(target_layer=0, supervision="last", p=2)
+        assert connection_activeness(tiny_net, tiny_trace, request, []) == []
 
 
 class TestNeuronActiveness:
@@ -238,17 +291,11 @@ class TestNeuronActiveness:
         for t in (0, 2):
             conn = receptive_sets(tiny_net, t)
             request = ActivenessRequest(target_layer=t, supervision="last", p=2)
-            T = validate_request(tiny_net, request)
-            hop_score = backprop_score(tiny_net, tiny_trace, T, request.p, t + 1)
             result = neuron_activeness(tiny_net, tiny_trace, request)
             for _ in range(10):
                 w, h, d = (int(rng.integers(s)) for s in conn.in_shape)
-                total = sum(
-                    connection_activeness(
-                        tiny_net, tiny_trace, request, (w, h, d, wp, hp, dp), hop_score=hop_score
-                    )
-                    for wp, hp, dp in conn.u_set(w, h, d)
-                )
+                connections = [(w, h, d, wp, hp, dp) for wp, hp, dp in conn.u_set(w, h, d)]
+                total = sum(connection_activeness(tiny_net, tiny_trace, request, connections))
                 assert abs(total - result.activeness[w, h, d]) <= 1e-12
 
     def test_next_gamma_nonnegative(self, tiny_net):
@@ -351,7 +398,7 @@ class TestNonTemplatePaths:
         wp, hp, dp = map(int, np.unravel_index(post.argmin(), post.shape))
         w, h, d = conn.v_set(wp, hp, dp)[0]
         sample = (w, h, d, wp, hp, dp)
-        engine = connection_activeness(spec, trace, request, sample)
+        [engine] = connection_activeness(spec, trace, request, [sample])
         assert engine != 0.0  # an activated-only rule would zero this out
         fd = fd_connection_check(spec, trace, request, [sample])[0]
         assert fd is not None

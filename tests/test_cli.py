@@ -235,7 +235,8 @@ class TestActiveness:
         model = tmp_path / "toy.model"
         save_model(generate_model("toy-cnn", seed=3), model)
         for mean, message in (("-1e308", "error: layer conv-1: output contains NaN or Inf\n"),
-                              ("-inf", "error: tensor data contains NaN or Inf\n")):
+                              ("-inf", "error: tensor data contains NaN or Inf\n"),
+                              ("nan", "error: tensor data contains NaN or Inf\n")):
             results = []
             for flag in ([f"--mean={mean}"], ["--mean", mean]):
                 code, _, _ = self.run(model, image_path, tmp_path, "--layer", "input", *flag)
@@ -295,7 +296,7 @@ class TestGradcheck:
 
     def test_corrupted_hop_fails(self, model_path, monkeypatch):
         monkeypatch.setattr("interactive.cli.connection_activeness",
-                            lambda *args, **kwargs: connection_activeness(*args, **kwargs) * (1.0 + 1e-3))
+                            lambda *args: [value * (1.0 + 1e-3) for value in connection_activeness(*args)])
         code = main(["gradcheck", "--model", str(model_path), "--seed", "1", "--samples", "150"])
         assert code == EXIT_VERIFY
 

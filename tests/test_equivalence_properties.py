@@ -103,4 +103,4 @@ def test_connection_activeness_matches_connection_probe(net, data):
         w, h, d = data.draw(st.sampled_from(conn.v_set(wp, hp, dp)), label="source")
         connection = (w, h, d, wp, hp, dp)
         fd = fd_connection_check(spec, trace, request, [connection])[0]
-        assert fd is None or _agree(connection_activeness(spec, trace, request, connection), fd), connection
+        assert fd is None or _agree(connection_activeness(spec, trace, request, [connection])[0], fd), connection

@@ -196,6 +196,8 @@ class TestToInputTensor:
         img = gradient_image(3, 2, 1, seed=8)
         t = to_input_tensor(img, [0.0])
         assert t.shape == (3, 2, 1)
+        # the transposed pixels are copied into C order: a conv without padding reads them in place
+        assert t.array.flags.c_contiguous and not t.array.flags.writeable
         for w in range(3):
             for h in range(2):
                 assert t.array[w, h, 0] == float(img.pixels[h, w, 0])

@@ -76,13 +76,14 @@ def test_fd_matches_engine_on_random_net(tiny_net, tiny_trace):
         for p in (1, 2):
             request = ActivenessRequest(target_layer=0, supervision=sup, p=p)
             conn = receptive_sets(tiny_net, 0)
+            samples = []
             for _ in range(15):
                 wp, hp, dp = (int(rng.integers(s)) for s in conn.out_shape)
                 sources = conn.v_set(wp, hp, dp)
                 w, h, d = sources[int(rng.integers(len(sources)))]
-                sample = (w, h, d, wp, hp, dp)
-                engine = connection_activeness(tiny_net, tiny_trace, request, sample)
-                fd = fd_connection_check(tiny_net, tiny_trace, request, [sample])[0]
+                samples.append((w, h, d, wp, hp, dp))
+            engines = connection_activeness(tiny_net, tiny_trace, request, samples)
+            for engine, fd in zip(engines, fd_connection_check(tiny_net, tiny_trace, request, samples)):
                 if fd is None:
                     continue
                 scale = max(abs(engine), abs(fd))
@@ -206,13 +207,15 @@ class TestWindowCutAtTheBorder:
         assert len(positions) == 16
         for sup, p in (("next", 2), ("last", 2)):
             request = ActivenessRequest(target_layer=0, supervision=sup, p=p)
+            connections = []
             for k, (wp, hp, w0, h0) in enumerate(positions):
                 w = self._corner(w0, conn.kernel_w, conn.in_shape[0])
                 h = self._corner(h0, conn.kernel_h, conn.in_shape[1])
                 dp = int(trace[1][wp, hp].argmax())  # an active consumer, so both sides are nonzero
-                connection = (w, h, k % 3, wp, hp, dp)
-                engine = connection_activeness(spec, trace, request, connection)
-                fd = fd_connection_check(spec, trace, request, [connection])[0]
+                connections.append((w, h, k % 3, wp, hp, dp))
+            engines = connection_activeness(spec, trace, request, connections)
+            fds = fd_connection_check(spec, trace, request, connections)
+            for connection, engine, fd in zip(connections, engines, fds):
                 assert engine != 0.0 and fd is not None
                 assert abs(engine - fd) <= 1e-6 * max(abs(engine), abs(fd)), (sup, connection, engine, fd)
 

@@ -42,7 +42,8 @@ def test_no_traced_name_is_a_generator_function():
 
 
 def test_tracer_sees_toybench_forward(tmp_path):
-    # toybench's batched path must call ``forward`` by the name the tracer wraps
+    # toybench's batched path must call ``forward``, and ``to_input_tensor`` must
+    # build its tensor through ``Tensor3.from_array``, by the names the tracer wraps
     model = tmp_path / "m.model"
     save_model(generate_model("tiny-2conv", seed=7), model)
     tracer = _load_tracing().Tracer()
@@ -51,7 +52,7 @@ def test_tracer_sees_toybench_forward(tmp_path):
         assert main(["toybench", "--model", str(model), "--out", str(tmp_path / "r.txt")]) == 0
     finally:
         tracer.uninstall()
-    assert "net.forward" in {span[0] for span in tracer.spans}
+    assert {"net.forward", "tensor.from_array"} <= {span[0] for span in tracer.spans}
 
 
 def _unused_imports(source: str) -> set[str]:

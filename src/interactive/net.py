@@ -200,10 +200,11 @@ def window_taps(kw: int, kh: int, stride: int, ow: int, oh: int):
 CONV_SLAB_ELEMENTS = 1 << 16  # most float64 values in a conv output slab: 512 KB, in a core's L2
 
 
-def apply_conv(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Pre-activation conv output for a (W, H, *batch, D) array, in slabs of whole output columns."""
+def apply_conv(layer: ConvLayer, x: np.ndarray, padding: int | None = None) -> np.ndarray:
+    """Pre-activation conv output for a (W, H, *batch, D) array, in slabs of whole output columns.
+    ``padding``, when given, replaces the layer's (0 runs a block cut from an already padded input)."""
     kw, kh, _, dout = layer.kernel.shape
-    s, p = layer.stride, layer.padding
+    s, p = layer.stride, layer.padding if padding is None else padding
     ow, oh = _out_dim(x.shape[0], kw, s, p), _out_dim(x.shape[1], kh, s, p)
     xp = x
     if p:

@@ -8,7 +8,9 @@ activation on a bumped-up and a bumped-down copy per probe, and
 differentiate the ln f the engine reports (``log_likelihood``); they never
 use the engine's backward path.  One replay helper runs the copies of many
 probes as one stack on the forward kernels' batch axes, bounded by
-``FD_STACK_ELEMENTS``; a single probe is a stack of one.
+``FD_STACK_ELEMENTS``; a single probe is a stack of one.  A probe replays
+only its downstream cone: per layer, the box of outputs its bump can change,
+from the region of the trace they read with the changed box below pasted in.
 
 ``enumerate_gamma`` checks the hop: for each requested (supervision, p)
 config it takes the engine's score at X(t+1) (``backprop_score``), then
@@ -30,6 +32,8 @@ discarded: the difference quotient straddled a kink.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .activeness import ActivenessRequest, backprop_score, check_trace, log_likelihood, validate_request
@@ -38,10 +42,11 @@ from .net import forward  # noqa: F401 -- not called here; the benchmark's trace
 
 ENUMERATION_GUARD = 10**7
 FD_STEP = 1e-4  # central-difference step, in weight or activation units
-# Bound of one stacked FD replay, in elements of X(start) over all its bumped
-# copies: 2^13 float64 (64 KB) keeps the replay's temporaries small, so a large
-# model replays its probes a few at a time instead of raising peak RSS.
-FD_STACK_ELEMENTS = 2**13
+# Bound of one stacked FD replay, in elements of its largest array (a cone
+# region, a box or the rebuilt X(T)) over all its copies.  A conv step holds its
+# region and two box-sized arrays at once; 2^13 - 2^9 float64 (60 KB) keeps a
+# replay's peak under that of whole-layer replays of 2^13 elements of X(start).
+FD_STACK_ELEMENTS = 2**13 - 2**9
 KINK_GUARD = 1e-6  # a hit neuron's pre-activation closer than this to 0 skips the probe
 
 
@@ -54,66 +59,118 @@ def _max_pool_choice(layer, x: np.ndarray) -> np.ndarray:
     return np.stack(taps, axis=-1).argmax(axis=-1)  # taps last, so argmax reads them without a copy
 
 
-def _run_from(spec: NetworkSpec, x: np.ndarray, start: int, stop: int):
-    """Apply layers start..stop-1 to a (W, H, n, 2, D) stack of n pairs of
-    copies of X(start); returns X(stop) and, per pair, whether its two copies
-    follow the same linear piece of the network: the same ReLU sign field at
-    every conv layer and the same argmax grid at every max-pool layer.
-    """
-    agree = np.ones(x.shape[2], dtype=bool)
-    for layer in spec.layers[start:stop]:
-        field = None
-        if isinstance(layer, ConvLayer):
-            x = apply_conv(layer, x)
-            if layer.apply_relu:
-                field = x > 0
-                np.maximum(x, 0.0, out=x)
-        else:
-            if layer.mode == "max":
-                field = _max_pool_choice(layer, x)
-            x = apply_pool(layer, x)
-        if field is not None:
-            agree &= (field[:, :, :, 0] == field[:, :, :, 1]).all(axis=(0, 1, 3))
-    return x, agree
+def _zero_padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` (W, H, D) with ``pad`` zeros on each side of both spatial axes."""
+    if not pad:
+        return x
+    out = np.zeros((x.shape[0] + 2 * pad, x.shape[1] + 2 * pad, x.shape[2]))
+    out[pad:-pad, pad:-pad] = x
+    return out
 
 
-def _bumped_copies(base: np.ndarray, probes) -> np.ndarray:
-    """A (W, H, n, 2, D) stack of copies of ``base``, one pair per probe
-    (coord, up, down): copy (i, 0) has ``base[coord]`` set to up, copy (i, 1)
-    to down."""
-    w, h, d = base.shape
-    stack = np.broadcast_to(base[:, :, None, None], (w, h, len(probes), 2, d)).copy()
-    for i, ((cw, ch, cd), up, down) in enumerate(probes):
-        stack[cw, ch, i, :, cd] = up, down
-    return stack
+def _cone(spec: NetworkSpec, start: int, T: int) -> list:
+    """Per layer start..T-1, ``(layer, pad, back, room, region, box)``: ``box`` is
+    the (w, h, D) shape, clamped inside the layer's output, of the outputs that
+    can read a cell a bump of one X(start) cell changes, ``region`` that of the
+    zero-padded input they read.  Per axis a box starts at ``ceil((lo - back) /
+    stride)`` clamped to ``0..room``, where the changed cells below start at ``lo``."""
+    steps, box = [], (1, 1)
+    for layer, below, out in zip(spec.layers[start:T], spec.shapes[start:T], spec.shapes[start + 1 : T + 1]):
+        conv = isinstance(layer, ConvLayer)
+        extent = layer.kernel.shape[:2] if conv else (layer.window,) * 2
+        s, pad = layer.stride, layer.padding if conv else 0
+        box = tuple(min(o, -(-(b + k - 1) // s)) for o, b, k in zip(out, box, extent))
+        region = tuple((b - 1) * s + k for b, k in zip(box, extent))
+        back, room = np.subtract(extent, pad + 1)[:, None], np.subtract(out[:2], box)[:, None]
+        steps.append((layer, pad, back, room, (*region, below[2]), (*box, out[2])))
+    return steps
 
 
-def _fd_replay(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, probes) -> list:
-    """Replay layers start..T-1 on one stack, the ``_bumped_copies`` of X(start)
-    = ``base`` for ``probes``; returns, per probe, the central difference of
-    -ln f over ``2 * FD_STEP``, or None where its two copies do not follow the
-    same linear piece (the difference straddled a kink).
+def _cone_step(step: tuple, x: np.ndarray, lo: np.ndarray, box: np.ndarray) -> tuple:
+    """Cut each probe's region from X(l) = ``x`` zero-padded, paste in its ``box``
+    of changed cells below (starting at ``lo``) and run the layer with padding 0;
+    returns the new box, where it starts and whether each pair agrees on it."""
+    layer, pad, back, room, region, _ = step
+    first = np.minimum(np.maximum(-((back - lo) // layer.stride), 0), room)
+    # per axis, the region's rows of the padded input and the same rows of the box below
+    rows = [np.arange(r)[:, None] + f * layer.stride for r, f in zip(region, first)]
+    into = [r - a for r, a in zip(rows, lo + pad)]
+    inside = [(i >= 0) & (i < b) for i, b in zip(into, box.shape)]
+    x = _zero_padded(x, pad)[rows[0][:, None, :, None], rows[1][None, :, :, None].repeat(2, axis=3)]  # both copies
+    i, j, k = np.nonzero(inside[0][:, None] & inside[1][None])
+    x[i, j, k] = box[into[0][i, k], into[1][j, k], k]
+    field = None
+    if isinstance(layer, ConvLayer):
+        box = apply_conv(layer, x, padding=0)
+        if layer.apply_relu:
+            field = box > 0
+            np.maximum(box, 0.0, out=box)
+    else:
+        if layer.mode == "max":
+            field = _max_pool_choice(layer, x)
+        box = apply_pool(layer, x)
+    return box, first, True if field is None else (field[:, :, :, 0] == field[:, :, :, 1]).all(axis=(0, 1, 3))
 
-    The stack is built in the call to ``_run_from``, which drops it once the
-    first layer has read it.  The pair axis sits last before D, so every conv
-    product has at least two rows and a stack of one pair rounds as a stack of
-    many does.
-    """
-    xT, agree = _run_from(spec, _bumped_copies(base, probes), start, T)
+
+def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bumps) -> list:
+    """Replay layers start..T-1 on the ``_cone`` of one stack of probes, where
+    probe i sets X(start)[coords[i]] to ``bumps[i]`` (up, down); returns, per
+    probe, the central difference of -ln f over ``2 * FD_STEP``, or None where
+    its copies differ in a box's ReLU signs or max-pool choices (outside the
+    boxes both equal the trace).  X(T) is the trace with the last box pasted
+    in, so its mean adds the terms of a whole-layer replay in the same order.
+    The pair axis sits last before D: every conv product has two rows."""
+    n, probe = len(coords), np.arange(len(coords))
+    lo = coords[:, :2].T  # per axis, where each probe's changed cells start
+    box = np.repeat(trace[start][lo[0], lo[1]][None, None, :, None], 2, axis=3)
+    box[0, 0, probe, :, coords[:, 2]] = bumps
+    agree = np.ones(n, dtype=bool)
+    for step, x in zip(cone, trace[start:]):
+        box, lo, same = _cone_step(step, x, lo, box)
+        agree &= same
+    xT = np.broadcast_to(trace[T][:, :, None, None], (*trace[T].shape[:2], n, 2, trace[T].shape[2])).copy()
+    xT[np.arange(box.shape[0])[:, None, None] + lo[0], np.arange(box.shape[1])[:, None] + lo[1], probe] = box
     return [
         (log_likelihood(down, p) - log_likelihood(up, p)) / (2.0 * FD_STEP) if same else None
         for (up, down), same in zip(xT.mean(axis=(0, 1)), agree.tolist())
     ]
 
 
-def _fd_probes(spec: NetworkSpec, base: np.ndarray, start: int, T: int, p: int, probes) -> list:
-    """``_fd_replay`` over ``probes``, a list of (coord, up, down) bumps of
-    X(start) = ``base``, in stacks of at most ``FD_STACK_ELEMENTS`` elements of
-    X(start) (a probe larger than that is a stack of one); one quotient or None
-    per probe, in order."""
-    size = max(1, FD_STACK_ELEMENTS // (2 * base.size))
-    chunks = (probes[lo : lo + size] for lo in range(0, len(probes), size))
-    return [quotient for chunk in chunks for quotient in _fd_replay(spec, base, start, T, p, chunk)]
+def _fd_probes(spec: NetworkSpec, trace: tuple, start: int, T: int, p: int, coords, bumps) -> list:
+    """``_fd_replay`` over the probes ``coords`` (n, 3) and ``bumps`` (n, 2) of
+    X(start), in stacks whose largest array (a region, a box or X(T), over all
+    copies) holds at most ``FD_STACK_ELEMENTS`` elements (a probe larger than
+    that is a stack of one); one quotient or None per probe, in order."""
+    cone = _cone(spec, start, T)
+    largest = max([trace[T].size] + [math.prod(shape) for step in cone for shape in step[-2:]])
+    size = max(1, FD_STACK_ELEMENTS // (2 * largest))
+    return [
+        quotient
+        for lo in range(0, len(coords), size)
+        for quotient in _fd_replay(cone, trace, start, T, p, coords[lo : lo + size], bumps[lo : lo + size])
+    ]
+
+
+def _hop_probes(hop: ConvLayer, conn, x: np.ndarray, ends: np.ndarray) -> tuple:
+    """The entry of X(t+1) each connection of ``ends`` (n, 6) feeds, with its weight
+    bumped up and down, (n, 2), and whether it passes the kink rules: the sum of
+    its window of zero-padded X(t) = ``x`` times its kernel column, term by term."""
+    (w, h, d), (wp, hp, dp) = ends[:, :3].T, ends[:, 3:].T
+    kw, kh, _, _ = hop.kernel.shape
+    probe, (a, b), s = np.arange(len(ends)), conn.kernel_offset(w, h, wp, hp), hop.stride
+    x = _zero_padded(x, hop.padding)
+    terms = x[wp[:, None, None] * s + np.arange(kw)[:, None], hp[:, None, None] * s + np.arange(kh)]
+    hit, weight = terms[probe, a, b, d], hop.kernel[a, b, d, dp]
+    terms *= hop.kernel.transpose(3, 0, 1, 2)[dp]
+    sums = [terms.sum(axis=(1, 2, 3)) + hop.bias[dp]]
+    for delta in (FD_STEP, -FD_STEP):
+        terms[probe, a, b, d] = hit * (weight + delta)
+        sums.append(terms.sum(axis=(1, 2, 3)) + hop.bias[dp])
+    pres = np.stack(sums[1:], axis=1)
+    if not hop.apply_relu:
+        return pres, np.ones(len(ends), dtype=bool)
+    keep = (np.abs(sums[0]) >= KINK_GUARD) & ((pres[:, 0] > 0) == (pres[:, 1] > 0))
+    return np.where(pres > 0, pres, 0.0), keep
 
 
 def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connections) -> list:
@@ -125,16 +182,16 @@ def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequ
     feeding (w', h', d') from (w, h, d); every connection is checked before
     any replay, and one that does not exist raises ``ValueError``.  A trace of
     another network raises ``ShapeError``.  The bumped weight applies to the
-    single connection only: X(t+1) is copied from the forward trace, and the
-    one entry the weight feeds is recomputed from its receptive window against
-    a kernel column with the weight changed.  The window is cut once per
-    probe: its in-range part is copied into zeros, which stand for the
-    padding.  A probe is None when that entry's unbumped pre-activation
-    magnitude is below ``KINK_GUARD``, when its two bumped pre-activations
-    differ in sign, or when the two passes land on different linear pieces.
-    Only the bumped entry differs from the trace, so its sign is the hop
-    layer's whole share of the activation pattern.  The probes that pass the
-    first two rules are replayed in stacks bounded by ``FD_STACK_ELEMENTS``.
+    single connection only: the one entry of X(t+1) it feeds is recomputed
+    from its receptive window, cut for all probes in one gather from X(t)
+    zero-padded, against a kernel column with the weight changed; the rest
+    of X(t+1) is the forward trace's.  A probe is None when that entry's
+    unbumped pre-activation magnitude is below ``KINK_GUARD``, when its two
+    bumped pre-activations differ in sign, or when the two passes land on
+    different linear pieces.  Only the bumped entry differs from the trace,
+    so its sign is the hop layer's whole share of the activation pattern.
+    The probes that pass the first two rules are replayed in stacks bounded
+    by ``FD_STACK_ELEMENTS``.
     """
     T = validate_request(spec, request)
     check_trace(spec, trace)
@@ -144,31 +201,11 @@ def fd_connection_check(spec: NetworkSpec, trace: tuple, request: ActivenessRequ
     for connection in connections:
         if not conn.connected(*connection):
             raise ValueError(f"connection {connection} does not exist through layer {spec.names[t]}")
-    x = trace[t]
-    kw, kh, _, _ = hop.kernel.shape
-    quotients = [None] * len(connections)
-    indices, probes = [], []
-    for j, (w, h, d, wp, hp, dp) in enumerate(connections):
-        w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
-        w_lo, w_hi = max(w0, 0), min(w0 + kw, x.shape[0])
-        h_lo, h_hi = max(h0, 0), min(h0 + kh, x.shape[1])
-        window = np.zeros((kw, kh, x.shape[2]))
-        window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
-        if hop.apply_relu and abs((window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]) < KINK_GUARD:
-            continue
-        kw_off, kh_off = conn.kernel_offset(w, h, wp, hp)
-        pres = []
-        for delta in (+FD_STEP, -FD_STEP):
-            column = hop.kernel[:, :, :, dp].copy()
-            column[kw_off, kh_off, d] += delta
-            pres.append((window * column).sum() + hop.bias[dp])
-        if hop.apply_relu:
-            if (pres[0] > 0) != (pres[1] > 0):
-                continue
-            pres = [pre if pre > 0 else 0.0 for pre in pres]
-        indices.append(j)
-        probes.append(((wp, hp, dp), *pres))
-    for j, quotient in zip(indices, _fd_probes(spec, trace[t + 1], t + 1, T, request.p, probes)):
+    ends = np.array(connections, dtype=int).reshape(-1, 6)
+    pres, keep = _hop_probes(hop, conn, trace[t], ends)
+    quotients = [None] * len(ends)
+    kept = np.flatnonzero(keep)
+    for j, quotient in zip(kept.tolist(), _fd_probes(spec, trace, t + 1, T, request.p, ends[kept, 3:], pres[kept])):
         quotients[j] = quotient
     return quotients
 
@@ -195,7 +232,8 @@ def fd_activation_score(
     if len(coord) != base.ndim or not all(0 <= c < n for c, n in zip(coord, base.shape)):
         raise IndexError(f"coord {tuple(coord)} outside activation {layer_index} of shape {base.shape}")
     coord = tuple(coord)  # a list would index whole rows
-    return _fd_probes(spec, base, layer_index, T, p, [(coord, base[coord] + FD_STEP, base[coord] - FD_STEP)])[0]
+    bumps = [[base[coord] + FD_STEP, base[coord] - FD_STEP]]
+    return _fd_probes(spec, trace, layer_index, T, p, np.array([coord]), np.array(bumps))[0]
 
 
 def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndarray:

@@ -1,10 +1,14 @@
 import ast
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interactive import (
     ActivenessRequest,
@@ -19,12 +23,13 @@ from interactive import (
     neuron_activeness,
     receptive_sets,
 )
-from interactive import oracle
-from interactive.activeness import backprop_score, valid_targets, validate_request
-from interactive.net import ConvConnectivity, apply_conv
-from interactive.oracle import ENUMERATION_GUARD, FD_STEP, fd_activation_score
+from interactive import cli, oracle
+from interactive.activeness import backprop_score, log_likelihood, valid_targets, validate_request
+from interactive.net import ConvConnectivity, apply_conv, apply_pool
+from interactive.oracle import ENUMERATION_GUARD, FD_STEP, KINK_GUARD, fd_activation_score
 
 from conftest import random_input
+from test_equivalence_properties import nets
 
 CONFIGS = [("last", 1), ("last", 2), ("next", 1), ("next", 2)]
 
@@ -239,15 +244,23 @@ class TestStackedProbes:
         spec = generate_model(arch, seed=model_seed)
         trace = forward(spec, random_input(spec, seed=model_seed))
         rng = np.random.default_rng(model_seed)
+        stacks, replay = [], oracle._fd_replay
+        monkeypatch.setattr(oracle, "_fd_replay", lambda *args: stacks.append(len(args[5])) or replay(*args))
         for i, t in enumerate(valid_targets(spec)):
             sup, p = CONFIGS[i % len(CONFIGS)]
             request = ActivenessRequest(target_layer=t, supervision=sup, p=p)
             connections = _drawn_connections(receptive_sets(spec, t), rng, 60)
             singles = [fd_connection_check(spec, trace, request, [c])[0] for c in connections]
             assert any(fd is not None for fd in singles)
-            for bound in (1, 4 * trace[t + 1].size, 2**40):  # stacks of 1, 2 and all probes
+            # a stack's bound counts its largest array, a cone region, a box or X(T), over both copies
+            T = validate_request(spec, request)
+            cone = oracle._cone(spec, t + 1, T)
+            largest = max([trace[T].size] + [math.prod(shape) for step in cone for shape in step[-2:]])
+            for bound, stack in ((1, 1), (4 * largest, 2), (2**40, None)):  # stacks of 1, 2 and all probes
                 monkeypatch.setattr(oracle, "FD_STACK_ELEMENTS", bound)
+                stacks.clear()
                 assert fd_connection_check(spec, trace, request, connections) == singles, (t, bound)
+                assert len(stacks) == 1 if stack is None else max(stacks) == stack, (t, bound, stacks)
 
     def test_a_pair_that_straddles_a_kink_is_none_alone(self):
         # X(1) = (1, 2); conv-2's pre-activation at w = 0 sits 1e-6 above its kink, so a
@@ -275,6 +288,116 @@ class TestStackedProbes:
         for at in (0, 2, 4):
             with pytest.raises(ValueError, match=re.escape("connection (0, 0, 0, 7, 7, 0) does not exist")):
                 fd_connection_check(tiny_net, tiny_trace, request, [*good[:at], (0, 0, 0, 7, 7, 0), *good[at:]])
+
+
+def _whole_layer_replay(spec, trace, start, T, p, coords, bumps):
+    """What a cone replay must equal bit for bit: every layer start..T-1 run
+    whole on one (W, H, n, 2, D) stack of bumped copies of X(start)."""
+    base = trace[start]
+    x = np.broadcast_to(base[:, :, None, None], (*base.shape[:2], len(coords), 2, base.shape[2])).copy()
+    for i, ((w, h, d), bump) in enumerate(zip(coords.tolist(), bumps)):
+        x[w, h, i, :, d] = bump
+    agree = np.ones(len(coords), dtype=bool)
+    for layer in spec.layers[start:T]:
+        field = None
+        if isinstance(layer, ConvLayer):
+            x = apply_conv(layer, x)
+            if layer.apply_relu:
+                field = x > 0
+                np.maximum(x, 0.0, out=x)
+        else:
+            if layer.mode == "max":
+                field = oracle._max_pool_choice(layer, x)
+            x = apply_pool(layer, x)
+        if field is not None:
+            agree &= (field[:, :, :, 0] == field[:, :, :, 1]).all(axis=(0, 1, 3))
+    return [
+        (log_likelihood(down, p) - log_likelihood(up, p)) / (2.0 * FD_STEP) if same else None
+        for (up, down), same in zip(x.mean(axis=(0, 1)), agree.tolist())
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(net=nets(), seed=st.integers(0, 2**32 - 1))
+def test_cone_replay_equals_whole_layer_replay(net, seed):
+    spec, trace = net
+    rng = np.random.default_rng(seed)
+    for start in range(len(spec.layers) + 1):
+        W, H, D = trace[start].shape
+        corners = [(w, h, int(rng.integers(D))) for w in (0, W - 1) for h in (0, H - 1)]
+        coords = np.array(corners + [[int(rng.integers(n)) for n in (W, H, D)] for _ in range(4)])
+        # every other bump is large, so pairs that straddle a kink share stacks with pairs that do not
+        steps = np.where(np.arange(len(coords)) % 2, 0.5, FD_STEP)[:, None] * [1.0, -1.0]
+        bumps = trace[start][tuple(coords.T)][:, None] + steps
+        for T in range(start, len(spec.layers) + 1):
+            for p in (1, 2):
+                cone = oracle._fd_probes(spec, trace, start, T, p, coords, bumps)
+                assert cone == _whole_layer_replay(spec, trace, start, T, p, coords, bumps), (start, T, p)
+
+
+def _window_loop(hop, conn, x, connections):
+    """What ``_hop_probes`` must equal bit for bit: one window and one bumped
+    kernel column per connection, each summed on its own."""
+    kw, kh, _, _ = hop.kernel.shape
+    pres, keep = [], []
+    for w, h, d, wp, hp, dp in connections:
+        w0, h0 = wp * hop.stride - hop.padding, hp * hop.stride - hop.padding
+        w_lo, w_hi, h_lo, h_hi = max(w0, 0), min(w0 + kw, x.shape[0]), max(h0, 0), min(h0 + kh, x.shape[1])
+        window = np.zeros((kw, kh, x.shape[2]))
+        window[w_lo - w0 : w_hi - w0, h_lo - h0 : h_hi - h0] = x[w_lo:w_hi, h_lo:h_hi]
+        unbumped = (window * hop.kernel[:, :, :, dp]).sum() + hop.bias[dp]
+        pair = []
+        for delta in (FD_STEP, -FD_STEP):
+            column = hop.kernel[:, :, :, dp].copy()
+            column[(*conn.kernel_offset(w, h, wp, hp), d)] += delta
+            pair.append((window * column).sum() + hop.bias[dp])
+        keep.append(not hop.apply_relu or (abs(unbumped) >= KINK_GUARD and (pair[0] > 0) == (pair[1] > 0)))
+        pres.append([pre if pre > 0 or not hop.apply_relu else 0.0 for pre in pair])
+    return pres, keep
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(net=nets(), seed=st.integers(0, 2**32 - 1))
+def test_hop_probes_equal_one_window_at_a_time(net, seed):
+    spec, trace = net
+    rng = np.random.default_rng(seed)
+    for t in valid_targets(spec):
+        conn = receptive_sets(spec, t)
+        if conn.connection_count() == 0:
+            continue
+        connections = _drawn_connections(conn, rng, 12)
+        pres, keep = oracle._hop_probes(spec.layers[t], conn, trace[t], np.array(connections))
+        assert (pres.tolist(), keep.tolist()) == _window_loop(spec.layers[t], conn, trace[t], connections), t
+
+
+# Most bytes, by tracemalloc, that one finite-difference call of the gradcheck
+# ops below allocated above what it was handed, measured as this test measures
+# it (Python 3.11, numpy 2.4) with whole-layer replays in stacks of 2^13
+# elements of X(start).
+WHOLE_LAYER_REPLAY_PEAK = 142_877
+
+
+def test_gradcheck_fd_calls_peak_no_higher_than_whole_layer_replays(tmp_path, monkeypatch):
+    peaks, check = [], cli.fd_connection_check
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        quotients = check(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return quotients
+
+    model = str(tmp_path / "toy-cnn.bin")
+    cli.main(["gen-model", "--arch", "toy-cnn", "--seed", "0", "--out", model])
+    monkeypatch.setattr(cli, "fd_connection_check", measured)
+    tracemalloc.start()
+    try:
+        for seed in range(8):
+            assert cli.main(["gradcheck", "--model", model, "--seed", str(seed)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 8 * 12  # one call per (target, config) group
+    assert max(peaks) <= WHOLE_LAYER_REPLAY_PEAK
 
 
 class TestEnumerateGamma:

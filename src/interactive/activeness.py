@@ -124,9 +124,15 @@ def layer_score(xT: np.ndarray, p: int) -> np.ndarray:
     """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
+    return np.broadcast_to(_channel_score(xT, p), xT.shape).copy()
+
+
+def _channel_score(xT: np.ndarray, p: int) -> np.ndarray:
+    """The (*batch, D) value ``layer_score`` gives every spatial position of
+    each channel: p/(W*H) * xbar_d**(p-1), broadcastable over (W, H)."""
     w, h = xT.shape[:2]
     xbar = xT.sum(axis=(0, 1)) / (w * h)  # numpy's mean, the same bits, without its wrapper
-    return np.broadcast_to(p / (w * h) * xbar ** (p - 1), xT.shape).copy()
+    return p / (w * h) * xbar ** (p - 1)
 
 
 def _conv_backward_input(
@@ -221,20 +227,26 @@ def backprop_score(spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
     return reverse_sweep(spec, trace, layer_score(trace[T], p), T, {down_to})[down_to]
 
 
-def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: np.ndarray) -> np.ndarray:
-    """gamma at X(t) from the score at X(t+1) = ``hop(x_t)``, for any stacked score.
+def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, parts) -> np.ndarray:
+    """gamma at X(t) from K scores at X(t+1) = ``hop(x_t)``, one per config.
 
-    The activated-neuron indicator of the hop layer's output tests the
-    post-activation response exactly as the score function prescribes (a
-    conv layer without fused ReLU carries no indicator).  The hop is a
+    Each of the ``parts`` broadcasts to ``x_next``'s (W', H', *batch, D')
+    shape: a swept score, or a per-channel layer score, never expanded.
+    Each is multiplied by the activated-neuron indicator of the hop layer's
+    output, which tests the post-activation response exactly as the score
+    function prescribes (a conv layer without fused ReLU carries none), into
+    its slot k of one (W', H', K, *batch, D') buffer.  The hop is a
     differentiation in the connection weights, hence weight-free, and no
-    downstream set depends on the input channel: the masked score, summed
-    over output channels, is box-summed into a one-channel field: added at
-    each tap of ``window_taps``, with no kernel.
+    downstream set depends on the input channel: the masked scores, summed
+    over output channels, are box-summed into a one-channel
+    (W, H, K, *batch, 1) field: added at each tap of ``window_taps``, with
+    no kernel.
     """
-    if hop.apply_relu:
-        hop_score = hop_score * _lift(x_next > 0, hop_score)
-    field = hop_score.sum(axis=-1, keepdims=True)
+    masked = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:]))
+    active = x_next > 0 if hop.apply_relu else True  # times 1.0 is exact
+    for k, part in enumerate(parts):
+        np.multiply(part, active, out=masked[:, :, k])
+    field = masked.sum(axis=-1, keepdims=True)
     (w, h), p = x_t.shape[:2], hop.padding
     gxp = np.zeros((w + 2 * p, h + 2 * p, *field.shape[2:]))
     for _, _, tap in window_taps(*hop.kernel.shape[:2], hop.stride, *field.shape[:2]):
@@ -242,37 +254,29 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, hop_score: n
     return gxp[p : p + w, p : p + h]
 
 
-def _score_stack(configs, swept: np.ndarray | None, x_next: np.ndarray) -> np.ndarray:
-    """The scores at X(t+1) of ``configs``, in order on axis 2: a "last" config
-    takes its slice of ``swept``, the sweep's stack of the "last" p values; a
-    "next" config the layer score of ``x_next``.  One config is a view, no copy.
-    The slices die with this call, so a stacked copy leaves ``swept`` free for the hop."""
-    lasts = iter(() if swept is None else np.split(swept, swept.shape[2], axis=2))
-    parts = [next(lasts) if sup == "last" else layer_score(x_next, p)[:, :, None] for sup, p in configs]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-
-
 def gamma_stacks(spec: NetworkSpec, trace: tuple, targets: list[int], configs) -> dict:
     """gamma of several targets under several (supervision, p) configs.
 
     ``trace`` is a checked trace, as ``forward`` returns it.  Returns
-    ``{t: (score at X(t+1), gamma at X(t))}`` per target, highest first, the
-    configs in order on axis 2; no target gives ``{}``.  One reverse sweep,
-    seeded with the final layer's scores for the "last" configs' p values,
-    reaches every target; a "next" score is the layer score at X(t+1).  Each
-    target then takes one hop to its one-channel gamma field.  Callers pass
-    targets and configs ``validate_request`` accepts.
+    ``{t: gamma at X(t)}`` per target, highest first, the configs in order
+    on axis 2; no target gives ``{}``.  One reverse sweep, seeded with the
+    final layer's scores for the "last" configs' p values, reaches every
+    target; a "last" config's score at X(t+1) is a view of its slot in the
+    swept stack, a "next" config's the per-channel layer score of X(t+1).
+    Each target then takes one hop to its one-channel gamma field.  Callers
+    pass targets and configs ``validate_request`` accepts.
     """
     last_ps = [p for sup, p in configs if sup == "last"]
     swept = {}
     if last_ps and targets:  # the seed stack is passed unnamed, so that only the sweep holds it
         swept = reverse_sweep(spec, trace, np.stack([layer_score(trace[-1], p) for p in last_ps], axis=2),
                               len(spec.layers), {t + 1 for t in targets})
-    stacks = {}
+    gammas = {}
     for t in sorted(set(targets), reverse=True):
-        score = _score_stack(configs, swept.pop(t + 1, None), trace[t + 1])
-        stacks[t] = score, _gamma_hop(spec.layers[t], trace[t], trace[t + 1], score)
-    return stacks
+        lasts = iter(np.moveaxis(swept.pop(t + 1), 2, 0) if last_ps else ())
+        parts = [next(lasts) if sup == "last" else _channel_score(trace[t + 1], p) for sup, p in configs]
+        gammas[t] = _gamma_hop(spec.layers[t], trace[t], trace[t + 1], parts)
+    return gammas
 
 
 def connection_activeness(spec: NetworkSpec, trace: tuple, request: ActivenessRequest, connections) -> list:
@@ -312,7 +316,7 @@ def neuron_activeness(
     T = validate_request(spec, request)
     t = request.target_layer
     check_trace(spec, trace)
-    _, stack = gamma_stacks(spec, trace, [t], [(request.supervision, request.p)])[t]
+    stack = gamma_stacks(spec, trace, [t], [(request.supervision, request.p)])[t]
     gamma = np.broadcast_to(stack[:, :, 0], trace[t].shape)  # a read-only view
     activeness = trace[t] * gamma
     map2d = trace[t].shape[2] * stack[:, :, 0, 0]
@@ -336,4 +340,4 @@ def weighted_features(spec: NetworkSpec, trace: tuple, targets: list[int]) -> di
     ``feature`` of the matching ``neuron_activeness`` request with ``summarize="max"``.
     """
     stacks = gamma_stacks(spec, trace, targets, WEIGHTED_CONFIGS)
-    return {t: (gamma * _lift(trace[t], gamma)).max(axis=(0, 1)) for t, (_, gamma) in stacks.items()}
+    return {t: (gamma * _lift(trace[t], gamma)).max(axis=(0, 1)) for t, gamma in stacks.items()}

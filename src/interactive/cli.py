@@ -6,7 +6,8 @@ finite-difference and enumeration oracles; the CI gate) and ``toybench``
 (pipeline comparison table on the toy dataset).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error.
-Every subcommand is deterministic given its flags.  The INTERACTIVE_LOG
+Every subcommand is deterministic given its flags.  ``main`` builds its
+argument parser once per process, on its first call.  The INTERACTIVE_LOG
 environment variable (debug/info/warning) controls log verbosity, as do
 repeated ``-v`` flags.
 """
@@ -14,6 +15,7 @@ repeated ``-v`` flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -199,7 +201,7 @@ def cmd_gradcheck(args) -> int:
     # one literal walk per target gives all four configs
     stacks = gamma_stacks(spec, trace, targets, combos)
     enum_max = max(
-        float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()) for t, (_, gammas) in stacks.items()
+        float(np.abs(gammas - enumerate_gamma(spec, trace, t, combos)).max()) for t, gammas in stacks.items()
     )
 
     # every probe is drawn first, in the order one-by-one probing drew them, then the
@@ -274,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--input", type=_bounded_int(1), nargs=3, metavar=("W", "H", "C"),
                      help="override input shape")
     gen.add_argument("--out", required=True, help="output model path")
-    gen.set_defaults(func=cmd_gen_model)
 
     act = sub.add_parser("activeness", help="heatmap and feature vector for one image")
     act.add_argument("--model", required=True)
@@ -286,14 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--mean", type=float, default=128.0, help="per-channel input mean to subtract")
     act.add_argument("--heatmap", help="write the 2-D weighting map here as PGM")
     act.add_argument("--features", help="write the feature vector here (f32 binary)")
-    act.set_defaults(func=cmd_activeness)
 
     grad = sub.add_parser("gradcheck", help="verify the engine against the oracles")
     grad.add_argument("--model", required=True)
     grad.add_argument("--seed", type=_bounded_int(0), default=0, help="input/sampling seed")
     grad.add_argument("--samples", type=_bounded_int(1, MAX_SAMPLES), default=200,
                       help=f"connections to sample (at most {MAX_SAMPLES})")
-    grad.set_defaults(func=cmd_gradcheck)
 
     bench = sub.add_parser("toybench", help="pipeline comparison table on the toy dataset")
     bench.add_argument("--model", required=True)
@@ -301,18 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--layers", help="comma-separated layer names (default: all valid targets)")
     bench.add_argument("--out", required=True, help="plain-text report path")
     bench.add_argument("--json", help="also write the report as JSON here")
-    bench.set_defaults(func=cmd_toybench)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call, not at import.
+    Each ``parse_args`` call fills a fresh namespace, so calls share no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _setup_logging(args.verbose)
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]  # looked up per call, so a patched cmd_* runs
     try:
         # an overflow past the forward pass's own check ends in one line, not a numpy warning
         with np.errstate(over="raise", invalid="raise"):
-            return args.func(args)
+            return command(args)
     except FloatingPointError as exc:
         print(f"error: {exc}; the input is out of numeric range", file=sys.stderr)
         return EXIT_USAGE

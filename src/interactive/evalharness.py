@@ -2,12 +2,13 @@
 
 A toy dataset, fixed but for its seed, paints small, off-center class
 signatures onto noisy canvases, deliberately leaving most of each image
-uninformative so that spatial weighting has signal to exploit.  Features
-are l2-normalized and scored with a one-vs-rest logistic regression
-trained by full-batch gradient descent (the same linear hypothesis class
-as an SVM, with no external solver); the regularizer maps a slack
-constant C through reg = 1 / (C * N).  The class count, samples per
-class, C, epoch count and learning rate are module constants.
+uninformative so that spatial weighting has signal to exploit.  All its
+images are painted as one stack; only the random draws run per image.
+Features are l2-normalized and scored with a one-vs-rest logistic
+regression trained by full-batch gradient descent (the same linear
+hypothesis class as an SVM, with no external solver); the regularizer
+maps a slack constant C through reg = 1 / (C * N).  The class count,
+samples per class, C, epoch count and learning rate are module constants.
 
 Accuracy DIFFERENCES between pipelines are reported, never asserted:
 a random-weight toy net carries no promise about their ordering.
@@ -59,41 +60,54 @@ def toy_image(seed: int, shape, label: int, sample: int) -> RasterImage:
     nothing global (mean color, total energy) separates them.  The rest of
     the canvas is uniform noise in [0, ``NOISE_LEVEL``); the blob's sigma is
     ``BLOB_SIGMA`` pixels and per-sample jitter moves it by up to ``JITTER``
-    pixels.
+    pixels.  The one-image case of ``_paint``.
     """
+    return RasterImage(pixels=_paint(seed, shape, [label], [sample])[0])
+
+
+def _paint(seed: int, shape, labels: list[int], samples: list[int]) -> np.ndarray:
+    """The (N, H, W, D) uint8 pixels of the toy images (``labels[i]``,
+    ``samples[i]``) of dataset ``seed`` at ``shape`` = (W, H, D).  Only the
+    random draws run per image; the blob and its ripple are painted once
+    over the stack, per-image constants broadcast, the same bits as alone."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     w, h, d = shape
     if d not in (1, 3):
         raise ValueError(f"toy dataset paints 1 or 3 channels; network input is {w}x{h}x{d}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, label, sample])))
-    canvas = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, d))
+    canvas = np.empty((len(labels), h, w, d))
+    jitter = np.empty((len(labels), 2), dtype=np.int64)
+    for i, (label, sample) in enumerate(zip(labels, samples)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, label, sample])))
+        canvas[i] = rng.uniform(0.0, NOISE_LEVEL, size=(h, w, d))
+        jitter[i] = rng.integers(-JITTER, JITTER + 1), rng.integers(-JITTER, JITTER + 1)
 
-    angle = 2.0 * math.pi * label / CLASSES
-    cx = w * (0.5 + 0.27 * math.cos(angle)) + rng.integers(-JITTER, JITTER + 1)
-    cy = h * (0.5 + 0.27 * math.sin(angle)) + rng.integers(-JITTER, JITTER + 1)
+    def per_image(values):  # one Python float per image, as an (N, 1, 1) column
+        return np.array(values)[:, None, None]
+
+    angles = [2.0 * math.pi * label / CLASSES for label in labels]
+    orients = [math.pi * label / CLASSES for label in labels]
+    cx = per_image([w * (0.5 + 0.27 * math.cos(a)) for a in angles]) + jitter[:, 0, None, None]
+    cy = per_image([h * (0.5 + 0.27 * math.sin(a)) for a in angles]) + jitter[:, 1, None, None]
     ys, xs = np.mgrid[0:h, 0:w]
     bump = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * BLOB_SIGMA**2))
-    freq = 1.5 + 1.25 * label
-    orient = math.pi * label / CLASSES
-    phase = math.cos(orient) * (xs - cx) + math.sin(orient) * (ys - cy)
+    freq = per_image([1.5 + 1.25 * label for label in labels])
+    cos_o, sin_o = per_image([math.cos(o) for o in orients]), per_image([math.sin(o) for o in orients])
+    phase = cos_o * (xs - cx) + sin_o * (ys - cy)
     ripple = 0.7 + 0.3 * np.sin(2.0 * math.pi * freq * phase / w)
     mix = np.array([1.0, 0.85, 0.7][:d])  # identical for every class
-    canvas += 195.0 * bump[:, :, None] * ripple[:, :, None] * mix[None, None, :]
-    return RasterImage(pixels=np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
+    canvas += 195.0 * bump[..., None] * ripple[..., None] * mix
+    return np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
 
 
 def toy_samples(seed: int, shape) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
-    """All images of the toy dataset ``seed`` at ``shape`` = (W, H, D), labels,
-    and a stratified half/half train/test split as index arrays."""
-    images, labels, train_idx, test_idx = [], [], [], []
-    for label in range(CLASSES):
-        for sample in range(SAMPLES_PER_CLASS):
-            idx = len(images)
-            images.append(toy_image(seed, shape, label, sample))
-            labels.append(label)
-            (train_idx if sample < SAMPLES_PER_CLASS // 2 else test_idx).append(idx)
-    return images, np.array(labels), np.array(train_idx), np.array(test_idx)
+    """All images of the toy dataset ``seed`` at ``shape`` = (W, H, D), painted
+    as one stack, labels, and a stratified half/half train/test split as index arrays."""
+    labels = np.repeat(np.arange(CLASSES), SAMPLES_PER_CLASS)
+    samples = np.tile(np.arange(SAMPLES_PER_CLASS), CLASSES)
+    pixels = _paint(seed, shape, labels.tolist(), samples.tolist())
+    train = samples < SAMPLES_PER_CLASS // 2
+    return [RasterImage(pixels=px) for px in pixels], labels, np.flatnonzero(train), np.flatnonzero(~train)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:

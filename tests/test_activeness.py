@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,12 @@ from interactive.activeness import (
     _pool_backward,
     gamma_stacks,
     reverse_sweep,
+    valid_targets,
     validate_request,
+    weighted_features,
 )
+from interactive.evalharness import INPUT_MEAN, toy_samples
+from interactive.image import to_input_tensor
 from interactive.net import apply_conv
 from interactive.oracle import enumerate_gamma, fd_activation_score
 
@@ -461,14 +466,16 @@ class TestGammaStacks:
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
         four = gamma_stacks(spec, acts, targets, configs)
         assert list(four) == sorted(targets, reverse=True)
+        four_scores = config_scores(spec, acts, targets, configs)
         for k, config in enumerate(configs):
-            for t, (score, gamma) in gamma_stacks(spec, acts, targets, [config]).items():
-                assert score.shape[2] == gamma.shape[2] == 1
-                npt.assert_array_equal(score[:, :, 0], four[t][0][:, :, k])
-                npt.assert_array_equal(gamma[:, :, 0], four[t][1][:, :, k])
+            one_scores = config_scores(spec, acts, targets, [config])
+            for t, gamma in gamma_stacks(spec, acts, targets, [config]).items():
+                assert one_scores[t].shape[2] == gamma.shape[2] == 1
+                npt.assert_array_equal(one_scores[t][:, :, 0], four_scores[t][:, :, k])
+                npt.assert_array_equal(gamma[:, :, 0], four[t][:, :, k])
 
     def test_last_score_matches_backprop_score(self, tiny_net, tiny_trace):
-        score, _ = gamma_stacks(tiny_net, tiny_trace, [0], [("last", 2)])[0]
+        score = config_scores(tiny_net, tiny_trace, [0], [("last", 2)])[0]
         npt.assert_array_equal(score[:, :, 0], backprop_score(tiny_net, tiny_trace, 3, 2, 1))
 
     @pytest.mark.parametrize("arch, batch", [
@@ -483,8 +490,9 @@ class TestGammaStacks:
         acts = forward(spec, x)
         targets = [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
         configs = [(sup, p) for sup in ("last", "next") for p in (1, 2)]
-        for t, (score, gamma) in gamma_stacks(spec, acts, targets, configs).items():
-            hop = spec.layers[t]
+        scores = config_scores(spec, acts, targets, configs)
+        for t, gamma in gamma_stacks(spec, acts, targets, configs).items():
+            hop, score = spec.layers[t], scores[t]
             masked = score * _lift(acts[t + 1] > 0, score) if hop.apply_relu else score
             reference = _conv_backward_input(np.ones_like(hop.kernel), hop.stride, hop.padding, masked, acts[t].shape)
             assert gamma.shape == (*acts[t].shape[:2], len(configs), *batch, 1)
@@ -517,6 +525,45 @@ class TestGammaStacks:
     @pytest.mark.parametrize("configs", [[("last", 2)], [("next", 1)]])
     def test_no_target_gives_an_empty_dict(self, tiny_net, tiny_trace, configs):
         assert gamma_stacks(tiny_net, tiny_trace, [], configs) == {}
+
+
+# Most bytes, by tracemalloc, that ``weighted_features`` allocated above what it
+# was handed, on one toybench group (toy-cnn seed 0, the first 8 images of toy
+# dataset 0), measured as the test below measures it (Python 3.11, numpy 2.4)
+# when each hop read a concatenated copy of its configs' scores.
+WEIGHTED_FEATURES_PEAK = 1_367_814
+
+
+def test_weighted_features_peak_no_higher_than_with_stacked_score_copies():
+    spec = generate_model("toy-cnn", seed=0)
+    images = toy_samples(0, spec.input_shape)[0][:8]
+    trace = forward(spec, np.stack([to_input_tensor(img, [INPUT_MEAN] * 3).array for img in images], axis=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weighted_features(spec, trace, valid_targets(spec))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= WEIGHTED_FEATURES_PEAK
+
+
+def config_scores(spec, acts, targets, configs):
+    """The (supervision, p) scores at X(t+1) that ``gamma_stacks`` hops from,
+    ``{t: (W', H', K, *batch, D')}``, configs in order on axis 2: a "last"
+    config's slot of one stacked ``reverse_sweep`` of the final layer scores,
+    a "next" config's ``layer_score`` of X(t+1)."""
+    last_ps = [p for sup, p in configs if sup == "last"]
+    swept = {}
+    if last_ps:
+        seed = np.stack([layer_score(acts[-1], p) for p in last_ps], axis=2)
+        swept = reverse_sweep(spec, acts, seed, len(spec.layers), {t + 1 for t in targets})
+    scores = {}
+    for t in targets:
+        lasts = iter(np.moveaxis(swept[t + 1], 2, 0) if last_ps else ())
+        parts = [next(lasts) if sup == "last" else layer_score(acts[t + 1], p) for sup, p in configs]
+        scores[t] = np.stack(parts, axis=2)
+    return scores
 
 
 class TestReverseSweep:
@@ -565,7 +612,8 @@ def _digest(arr):
 
 def tie_record(arch, seed):
     """Every target's ``neuron_activeness`` feature and map2d under the four
-    configs, and ``gamma_stacks`` on a two-image stack, on flat regions."""
+    configs, and on a two-image stack the four configs' scores at X(t+1)
+    (``config_scores``) and ``gamma_stacks``' gamma, on flat regions."""
     spec = generate_model(arch, seed)
     x = flat_regions(spec.input_shape)
     trace = forward(spec, x)
@@ -576,8 +624,9 @@ def tie_record(arch, seed):
             result = neuron_activeness(spec, trace, ActivenessRequest(target_layer=t, supervision=sup, p=p))
             record[f"{t}/{sup}/p{p}"] = {"feature": result.feature.tolist(), "map2d": _digest(result.map2d)}
     acts = forward(spec, np.stack([x, x[::-1]], axis=2))
-    for t, (score, gamma) in gamma_stacks(spec, acts, targets, TIE_CONFIGS).items():
-        record[f"{t}/stack"] = {"score": _digest(score), "gamma": _digest(gamma)}
+    scores = config_scores(spec, acts, targets, TIE_CONFIGS)
+    for t, gamma in gamma_stacks(spec, acts, targets, TIE_CONFIGS).items():
+        record[f"{t}/stack"] = {"score": _digest(scores[t]), "gamma": _digest(gamma)}
     return record
 
 

@@ -315,11 +315,11 @@ class TestGradcheck:
         save_model(generate_model("toy-cnn", seed=3), model)
         def corrupted(spec, acts, targets, configs):
             stacks = gamma_stacks(spec, acts, targets, configs)
-            for t, (score, gamma) in stacks.items():
+            for t, gamma in stacks.items():
                 if spread:
                     gamma = np.repeat(gamma, acts[t].shape[-1], axis=-1)
                 gamma[..., 0] += 1e-6
-                stacks[t] = score, gamma
+                stacks[t] = gamma
             return stacks
 
         monkeypatch.setattr("interactive.cli.gamma_stacks", corrupted)
@@ -524,3 +524,42 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_consecutive_main_calls_share_no_state(monkeypatch, capsys):
+    # the parser is built once per process; each call must still see only its own flags
+    seen = []
+    monkeypatch.setattr("interactive.cli._setup_logging", seen.append)
+    for name in ("cmd_gen_model", "cmd_gradcheck", "cmd_toybench"):
+        monkeypatch.setattr(f"interactive.cli.{name}", lambda args: seen.append(vars(args)) or EXIT_OK)
+    gen = {"command": "gen-model", "arch": "tiny-2conv", "input": None, "out": "m"}
+    grad = {"command": "gradcheck", "model": "m"}
+    bench = {"command": "toybench", "model": "m", "layers": None, "out": "r", "json": None}
+    calls = [
+        (["-vv", "gen-model", "--arch", "tiny-2conv", "--seed", "5", "--out", "m"], 2, {**gen, "seed": 5}),
+        (["gen-model", "--arch", "tiny-2conv", "--out", "m"], 0, {**gen, "seed": 0}),
+        (["gradcheck", "--model", "m", "--seed", "3", "--samples", "7"], 0, {**grad, "seed": 3, "samples": 7}),
+        (["-v", "gradcheck", "--model", "m"], 1, {**grad, "seed": 0, "samples": 200}),
+        (["toybench", "--model", "m", "--dataset-seed", "4", "--out", "r"], 0, {**bench, "dataset_seed": 4}),
+        (["toybench", "--model", "m", "--out", "r"], 0, {**bench, "dataset_seed": 0}),
+    ]
+    for argv, verbose, args in calls:
+        seen.clear()
+        assert main(argv) == EXIT_OK
+        assert seen == [verbose, {"verbose": verbose, **args}], argv
+
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["-v", "gradcheck", "--model", "x", "--seed", "9", "--samples", "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+    seen.clear()
+    assert main(["gradcheck", "--model", "m"]) == EXIT_OK
+    assert seen == [0, {"verbose": 0, **grad, "seed": 0, "samples": 200}]
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    monkeypatch.setattr("interactive.cli.cmd_gen_model", lambda args: EXIT_OK)
+    assert main(["gen-model", "--arch", "tiny-2conv", "--out", "m"]) == EXIT_OK
+    monkeypatch.setattr("interactive.cli.build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["gen-model", "--arch", "tiny-2conv", "--out", "m"]) == EXIT_OK

@@ -68,7 +68,7 @@ def _agree(engine, fd):
 @given(net=nets())
 def test_gamma_stacks_match_enumeration(net):
     spec, trace = net
-    for t, (_, gamma) in gamma_stacks(spec, trace, valid_targets(spec), CONFIGS).items():
+    for t, gamma in gamma_stacks(spec, trace, valid_targets(spec), CONFIGS).items():
         assert np.abs(gamma - enumerate_gamma(spec, trace, t, CONFIGS)).max() <= 1e-10
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,19 @@ from interactive.evalharness import (
     train_linear,
 )
 from interactive.image import to_input_tensor
+
+# SHA-256 of the stacked uint8 pixels of ``toy_samples(seed, shape)``, recorded
+# from the one-image-at-a-time painter; the labels, train and test arrays as
+# little-endian int64, one after the other, share one digest for every seed and shape
+DATASET_PIXELS = {
+    (0, (16, 16, 3)): "aad320425c53662313f4284f67a0c3148492ea7b828796ffdea07a9532dd99ba",
+    (0, (16, 16, 1)): "f9513733df69683cfa8fc3a5f5b00c5df897d3d9ff5815360a0458945b1b1d9d",
+    (0, (12, 20, 3)): "297af848d8c1d7e3673dffd43e1f69337efe6193c6925ea14cb8a6853693b114",
+    (3, (16, 16, 3)): "9351b1888a392d26b926e257c1befdde132832c2e1f06b314170a98e21575789",
+    (3, (16, 16, 1)): "28a6b354c6f5b7afa281619a26001bc9147d91e892b4ebded509ff7be276b94b",
+    (3, (12, 20, 3)): "b61c6ff2d45aacae0aca2dd4f3b40ce7cb4029e3027d8718ba4109e71c73f9a7",
+}
+DATASET_SPLIT = "48056819b13857ef8094c1eea959edd5dd8832f031e19e25a6f78e5c8b2a0bf4"
 
 # frozen on the first verified run: tiny-2conv(seed 3) features on the
 # seed-3 toy dataset, 24 test samples, accuracies as 24ths
@@ -152,6 +166,24 @@ class TestToyDataset:
         assert all(img.pixels.shape == (8, 8, 3) for img in images)
         # stratified: every class appears in both splits
         assert set(labels[list(train_idx)]) == set(labels[list(test_idx)]) == {0, 1, 2}
+
+    @pytest.mark.parametrize("seed, shape", list(DATASET_PIXELS))
+    def test_pixels_labels_and_split_match_the_record(self, seed, shape):
+        # accuracies cannot see a pixel that moved by one level; the digests do
+        images, labels, train_idx, test_idx = toy_samples(seed, shape)
+        pixels = np.stack([img.pixels for img in images])
+        assert pixels.dtype == np.uint8 and pixels.shape == (48, shape[1], shape[0], shape[2])
+        assert hashlib.sha256(pixels.tobytes()).hexdigest() == DATASET_PIXELS[seed, shape]
+        split = b"".join(np.asarray(a, dtype="<i8").tobytes() for a in (labels, train_idx, test_idx))
+        assert hashlib.sha256(split).hexdigest() == DATASET_SPLIT
+        assert all(a.dtype == np.int64 for a in (labels, train_idx, test_idx))
+
+    @pytest.mark.parametrize("seed, shape", [(0, (16, 16, 3)), (3, (12, 20, 3)), (5, (7, 4, 1))])
+    def test_toy_image_equals_its_slot_in_toy_samples(self, seed, shape):
+        images, labels, _, _ = toy_samples(seed, shape)
+        for idx, (img, label) in enumerate(zip(images, labels)):
+            sample = idx % evalharness.SAMPLES_PER_CLASS
+            assert np.array_equal(toy_image(seed, shape, int(label), sample).pixels, img.pixels)
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^toy dataset paints 1 or 3 channels; network input is 8x8x2$"):

@@ -574,7 +574,8 @@ def test_conv_backward_input_matches_naive_reference():
 def test_gamma_hop_equals_the_ones_kernel_transposed_conv():
     """The hop's plain-tap box sum gives the bits of the masked, channel-summed
     score sent through ``_conv_backward_input`` with a (kw, kh, 1, 1) ones kernel,
-    for a (W', H', 1) field and for a stacked (W', H', S, N, 1) one."""
+    for one (W', H', D') score and for two (W', H', N, D') ones stacked on axis 2;
+    a per-channel part gives the bits of its copy expanded over (W', H')."""
     data = np.random.default_rng(43)
     for case, (kernel, stride, padding, _, (W, H, din)) in enumerate(conv_backward_cases()):
         relu = case % 4 != 3
@@ -588,9 +589,14 @@ def test_gamma_hop_equals_the_ones_kernel_transposed_conv():
             mask = (x_next > 0).reshape(x_next.shape[:2] + (1,) * len(stack) + x_next.shape[2:])
             field = (score * mask if relu else score).sum(axis=-1, keepdims=True)
             old = _conv_backward_input(np.ones(kernel.shape[:2] + (1, 1)), stride, padding, field, x_t.shape)
-            got = _gamma_hop(layer, x_t, x_next, score)
-            assert got.shape == (W, H, *stack, *batch, 1)
-            assert np.array_equal(got, old)
+            parts = list(np.moveaxis(score, 2, 0)) if stack else [score]
+            got = _gamma_hop(layer, x_t, x_next, parts)
+            assert got.shape == (W, H, len(parts), *batch, 1)
+            assert np.array_equal(got.reshape(old.shape), old)
+            channel = data.standard_normal(x_next.shape[2:])
+            expanded = np.broadcast_to(channel, x_next.shape).copy()
+            assert np.array_equal(_gamma_hop(layer, x_t, x_next, [parts[0], channel]),
+                                  _gamma_hop(layer, x_t, x_next, [parts[0], expanded]))
 
 
 def test_batched_kernels_equal_per_image_calls():

@@ -400,6 +400,64 @@ def test_gradcheck_fd_calls_peak_no_higher_than_whole_layer_replays(tmp_path, mo
     assert max(peaks) <= WHOLE_LAYER_REPLAY_PEAK
 
 
+def _per_consumer_walk(spec, trace, t, configs):
+    """What ``enumerate_gamma`` must equal bit for bit: every input neuron's
+    U-set walked one consumer at a time, each active consumer adding its
+    score to one Python float per config, starting from 0.0."""
+    conn, hop = receptive_sets(spec, t), spec.layers[t]
+    scores = [
+        backprop_score(spec, trace, validate_request(spec, ActivenessRequest(t, sup, p)), p, t + 1).tolist()
+        for sup, p in configs
+    ]
+    active = (trace[t + 1] > 0).tolist()
+    gamma = np.zeros((*conn.in_shape[:2], len(configs), conn.in_shape[2]))
+    for w, h, d in np.ndindex(conn.in_shape):
+        totals = [0.0] * len(configs)
+        for wp, hp, dp in conn.u_set(w, h, d):
+            if hop.apply_relu and not active[wp][hp][dp]:
+                continue
+            for k, score in enumerate(scores):
+                totals[k] += score[wp][hp][dp]
+        gamma[w, h, :, d] = totals
+    return gamma
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(net=nets())
+def test_enumeration_equals_the_per_consumer_walk_bit_for_bit(net):
+    # K = 1 too: a sum over a kept axis of length 1 may switch numpy to pairwise summation
+    spec, trace = net
+    for t in valid_targets(spec):
+        for configs in (CONFIGS, *([config] for config in CONFIGS)):
+            got = enumerate_gamma(spec, trace, t, configs)
+            assert got.tobytes() == _per_consumer_walk(spec, trace, t, configs).tobytes(), (t, configs)
+
+
+# Most bytes, by tracemalloc, that one ``enumerate_gamma`` call of a toy-cnn
+# gradcheck op (model seed 0, input seed 0) allocated above what it was handed,
+# measured as this test measures it (Python 3.11, numpy 2.4) with the walk
+# that added one consumer at a time from nested-list slabs of X(t+1).
+PER_CONSUMER_WALK_PEAK = 163_544
+
+
+def test_enumeration_peak_no_higher_than_the_per_consumer_walk():
+    spec = generate_model("toy-cnn", seed=0)
+    trace = forward(spec, np.random.default_rng(0).standard_normal(spec.input_shape))
+    peaks = []
+    for t in valid_targets(spec):  # first-call allocations (caches, free lists) stay outside the figure
+        enumerate_gamma(spec, trace, t, CONFIGS)
+    tracemalloc.start()
+    try:
+        for t in valid_targets(spec):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            enumerate_gamma(spec, trace, t, CONFIGS)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= PER_CONSUMER_WALK_PEAK
+
+
 class TestEnumerateGamma:
     def test_closed_form_single_conv(self):
         # 1x1 spatial, 1x1 conv: gamma[d] = sum_dp 2 * post[dp] for active dp

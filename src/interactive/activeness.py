@@ -102,17 +102,18 @@ def valid_targets(spec: NetworkSpec) -> list[int]:
     return [t for t, layer in enumerate(spec.layers) if isinstance(layer, ConvLayer)]
 
 
-def log_likelihood(xbar: np.ndarray, p: int) -> float:
+def log_likelihood(xbar: np.ndarray, p: int) -> float | np.ndarray:
     """ln f at the supervision layer, up to the dropped constant ln C_p.
 
-    ``xbar`` is the supervision layer's (D,) channel-mean array.  Computed
-    as the negative power sum -sum(v**p), which equals -||v||_p^p on the
-    nonnegative (post-ReLU) domain and stays smooth and
-    finite-difference-consistent everywhere.
+    ``xbar`` is the supervision layer's (..., D) channel-mean array: one value
+    per row, a float for a (D,) input.  Computed as the negative power sum
+    -sum(v**p) over D, which equals -||v||_p^p on the nonnegative (post-ReLU)
+    domain and stays smooth and finite-difference-consistent everywhere.
     """
     if p not in (1, 2):
         raise ValueError(f"norm p must be 1 or 2, got {p}")
-    return float(-(xbar**p).sum())
+    ll = -(xbar**p).sum(axis=-1)
+    return ll if xbar.ndim > 1 else float(ll)
 
 
 def layer_score(xT: np.ndarray, p: int) -> np.ndarray:

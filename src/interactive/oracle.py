@@ -5,22 +5,23 @@ The finite-difference (FD) probes replay the forward pass only:
 ``fd_activation_score`` (one activation entry) take central differences
 with step ``FD_STEP``, rerunning the layers above the probed weight or
 activation on a bumped-up and a bumped-down copy per probe, and
-differentiate the ln f the engine reports (``log_likelihood``); they never
-use the engine's backward path.  One replay helper runs the copies of many
-probes as one stack on the forward kernels' batch axes, bounded by
-``FD_STACK_ELEMENTS``; a single probe is a stack of one.  A probe replays
-only its downstream cone: per layer, the box of outputs its bump can change,
-from the region of the trace they read with the changed box below pasted in.
+differentiate the ln f the engine reports (``log_likelihood``, one call per
+stack); they never use the engine's backward path.  One replay helper runs
+the copies of many probes as one stack on the forward kernels' batch axes,
+bounded by ``FD_STACK_ELEMENTS``; a single probe is a stack of one.  A probe
+replays only its downstream cone: per layer, the box of outputs its bump can
+change, from the region of the trace they read with the changed box below
+pasted in; with no layer to replay, only its channel of X(T) is rebuilt.
 
 ``enumerate_gamma`` checks the hop: for each requested (supervision, p)
 config it takes the engine's score at X(t+1) (``backprop_score``), then
-makes one literal walk of every connectivity set of the target, applying
-the activation indicator and adding each active consumer's scores to all
-the configs' sums at once; a U-set equal to the one just walked at the
-same (w, h) reuses its sums.  Both oracles ship in the library so the CLI
-can expose a user-facing gradient check.  Each takes a trace, the tuple
-``forward`` returns, and checks it against the network (``check_trace``)
-where it enters.
+walks every connectivity set of the target literally: per input column, one
+gather of the scores of each set's consumers, zero where the activation
+indicator is off, added left to right for all the configs at once; a U-set
+equal to the one just walked at the same (w, h) reuses its sums.  Both
+oracles ship in the library so the CLI can expose a user-facing gradient
+check.  Each takes a trace, the tuple ``forward`` returns, and checks it
+against the network (``check_trace``) where it enters.
 
 Finite differencing a piecewise-linear network is undefined at kinks, so
 two skip rules apply: a connection probe whose directly perturbed neuron
@@ -112,13 +113,14 @@ def _cone_step(step: tuple, x: np.ndarray, lo: np.ndarray, box: np.ndarray) -> t
     return box, first, True if field is None else (field[:, :, :, 0] == field[:, :, :, 1]).all(axis=(0, 1, 3))
 
 
-def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bumps) -> list:
+def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bumps, mean) -> list:
     """Replay layers start..T-1 on the ``_cone`` of one stack of probes, where
     probe i sets X(start)[coords[i]] to ``bumps[i]`` (up, down); returns, per
     probe, the central difference of -ln f over ``2 * FD_STEP``, or None where
     its copies differ in a box's ReLU signs or max-pool choices (outside the
     boxes both equal the trace).  X(T) is the trace with the last box pasted
-    in, so its mean adds the terms of a whole-layer replay in the same order.
+    in, so its mean adds the terms of a whole-layer replay in the same order;
+    a channel no box changed keeps ``mean``, the trace's own.
     The pair axis sits last before D: every conv product has two rows."""
     n, probe = len(coords), np.arange(len(coords))
     lo = coords[:, :2].T  # per axis, where each probe's changed cells start
@@ -128,26 +130,30 @@ def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bum
     for step, x in zip(cone, trace[start:]):
         box, lo, same = _cone_step(step, x, lo, box)
         agree &= same
-    xT = np.broadcast_to(trace[T][:, :, None, None], (*trace[T].shape[:2], n, 2, trace[T].shape[2])).copy()
+    # X(T) is rebuilt on the channels the boxes change: all D, or the probe's own when no layer ran
+    channels = coords[:, 2:] if T == start else np.arange(trace[T].shape[2])[None]
+    picked = (probe[:, None, None], np.arange(2)[:, None], channels[:, None])  # (n, 2, C): probe, copy, channel
+    xT = np.broadcast_to(trace[T][:, :, channels[:, None]], (*trace[T].shape[:2], n, 2, channels.shape[1])).copy()
+    box = box[(..., *picked)]
     xT[np.arange(box.shape[0])[:, None, None] + lo[0], np.arange(box.shape[1])[:, None] + lo[1], probe] = box
-    return [
-        (log_likelihood(down, p) - log_likelihood(up, p)) / (2.0 * FD_STEP) if same else None
-        for (up, down), same in zip(xT.mean(axis=(0, 1)), agree.tolist())
-    ]
+    xbar = np.tile(mean, (n, 2, 1))
+    xbar[picked] = xT.mean(axis=(0, 1))
+    up, down = log_likelihood(xbar, p).T
+    return [q if same else None for q, same in zip(((down - up) / (2.0 * FD_STEP)).tolist(), agree.tolist())]
 
 
 def _fd_probes(spec: NetworkSpec, trace: tuple, start: int, T: int, p: int, coords, bumps) -> list:
-    """``_fd_replay`` over the probes ``coords`` (n, 3) and ``bumps`` (n, 2) of
-    X(start), in stacks whose largest array (a region, a box or X(T), over all
-    copies) holds at most ``FD_STACK_ELEMENTS`` elements (a probe larger than
-    that is a stack of one); one quotient or None per probe, in order."""
-    cone = _cone(spec, start, T)
-    largest = max([trace[T].size] + [math.prod(shape) for step in cone for shape in step[-2:]])
+    """``_fd_replay`` over the probes ``coords`` (n, 3) and ``bumps`` (n, 2) of X(start),
+    in stacks whose largest array (a region, a box or the rebuilt X(T), one channel of it
+    when no layer runs, over all copies) holds at most ``FD_STACK_ELEMENTS`` elements (a
+    probe larger than that is a stack of one); one quotient or None per probe, in order."""
+    cone, mean = _cone(spec, start, T), trace[T].mean(axis=(0, 1))
+    largest = max([math.prod(trace[T].shape[: 3 if cone else 2])] + [math.prod(s) for step in cone for s in step[-2:]])
     size = max(1, FD_STACK_ELEMENTS // (2 * largest))
     return [
         quotient
         for lo in range(0, len(coords), size)
-        for quotient in _fd_replay(cone, trace, start, T, p, coords[lo : lo + size], bumps[lo : lo + size])
+        for quotient in _fd_replay(cone, trace, start, T, p, coords[lo : lo + size], bumps[lo : lo + size], mean)
     ]
 
 
@@ -236,6 +242,17 @@ def fd_activation_score(
     return _fd_probes(spec, trace, layer_index, T, p, np.array([coord]), np.array(bumps))[0]
 
 
+def _set_sums(table: np.ndarray, flat: list, lengths: list) -> np.ndarray:
+    """Per set, the sum from 0.0 of its rows of ``table`` in order (``flat``: the sets' row
+    indices back to back, ``lengths``: their sizes): one gather, padded with the zero last
+    row, accumulated in place; a sum over a kept axis of length 1 would be pairwise."""
+    lengths = np.array(lengths)
+    index = np.full((len(lengths), lengths.max() + 1), -1)  # column 0 and the padding read the zero row
+    index[:, 1:][np.arange(lengths.max()) < lengths[:, None]] = flat
+    gathered = table[index]
+    return np.cumsum(gathered, axis=1, out=gathered)[:, -1]
+
+
 def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndarray:
     """gamma at X(t) under several (supervision, p) configs, by literal
     summation over every neuron's downstream set.
@@ -243,16 +260,16 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
     Returns a fresh (W, H, K, D) array, writable by the caller, with the K
     configs on axis 2 in order, the layout of ``gamma_stacks``.  Each config
     is checked by ``validate_request`` and takes its score at X(t+1) from its
-    own ``backprop_score`` call.  One walk visits every input neuron once and
-    goes through its U-set in order; each active consumer adds its K scores,
-    one to each config's running sum, so every sum adds the same terms in the
-    same order as a walk for that config alone.  A U-set equal (as a list) to
-    the one walked last at the same (w, h) is not walked again: its channel
-    reuses that walk's K sums, the same terms in the same order.  Memory: the
-    K score arrays at X(t+1) in numpy, plus, as Python lists, only the w'
-    slabs that the current input column reads and the one U-set ``u_set``
-    keeps for the current (w, h).  Asymptotically slow; guarded against nets
-    with more than ``ENUMERATION_GUARD`` connections through the hop layer.
+    own ``backprop_score`` call.  The walk asks ``u_set`` for every input
+    neuron's U-set; per input column, one gather takes the K scores of each
+    distinct set's consumers in order, 0.0 where the activation indicator is
+    off and as padding, and adds them left to right from 0.0, as adding one
+    active consumer at a time to one config's sum would.  A U-set equal (as a
+    list) to the one walked last at the same (w, h) is not walked again: its
+    channel reuses that walk's sums.  Memory: the K scores at X(t+1) as one
+    table, plus one input column's set indices and gather at a time.
+    Asymptotically slow; guarded against nets with more than
+    ``ENUMERATION_GUARD`` connections through the hop layer.
     """
     Ts = [validate_request(spec, ActivenessRequest(target_layer=t, supervision=sup, p=p)) for sup, p in configs]
     check_trace(spec, trace)
@@ -262,34 +279,26 @@ def enumerate_gamma(spec: NetworkSpec, trace: tuple, t: int, configs) -> np.ndar
             f"layer {spec.names[t]} has {conn.connection_count()} connections; "
             f"enumeration is guarded at {ENUMERATION_GUARD}"
         )
-    hop = spec.layers[t]
-    scores = np.stack([backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)], axis=-1)
-    active = trace[t + 1] > 0
-    # The walk reads X(t+1) as nested lists, one w' slab at a time: slab w' is
-    # converted when column w first reaches its window and dropped once w has
-    # passed it, so the lists never hold more than the slabs one column reads.
-    score_rows = [None] * conn.out_shape[0]
-    active_rows = [None] * conn.out_shape[0]
-    lo = hi = 0
+    K, (w_out, h_out, d_out) = len(Ts), conn.out_shape
+    # the K scores at X(t+1), one row per neuron, an inactive one's zeroed, then a zero row:
+    # adding 0.0 to a sum that starts at 0.0 changes no bit, so neither adds anything
+    table = np.zeros((w_out * h_out * d_out + 1, K))
+    np.stack([backprop_score(spec, trace, T, p, t + 1) for T, (_, p) in zip(Ts, configs)], axis=-1,
+             out=table[:-1].reshape(w_out, h_out, d_out, K))
+    if spec.layers[t].apply_relu:
+        table[:-1][~(trace[t + 1] > 0).reshape(-1)] = 0.0
     w_in, h_in, d_in = conn.in_shape
-    gamma = np.zeros((w_in, h_in, len(Ts), d_in))
+    gamma = np.empty((w_in, h_in, K, d_in))
     for w in range(w_in):
-        while hi < conn.out_shape[0] and hi * conn.stride - conn.padding <= w:
-            score_rows[hi], active_rows[hi] = scores[hi].tolist(), active[hi].tolist()
-            hi += 1
-        while lo < hi and lo * conn.stride - conn.padding + conn.kernel_w <= w:
-            score_rows[lo] = active_rows[lo] = None
-            lo += 1
+        flat, lengths, which = [], [], []  # the column's distinct U-sets, and the one each (h, d) reads
         for h in range(h_in):
             walked = None
             for d in range(d_in):
                 u = conn.u_set(w, h, d)
                 if u != walked:
-                    walked, totals = u, [0.0] * len(Ts)
-                    for wp, hp, dp in u:
-                        if hop.apply_relu and not active_rows[wp][hp][dp]:
-                            continue
-                        for k, term in enumerate(score_rows[wp][hp][dp]):
-                            totals[k] += term
-                gamma[w, h, :, d] = totals
+                    walked = u
+                    flat += [(wp * h_out + hp) * d_out + dp for wp, hp, dp in u]
+                    lengths.append(len(u))
+                which.append(len(lengths) - 1)
+        gamma[w] = _set_sums(table, flat, lengths)[which].reshape(h_in, d_in, K).transpose(0, 2, 1)
     return gamma

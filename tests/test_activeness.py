@@ -46,6 +46,16 @@ class TestLogLikelihood:
         assert log_likelihood(np.array([3.0, 4.0]), p=1) == -7.0
         assert log_likelihood(np.array([0.0, 0.0, 0.0]), p=2) == 0.0
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("D", [1, 3, 8, 17, 40])
+    def test_a_stack_gives_each_row_its_one_row_value(self, D, p):
+        # every width around numpy's 8-wide pairwise blocks, as FD replays stack (n, 2, D)
+        xbar = np.random.default_rng(D).standard_normal((5, 2, D)) * np.logspace(-4, 4, D)
+        stacked = log_likelihood(xbar, p)
+        assert isinstance(log_likelihood(xbar[0, 0], p), float)
+        assert stacked.shape == (5, 2)
+        assert stacked.tolist() == [[log_likelihood(row, p) for row in pair] for pair in xbar]
+
     def test_rejects_other_norms(self):
         with pytest.raises(ValueError):
             log_likelihood(np.array([1.0]), p=3)

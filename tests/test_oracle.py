@@ -252,10 +252,12 @@ class TestStackedProbes:
             connections = _drawn_connections(receptive_sets(spec, t), rng, 60)
             singles = [fd_connection_check(spec, trace, request, [c])[0] for c in connections]
             assert any(fd is not None for fd in singles)
-            # a stack's bound counts its largest array, a cone region, a box or X(T), over both copies
+            # a stack's bound counts its largest array, a cone region, a box or the rebuilt
+            # X(T), over both copies; X(T) is rebuilt on one channel when no layer runs
             T = validate_request(spec, request)
             cone = oracle._cone(spec, t + 1, T)
-            largest = max([trace[T].size] + [math.prod(shape) for step in cone for shape in step[-2:]])
+            rebuilt = trace[T].size if T > t + 1 else math.prod(trace[T].shape[:2])
+            largest = max([rebuilt] + [math.prod(shape) for step in cone for shape in step[-2:]])
             for bound, stack in ((1, 1), (4 * largest, 2), (2**40, None)):  # stacks of 1, 2 and all probes
                 monkeypatch.setattr(oracle, "FD_STACK_ELEMENTS", bound)
                 stacks.clear()

@@ -233,21 +233,22 @@ def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, parts) -> np
 
     Each of the ``parts`` broadcasts to ``x_next``'s (W', H', *batch, D')
     shape: a swept score, or a per-channel layer score, never expanded.
-    Each is multiplied by the activated-neuron indicator of the hop layer's
-    output, which tests the post-activation response exactly as the score
-    function prescribes (a conv layer without fused ReLU carries none), into
-    its slot k of one (W', H', K, *batch, D') buffer.  The hop is a
-    differentiation in the connection weights, hence weight-free, and no
-    downstream set depends on the input channel: the masked scores, summed
-    over output channels, are box-summed into a one-channel
-    (W, H, K, *batch, 1) field: added at each tap of ``window_taps``, with
-    no kernel.
+    Each in turn is multiplied by the activated-neuron indicator of the hop
+    layer's output, which tests the post-activation response exactly as the
+    score function prescribes (a conv layer without fused ReLU carries none),
+    into one scratch array of ``x_next``'s shape, and summed over the output
+    channels into slot k of a one-channel (W', H', K, *batch, 1) field: one
+    config is masked at a time.  The hop is a differentiation in the
+    connection weights, hence weight-free, and no downstream set depends on
+    the input channel, so that field is box-summed into the (W, H, K, *batch, 1)
+    gamma field: added at each tap of ``window_taps``, with no kernel.
     """
-    masked = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:]))
+    masked = np.empty(x_next.shape)
+    field = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:-1], 1))
     active = x_next > 0 if hop.apply_relu else True  # times 1.0 is exact
     for k, part in enumerate(parts):
-        np.multiply(part, active, out=masked[:, :, k])
-    field = masked.sum(axis=-1, keepdims=True)
+        np.multiply(part, active, out=masked)
+        masked.sum(axis=-1, keepdims=True, out=field[:, :, k])
     (w, h), p = x_t.shape[:2], hop.padding
     gxp = np.zeros((w + 2 * p, h + 2 * p, *field.shape[2:]))
     for _, _, tap in window_taps(*hop.kernel.shape[:2], hop.stride, *field.shape[:2]):

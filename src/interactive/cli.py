@@ -33,6 +33,7 @@ from .activeness import (
     connection_activeness,
     gamma_stacks,
     neuron_activeness,
+    target_name,
     valid_targets,
     validate_request,
 )
@@ -119,8 +120,13 @@ def _setup_logging(verbose: int) -> None:
 
 def _resolve_target(spec, name: str) -> int:
     """Map a layer name (or "input") to the activation index t it selects;
-    ``validate_request`` rejects a t that is no activeness target."""
-    t = 0 if name == "input" else spec.layer_index(name) + 1
+    ``validate_request`` rejects a t that is no activeness target.  An
+    unknown name raises ``KeyError`` listing the names that select a target."""
+    names = ["input", *spec.names]
+    if name not in names:
+        valid = ", ".join(target_name(spec, t) for t in valid_targets(spec))
+        raise KeyError(f"no layer named {name!r}; valid: {valid}")
+    t = names.index(name)
     validate_request(spec, ActivenessRequest(target_layer=t))
     return t
 

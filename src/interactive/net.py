@@ -145,12 +145,6 @@ class NetworkSpec:
         object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "_conns", tuple(conns))
 
-    def layer_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no layer named {name!r}; layers are {', '.join(self.names)}") from None
-
 
 def _infer_shapes(spec: NetworkSpec) -> tuple[list, list]:
     """Shape of every activation X(0)..X(L), and each layer's ``ConvConnectivity``

@@ -119,8 +119,9 @@ def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bum
     probe, the central difference of -ln f over ``2 * FD_STEP``, or None where
     its copies differ in a box's ReLU signs or max-pool choices (outside the
     boxes both equal the trace).  X(T) is the trace with the last box pasted
-    in, so its mean adds the terms of a whole-layer replay in the same order;
-    a channel no box changed keeps ``mean``, the trace's own.
+    in, so its mean adds the terms of a whole-layer replay in the same order.
+    With no layer to replay (T == start) only the probe's channel is rebuilt
+    and the others keep ``mean``, the trace's own; otherwise ``mean`` is None.
     The pair axis sits last before D: every conv product has two rows."""
     n, probe = len(coords), np.arange(len(coords))
     lo = coords[:, :2].T  # per axis, where each probe's changed cells start
@@ -130,14 +131,17 @@ def _fd_replay(cone: list, trace: tuple, start: int, T: int, p: int, coords, bum
     for step, x in zip(cone, trace[start:]):
         box, lo, same = _cone_step(step, x, lo, box)
         agree &= same
-    # X(T) is rebuilt on the channels the boxes change: all D, or the probe's own when no layer ran
-    channels = coords[:, 2:] if T == start else np.arange(trace[T].shape[2])[None]
-    picked = (probe[:, None, None], np.arange(2)[:, None], channels[:, None])  # (n, 2, C): probe, copy, channel
-    xT = np.broadcast_to(trace[T][:, :, channels[:, None]], (*trace[T].shape[:2], n, 2, channels.shape[1])).copy()
-    box = box[(..., *picked)]
-    xT[np.arange(box.shape[0])[:, None, None] + lo[0], np.arange(box.shape[1])[:, None] + lo[1], probe] = box
-    xbar = np.tile(mean, (n, 2, 1))
-    xbar[picked] = xT.mean(axis=(0, 1))
+    at = (np.arange(box.shape[0])[:, None, None] + lo[0], np.arange(box.shape[1])[:, None] + lo[1], probe)
+    if T > start:  # a layer ran: every channel of X(T) is rebuilt
+        xT = np.broadcast_to(trace[T][:, :, None, None], (*trace[T].shape[:2], n, 2, trace[T].shape[2])).copy()
+        xT[at] = box
+        xbar = xT.mean(axis=(0, 1))
+    else:  # only the probe's channel is rebuilt; the others keep the trace's ``mean``
+        picked = (probe[:, None, None], np.arange(2)[:, None], coords[:, None, 2:])  # (n, 2, 1): probe, copy, channel
+        xT = np.broadcast_to(trace[T][:, :, coords[:, None, 2:]], (*trace[T].shape[:2], n, 2, 1)).copy()
+        xT[at] = box[(..., *picked)]
+        xbar = np.tile(mean, (n, 2, 1))
+        xbar[picked] = xT.mean(axis=(0, 1))
     up, down = log_likelihood(xbar, p).T
     return [q if same else None for q, same in zip(((down - up) / (2.0 * FD_STEP)).tolist(), agree.tolist())]
 
@@ -147,7 +151,8 @@ def _fd_probes(spec: NetworkSpec, trace: tuple, start: int, T: int, p: int, coor
     in stacks whose largest array (a region, a box or the rebuilt X(T), one channel of it
     when no layer runs, over all copies) holds at most ``FD_STACK_ELEMENTS`` elements (a
     probe larger than that is a stack of one); one quotient or None per probe, in order."""
-    cone, mean = _cone(spec, start, T), trace[T].mean(axis=(0, 1))
+    cone = _cone(spec, start, T)
+    mean = None if cone else trace[T].mean(axis=(0, 1))  # after a layer every channel of X(T) is rebuilt
     largest = max([math.prod(trace[T].shape[: 3 if cone else 2])] + [math.prod(s) for step in cone for s in step[-2:]])
     size = max(1, FD_STACK_ELEMENTS // (2 * largest))
     return [

@@ -558,6 +558,26 @@ def test_weighted_features_peak_no_higher_than_with_stacked_score_copies():
     assert peak <= WEIGHTED_FEATURES_PEAK
 
 
+# The same measure, on one toybench group of 16 images (the first 16 of toy
+# dataset 0), when the hop wrote all its configs' masked scores into one
+# (W', H', K, *batch, D') buffer.
+WEIGHTED_FEATURES_PEAK_16 = 1_708_000
+
+
+def test_weighted_features_peak_on_a_group_of_16_no_higher_than_with_one_masked_buffer():
+    spec = generate_model("toy-cnn", seed=0)
+    images = toy_samples(0, spec.input_shape)[0][:16]
+    trace = forward(spec, np.stack([to_input_tensor(img, [INPUT_MEAN] * 3).array for img in images], axis=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weighted_features(spec, trace, valid_targets(spec))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= WEIGHTED_FEATURES_PEAK_16
+
+
 def config_scores(spec, acts, targets, configs):
     """The (supervision, p) scores at X(t+1) that ``gamma_stacks`` hops from,
     ``{t: (W', H', K, *batch, D')}``, configs in order on axis 2: a "last"

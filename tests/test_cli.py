@@ -195,6 +195,12 @@ class TestActiveness:
         assert code == EXIT_USAGE
         assert "pool-9" in capsys.readouterr().err
 
+    def test_unknown_layer_lists_the_names_it_accepts(self, model_path, image_path, tmp_path, capsys):
+        # tiny-2conv: "input" is accepted; conv-1 feeds a pool and conv-2 is the final layer
+        code, _, _ = self.run(model_path, image_path, tmp_path, "--layer", "pool-9")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no layer named 'pool-9'; valid: input, pool-1\n"
+
     def test_pool_successor_exits_2_with_explanation(self, model_path, image_path, tmp_path, capsys):
         code, _, _ = self.run(model_path, image_path, tmp_path, "--layer", "conv-1")
         assert code == EXIT_USAGE
@@ -433,6 +439,12 @@ class TestToybench:
         code = main(["toybench", "--model", str(model_path), "--layers", "nope",
                      "--out", str(tmp_path / "r.txt")])
         assert code == EXIT_USAGE
+
+    def test_unknown_layer_lists_the_names_it_accepts(self, model_path, tmp_path, capsys):
+        code = main(["toybench", "--model", str(model_path), "--layers", "input,nope",
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no layer named 'nope'; valid: input, pool-1\n"
 
     @pytest.mark.parametrize("layers, message", [
         ("", "error: no layer named ''"),

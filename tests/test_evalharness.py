@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -194,6 +195,29 @@ class TestToyDataset:
             toy_image(-1, (8, 8, 3), 0, 0)
 
 
+def batched_and_per_image_features(spec, dataset_seed, monkeypatch):
+    """Per (target, image): the six feature rows ``compare_pipelines`` built in its
+    image groups, and the same rows from one forward pass and one
+    ``neuron_activeness`` call per weighted config on that image alone."""
+    seen = []
+    normalize = evalharness.l2_normalize_rows
+    monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: seen.append(m) or normalize(m))
+    compare_pipelines(dataset_seed, spec)
+    targets = valid_targets(spec)
+    assert len(seen) == len(targets)
+    images = toy_samples(dataset_seed, spec.input_shape)[0]
+    for t, batched in zip(targets, seen):
+        assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
+        for n, img in enumerate(images):
+            trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * spec.input_shape[2]).array)
+            expected = [trace[t].mean(axis=(0, 1)), trace[t].max(axis=(0, 1))]
+            for sup in ("next", "last"):
+                for p in (1, 2):
+                    request = ActivenessRequest(target_layer=t, supervision=sup, p=p, summarize="max")
+                    expected.append(neuron_activeness(spec, trace, request).feature)
+            yield batched[:, n], np.stack(expected)
+
+
 @pytest.fixture(scope="module")
 def seed3_report():
     return compare_pipelines(3, generate_model("tiny-2conv", seed=3))
@@ -238,28 +262,24 @@ class TestComparePipelines:
         monkeypatch.setattr(evalharness, "SAMPLES_PER_CLASS", 5)
         # groups of 4 for 15 images: the last group is short
         monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", 4 * w * h * d + 1)
-        seen = []
-        normalize = evalharness.l2_normalize_rows
-        monkeypatch.setattr(evalharness, "l2_normalize_rows", lambda m: seen.append(m) or normalize(m))
-        compare_pipelines(2, spec)
-        targets = valid_targets(spec)
-        assert len(seen) == len(targets)
+        for batched, expected in batched_and_per_image_features(spec, 2, monkeypatch):
+            if arch == "tiny-fc":
+                # tiny-fc's 1x1 fc output takes numpy's vector-matrix product for one
+                # image and a matrix product for a stack, so its last bit may differ
+                # (1.8e-12 absolute on entries near 7.5e3 was seen)
+                npt.assert_allclose(batched, expected, rtol=1e-12, atol=1e-12)
+            else:
+                assert np.array_equal(batched, expected)
 
-        images = toy_samples(2, spec.input_shape)[0]
-        for t, batched in zip(targets, seen):
-            assert batched.shape == (len(PIPELINE_CONFIGS), len(images), spec.layers[t].kernel.shape[2])
-            for n, img in enumerate(images):
-                trace = forward(spec, to_input_tensor(img, [INPUT_MEAN] * d).array)
-                x_t = trace[t]
-                expected = [x_t.mean(axis=(0, 1)), x_t.max(axis=(0, 1))]
-                for sup in ("next", "last"):
-                    for p in (1, 2):
-                        request = ActivenessRequest(target_layer=t, supervision=sup, p=p, summarize="max")
-                        expected.append(neuron_activeness(spec, trace, request).feature)
-                # relative: tiny-fc's 1x1 fc output takes numpy's vector-matrix product
-                # for one image and a matrix product for a stack, so its last bit
-                # may differ (1.8e-12 absolute on entries near 7.5e3 was seen)
-                npt.assert_allclose(batched[:, n], np.stack(expected), rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("group", [None, 8], ids=["default-group", "groups-of-8"])
+    @pytest.mark.parametrize("arch", ["toy-cnn", "tiny-2conv", "tiny-3conv"])
+    def test_batched_features_are_bit_identical_to_per_image_features(self, arch, group, monkeypatch):
+        # the whole 48-image dataset, at the group size toybench runs and at groups of 8
+        spec = generate_model(arch, seed=0)
+        if group is not None:
+            monkeypatch.setattr(evalharness, "GROUP_INPUT_ELEMENTS", group * math.prod(spec.input_shape))
+        for batched, expected in batched_and_per_image_features(spec, 0, monkeypatch):
+            assert np.array_equal(batched, expected)
 
     @pytest.mark.parametrize("dataset_seed", [0, 1])
     @pytest.mark.parametrize("model_seed", [0, 3])
@@ -297,6 +317,13 @@ class TestComparePipelines:
         compare_pipelines(0, spec, targets=targets)
         assert len(calls) == 1
         assert calls[0][0] == len(PIPELINE_CONFIGS) * (1 if targets else len(valid_targets(spec)))
+
+    def test_three_forward_passes_per_toy_cnn_run(self, monkeypatch):
+        # the 48 toy images at 16x16x3 make 3 groups of 16, each one forward pass
+        shapes = []
+        monkeypatch.setattr(evalharness, "forward", lambda spec, x: shapes.append(x.shape) or forward(spec, x))
+        compare_pipelines(0, generate_model("toy-cnn", seed=0))
+        assert shapes == [(16, 16, 16, 3)] * 3
 
     def test_text_report_shape(self, seed3_report):
         lines = seed3_report.to_text().splitlines()

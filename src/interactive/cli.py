@@ -7,14 +7,15 @@ finite-difference and enumeration oracles; the CI gate) and ``toybench``
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error.
 Every subcommand is deterministic given its flags.  ``main`` builds its
-argument parser once per process, on its first call.  The INTERACTIVE_LOG
-environment variable (debug/info/warning) controls log verbosity, as do
-repeated ``-v`` flags.
+argument parser and sets glibc's heap thresholds once per process, on its
+first call.  INTERACTIVE_LOG (debug/info/warning) or repeated ``-v`` flags
+set log verbosity; info logs each command's wall time and page faults.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import logging
@@ -22,6 +23,7 @@ import os
 import re
 import struct
 import sys
+import time
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .activeness import (
 from .evalharness import compare_pipelines
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
-from .net import ConvLayer, forward, receptive_sets
+from .net import SHAPE_GUARD, ConvLayer, forward, receptive_sets
 from .oracle import enumerate_gamma, fd_connection_check
 from .tensor import Tensor3
 
@@ -316,10 +318,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Set glibc's mmap threshold to SHAPE_GUARD float64s (32 MiB, its 64-bit ceiling) and trim at twice that."""
+    try:  # setting both turns off the dynamic thresholds, under which each op trimmed the heap and faulted it back
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        ok = mallopt(-3, 8 * SHAPE_GUARD) and mallopt(-1, 16 * SHAPE_GUARD)  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    except (OSError, AttributeError):  # not glibc
+        ok = False
+    log.debug("malloc thresholds: %s", f"mmap {8 * SHAPE_GUARD}, trim {16 * SHAPE_GUARD}" if ok else "not available")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _setup_logging(args.verbose)
+    _keep_heap()
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]  # looked up per call, so a patched cmd_* runs
+    if timed := log.isEnabledFor(logging.INFO):
+        import resource  # POSIX only, so imported only for the -v cost line
+        start, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         # an overflow past the forward pass's own check ends in one line, not a numpy warning
         with np.errstate(over="raise", invalid="raise"):
@@ -336,6 +354,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if timed:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            log.info("%s took %.1f ms, %d minor page faults", args.command, (time.perf_counter() - start) * 1e3, faults)
 
 
 if __name__ == "__main__":

@@ -162,14 +162,14 @@ def _pool_backward(layer, x_in: np.ndarray, x_out: np.ndarray, grad_out: np.ndar
     trace shape of ``x_in`` and ``x_out`` and lifted over ``grad_out``'s stacked seeds."""
     k = layer.window
     gx = np.zeros(x_in.shape[:2] + grad_out.shape[2:])
-    free = np.ones(x_out.shape, dtype=bool) if layer.mode == "max" else None
+    free, hit = np.ones(x_out.shape, dtype=bool), np.empty(x_out.shape, dtype=bool)
     for _, _, tap in window_taps(k, k, layer.stride, *grad_out.shape[:2]):
-        if free is None:
+        if layer.mode != "max":
             gx[tap] += grad_out / (k * k)
         else:
-            hit = free & (x_in[tap] == x_out)
-            free &= ~hit
-            gx[tap] += np.where(_lift(hit, grad_out), grad_out, 0.0)
+            np.logical_and(np.equal(x_in[tap], x_out, out=hit), free, out=hit)
+            free ^= hit
+            gx[tap] += grad_out * _lift(hit, grad_out)  # times 0 may give -0.0, which adds no bit to gx (never -0.0)
     return gx
 
 
@@ -322,8 +322,10 @@ def neuron_activeness(
     gamma = np.broadcast_to(stack[:, :, 0], trace[t].shape)  # a read-only view
     activeness = trace[t] * gamma
     map2d = trace[t].shape[2] * stack[:, :, 0, 0]
-    summarize = np.max if request.summarize == "max" else np.mean
-    feature = summarize(activeness, axis=(0, 1))
+    if request.summarize == "max" and activeness.shape[2] > 1:  # np.max's order (w outermost), in rows of H * D
+        feature = np.ascontiguousarray(activeness.swapaxes(0, 1)).max(axis=0).max(axis=0)
+    else:  # one channel is one contiguous pass, whose SIMD lanes pick among tied zeros in an order of their own
+        feature = (np.max if request.summarize == "max" else np.mean)(activeness, axis=(0, 1))
     for arr in (activeness, map2d, feature):
         arr.flags.writeable = False
     ll = log_likelihood(trace[T].mean(axis=(0, 1)), request.p)

@@ -9,7 +9,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 I/O error.
 Every subcommand is deterministic given its flags.  ``main`` builds its
 argument parser and sets glibc's heap thresholds once per process, on its
 first call.  INTERACTIVE_LOG (debug/info/warning) or repeated ``-v`` flags
-set log verbosity; info logs each command's wall time and page faults.
+set each call's log verbosity; info logs its wall time and page faults.
 """
 
 from __future__ import annotations
@@ -110,14 +110,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging(verbose: int) -> None:
-    level = getattr(logging, os.environ.get("INTERACTIVE_LOG", "").upper(), None)
+    """Set the ``interactive`` logger's level from INTERACTIVE_LOG and ``-v``; with neither, leave it alone."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")  # a stderr handler, once per process
+    name = os.environ.get("INTERACTIVE_LOG", "")
+    level = getattr(logging, name.upper(), None)
     if not isinstance(level, int):  # unset, unknown, or a non-level name such as BASIC_FORMAT
         level = logging.WARNING
-    if verbose == 1:
-        level = min(level, logging.INFO)
-    elif verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    if verbose:
+        level = logging.DEBUG if verbose >= 2 else min(level, logging.INFO)
+    if name or verbose:
+        log.setLevel(level)
 
 
 def _resolve_target(spec, name: str) -> int:
@@ -332,6 +334,7 @@ def _keep_heap() -> None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    level = log.level  # restored when the call ends, so each call has only its own verbosity
     _setup_logging(args.verbose)
     _keep_heap()
     command = globals()[f"cmd_{args.command.replace('-', '_')}"]  # looked up per call, so a patched cmd_* runs
@@ -358,6 +361,7 @@ def main(argv=None) -> int:
         if timed:
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             log.info("%s took %.1f ms, %d minor page faults", args.command, (time.perf_counter() - start) * 1e3, faults)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

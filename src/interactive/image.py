@@ -157,7 +157,10 @@ def bilinear_resize(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         i0 = np.floor(pos).astype(np.int64)
         i1 = np.minimum(i0 + 1, n - 1)
         f = (pos - i0).reshape((-1,) + (1,) * (out.ndim - axis - 1))
-        out = (1 - f) * out.take(i0, axis) + f * out.take(i1, axis)
+        g, f = (np.broadcast_to(v, (size, *out.shape[axis + 1 :])) for v in (1 - f, f))
+        if axis == 1 and out.ndim == 3:  # (size, c) rows, or numpy's inner loop would run over c values
+            g, f = g.copy(), f.copy()
+        out = g * out.take(i0, axis) + f * out.take(i1, axis)
     return out
 
 
@@ -178,5 +181,5 @@ def to_input_tensor(img: RasterImage, mean) -> Tensor3:
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     if mean.size != img.channels:
         raise ValueError(f"{mean.size} means for {img.channels} channels")
-    arr = img.pixels.transpose(1, 0, 2) - mean
-    return Tensor3.from_array(arr)
+    arr = img.pixels - np.tile(mean, (img.width, 1))  # in the pixels' (h, w, c) order; from_array transposes
+    return Tensor3.from_array(arr.transpose(1, 0, 2))

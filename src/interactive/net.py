@@ -206,11 +206,12 @@ def apply_conv(layer: ConvLayer, x: np.ndarray, padding: int | None = None) -> n
         xp[p:-p, p:-p] = x
     out = np.zeros((ow, oh, *x.shape[2:-1], dout))
     cols = max(1, CONV_SLAB_ELEMENTS // max(1, out[0].size))
+    bias = np.broadcast_to(layer.bias, out.shape[-2:]).copy()  # one contiguous row, not one add per position
     for lo in range(0, ow, cols):
         slab, xs = out[lo : lo + cols], xp[lo * s :]
         for a, b, tap in window_taps(kw, kh, s, len(slab), oh):
             slab += xs[tap] @ layer.kernel[a, b]
-        slab += layer.bias
+        slab += bias
     return out
 
 

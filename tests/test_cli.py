@@ -18,6 +18,7 @@ from interactive import (
     save_model,
     write_image,
 )
+from interactive import cli
 from interactive.activeness import gamma_stacks, valid_targets
 from interactive.cli import (
     EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, FEATURE_MAGIC, MAX_SAMPLES, _prepare_input, build_parser, main
@@ -112,11 +113,32 @@ class TestGenModel:
     def test_log_env_var_naming_no_level_falls_back_to_warning(self, tmp_path, monkeypatch, verbose, level):
         # logging.BASIC_FORMAT is a format string, not a level: it counts as an unknown name
         monkeypatch.setenv("INTERACTIVE_LOG", "basic_format")
-        levels = []
-        monkeypatch.setattr("interactive.cli.logging.basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+        levels, run = [], cli.cmd_gen_model
+        monkeypatch.setattr(cli, "cmd_gen_model", lambda args: levels.append(cli.log.getEffectiveLevel()) or run(args))
         out = tmp_path / "m.model"
         assert main([*verbose, "gen-model", "--arch", "tiny-2conv", "--out", str(out)]) == EXIT_OK
         assert levels == [level]
+
+    def test_each_call_sets_its_own_verbosity(self, monkeypatch, caplog):
+        # the root logger keeps its first handler, so the level is set on the package's logger per call
+        monkeypatch.delenv("INTERACTIVE_LOG", raising=False)
+        monkeypatch.setattr(cli, "cmd_gen_model", lambda args: cli.log.debug("probe") or EXIT_OK)
+        argv = ["gen-model", "--arch", "tiny-2conv", "--out", "m"]
+        seen = []
+        for flags in ([], ["-v"], ["-vv"], []):
+            caplog.clear()
+            assert main([*flags, *argv]) == EXIT_OK
+            seen.append([f"{r.levelname} {r.getMessage().split(' took ')[0]}" for r in caplog.records])
+        assert seen == [[], ["INFO gen-model"], ["DEBUG probe", "INFO gen-model"], []]
+        assert cli.log.level == logging.NOTSET
+
+    def test_a_call_with_no_setting_leaves_the_level_alone(self, monkeypatch, caplog):
+        monkeypatch.delenv("INTERACTIVE_LOG", raising=False)
+        monkeypatch.setattr(cli, "cmd_gen_model", lambda args: EXIT_OK)
+        caplog.set_level(logging.INFO, logger="interactive")
+        assert main(["gen-model", "--arch", "tiny-2conv", "--out", "m"]) == EXIT_OK
+        assert [r.getMessage().split(" took ")[0] for r in caplog.records] == ["gen-model"]
+        assert cli.log.level == logging.INFO
 
 
 class TestActiveness:

@@ -1,4 +1,5 @@
-"""Run the Tier-1 suite once per OpenBLAS kernel this CPU can run, and print the fail matrix.
+"""Run the Tier-1 suite once per OpenBLAS kernel this CPU can run, and once with numpy's
+AVX512 loops switched off, and print the fail matrix.
 
 numpy's bundled OpenBLAS picks its kernel at load time, from the CPU; the
 ``OPENBLAS_CORETYPE`` environment variable forces another one.  The pinned
@@ -12,7 +13,13 @@ name OpenBLAS maps to another kernel is run once.  OpenBLAS names a
 kernel by the first name mapped to it: on x86-64 the SSE3 kernel forced
 as Prescott, Core2 or Opteron reports itself as Katmai.
 
-    python3 tools/blas_kernels.py        # about 20 s per kernel run
+numpy's own loops (elementwise ufuncs, reductions) pick their SIMD target at
+import, from the CPU, too.  On a CPU with AVX512 the last row runs Tier-1
+under OpenBLAS's own choice with ``NPY_DISABLE_CPU_FEATURES`` set to
+``NUMPY_NO_AVX512``, so that numpy runs the AVX2 loops a CPU without AVX512
+would run.
+
+    python3 tools/blas_kernels.py        # about 20 s per Tier-1 run
 
 Tier-1 is run as written (``python -m pytest -q --continue-on-collection-errors``
 with ``src`` on ``PYTHONPATH``), plus ``-rfE`` so that the failing test ids
@@ -54,6 +61,9 @@ KERNELS = {
     "Opteron": {"sse2"},
 }
 
+# numpy's dispatch targets that need AVX512; switching them off leaves its AVX2 (X86_V3) loops
+NUMPY_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
 # run in each child with the kernel forced: one product, then the name of the kernel that ran it
 PROBE = """
 import ctypes, glob, os, numpy as np
@@ -74,23 +84,25 @@ def cpu_flags() -> set[str]:
     return next((set(line.split(":", 1)[1].split()) for line in text.splitlines() if line.startswith("flags")), set())
 
 
-def child_env(kernel: str) -> dict[str, str]:
+def child_env(**settings: str) -> dict[str, str]:
+    """This process's environment with ``src`` on PYTHONPATH and ``settings`` added."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": f"{src}:{path}" if path else src}
+    return {**os.environ, **settings, "PYTHONPATH": f"{src}:{path}" if path else src}
 
 
 def running_kernel(kernel: str) -> str | None:
     """The kernel OpenBLAS runs when ``kernel`` is forced, or None when the child dies."""
-    run = subprocess.run([sys.executable, "-c", PROBE], env=child_env(kernel), capture_output=True, text=True)
+    env = child_env(OPENBLAS_CORETYPE=kernel)
+    run = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True)
     return run.stdout.strip() if run.returncode == 0 else None
 
 
-def tier1(kernel: str) -> tuple[list[str], str]:
-    """The failing test ids and pytest's last summary line under ``kernel``."""
+def tier1(**settings: str) -> tuple[list[str], str]:
+    """The failing test ids and pytest's last summary line with ``settings`` in the environment."""
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"],
-        cwd=ROOT, env=child_env(kernel), capture_output=True, text=True,
+        cwd=ROOT, env=child_env(**settings), capture_output=True, text=True,
     )
     lines = run.stdout.splitlines()
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
@@ -98,10 +110,16 @@ def tier1(kernel: str) -> tuple[list[str], str]:
     return failed, summary
 
 
+def show(label: str, failed: list[str], summary: str) -> None:
+    print(f"{label}: {len(failed)} failed ({summary})", flush=True)
+    for test_id in failed:
+        print(f"  {test_id}")
+
+
 def main() -> int:
     flags = cpu_flags()
     names = [name for name, needs in KERNELS.items() if needs <= flags]
-    matrix = {}  # running kernel -> (forced names, failing ids, summary)
+    matrix = {}  # running kernel, or the numpy row -> (how it was set, failing ids, summary)
     for name in names:
         running = running_kernel(name)
         if running is None:
@@ -111,11 +129,12 @@ def main() -> int:
             matrix[running][0].append(name)
             print(f"{name}: runs {running}, already tested", flush=True)
             continue
-        failed, summary = tier1(name)
-        matrix[running] = ([name], failed, summary)
-        print(f"{name}: runs {running}: {len(failed)} failed ({summary})", flush=True)
-        for test_id in failed:
-            print(f"  {test_id}")
+        matrix[running] = ([name], *tier1(OPENBLAS_CORETYPE=name))
+        show(f"{name}: runs {running}", *matrix[running][1:])
+    if "avx512f" in flags:  # without AVX512 numpy already runs its AVX2 loops, in every row above
+        setting = f"NPY_DISABLE_CPU_FEATURES={NUMPY_NO_AVX512}"
+        matrix["numpy without AVX512"] = ([setting], *tier1(NPY_DISABLE_CPU_FEATURES=NUMPY_NO_AVX512))
+        show(setting, *matrix["numpy without AVX512"][1:])
     print("\nkernel (forced as) | fail | pytest summary")
     for running, (forced, failed, summary) in matrix.items():
         print(f"{running} ({', '.join(forced)}) | {len(failed)} | {summary}")

@@ -39,7 +39,7 @@ from .activeness import (
     valid_targets,
     validate_request,
 )
-from .evalharness import compare_pipelines
+from .evalharness import INPUT_MEAN, compare_pipelines
 from .image import RasterImage, bilinear_resize, read_image, resample_to, to_input_tensor, write_image
 from .model_io import ARCHITECTURES, generate_model, load_model, save_model
 from .net import SHAPE_GUARD, ConvLayer, forward, receptive_sets
@@ -125,11 +125,11 @@ def _setup_logging(verbose: int) -> None:
 def _resolve_target(spec, name: str) -> int:
     """Map a layer name (or "input") to the activation index t it selects;
     ``validate_request`` rejects a t that is no activeness target.  An
-    unknown name raises ``KeyError`` listing the names that select a target."""
+    unknown name raises ``ValueError`` listing the names that select a target."""
     names = ["input", *spec.names]
     if name not in names:
         valid = ", ".join(target_name(spec, t) for t in valid_targets(spec))
-        raise KeyError(f"no layer named {name!r}; valid: {valid}")
+        raise ValueError(f"no layer named {name!r}; valid: {valid}")
     t = names.index(name)
     validate_request(spec, ActivenessRequest(target_layer=t))
     return t
@@ -154,9 +154,8 @@ def _prepare_input(img: RasterImage, spec, mean: float) -> Tensor3:
     if (img.width, img.height) != (w0, h0):
         log.info("resampling %dx%d image to network input %dx%d", img.width, img.height, w0, h0)
         img = resample_to(img, w0, h0)
-    if img.channels != d0:
-        img = RasterImage(pixels=np.repeat(img.pixels, 3, axis=2))
-    return to_input_tensor(img, [mean] * d0)
+    pixels = img.pixels if img.channels == d0 else np.repeat(img.pixels, 3, axis=2)
+    return to_input_tensor(pixels, [mean] * d0)
 
 
 def _write_heatmap(map2d: np.ndarray, out_w: int, out_h: int, path) -> None:
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     act.add_argument("--config", choices=SUPERVISION_MODES, default="last", help="supervision layer")
     act.add_argument("--p", type=int, choices=(1, 2), default=2, help="likelihood norm")
     act.add_argument("--summarize", choices=SUMMARIZE_MODES, default="max", help="feature pooling")
-    act.add_argument("--mean", type=float, default=128.0, help="per-channel input mean to subtract")
+    act.add_argument("--mean", type=float, default=INPUT_MEAN, help="per-channel input mean to subtract")
     act.add_argument("--heatmap", help="write the 2-D weighting map here as PGM")
     act.add_argument("--features", help="write the feature vector here (f32 binary)")
 
@@ -351,9 +350,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

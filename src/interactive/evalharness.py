@@ -101,14 +101,15 @@ def _paint(seed: int, shape, labels: list[int], samples: list[int]) -> np.ndarra
     return np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8)
 
 
-def toy_samples(seed: int, shape) -> tuple[list[RasterImage], np.ndarray, np.ndarray, np.ndarray]:
-    """All images of the toy dataset ``seed`` at ``shape`` = (W, H, D), painted
-    as one stack, labels, and a stratified half/half train/test split as index arrays."""
+def toy_samples(seed: int, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The toy dataset ``seed`` at ``shape`` = (W, H, D): all its images painted as
+    one (N, H, W, D) uint8 stack, labels, and a stratified half/half train/test
+    split as index arrays."""
     labels = np.repeat(np.arange(CLASSES), SAMPLES_PER_CLASS)
     samples = np.tile(np.arange(SAMPLES_PER_CLASS), CLASSES)
     pixels = _paint(seed, shape, labels.tolist(), samples.tolist())
     train = samples < SAMPLES_PER_CLASS // 2
-    return [RasterImage(pixels=px) for px in pixels], labels, np.flatnonzero(train), np.flatnonzero(~train)
+    return pixels, labels, np.flatnonzero(train), np.flatnonzero(~train)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -220,16 +221,16 @@ def compare_pipelines(dataset_seed: int, spec: NetworkSpec, targets: list[int] |
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated target layers in {[target_name(spec, t) for t in targets]}")
 
-    images, labels, train, test = toy_samples(dataset_seed, spec.input_shape)
+    pixels, labels, train, test = toy_samples(dataset_seed, spec.input_shape)
     mean = [INPUT_MEAN] * spec.input_shape[2]
 
-    # One forward and one reverse sweep per group of images, stacked on a
-    # batch axis between the spatial axes and the channel axis.
+    # One input, one forward and one reverse sweep per group of images, stacked
+    # on a batch axis between the spatial axes and the channel axis.
     size = max(1, GROUP_INPUT_ELEMENTS // math.prod(spec.input_shape))
-    groups = []
-    for i in range(0, len(images), size):
-        x = np.stack([to_input_tensor(img, mean).array for img in images[i : i + size]], axis=2)
-        groups.append(_group_vectors(spec, x, targets))
+    groups = [
+        _group_vectors(spec, to_input_tensor(pixels[i : i + size], mean).array, targets)
+        for i in range(0, len(pixels), size)
+    ]
 
     # All targets' six configs train as one stack, rows zero-padded to the widest D:
     # a zero column keeps an exactly zero weight, so each target's slice is its own fit.

@@ -176,10 +176,11 @@ def resample_to(img: RasterImage, out_w: int, out_h: int) -> RasterImage:
     return RasterImage(pixels=np.clip(np.floor(resized + 0.5), 0, 255).astype(np.uint8))
 
 
-def to_input_tensor(img: RasterImage, mean) -> Tensor3:
-    """Width x height x channels tensor of samples minus per-channel means."""
+def to_input_tensor(pixels: np.ndarray, mean) -> Tensor3:
+    """The network input for ``(*n, h, w, c)`` pixels, an image's or a stack's:
+    samples minus per-channel means, as the ``(W, H, *n, c)`` array ``forward`` takes."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if mean.size != img.channels:
-        raise ValueError(f"{mean.size} means for {img.channels} channels")
-    arr = img.pixels - np.tile(mean, (img.width, 1))  # in the pixels' (h, w, c) order; from_array transposes
-    return Tensor3.from_array(arr.transpose(1, 0, 2))
+    if mean.size != pixels.shape[-1]:
+        raise ValueError(f"{mean.size} means for {pixels.shape[-1]} channels")
+    arr = pixels - np.tile(mean, (pixels.shape[-2], 1))  # in the pixels' (*n, h, w, c) order; from_array transposes
+    return Tensor3.from_array(arr.transpose(-2, -3, *range(arr.ndim - 3), -1))

@@ -278,7 +278,7 @@ class TestActiveness:
         spec = NetworkSpec(layers=(), input_shape=(224, 224, 3), names=())
         gray = RasterImage(pixels=np.random.default_rng(w * h).integers(0, 256, size=(h, w, 1), dtype=np.uint8))
         tripled = RasterImage(pixels=np.repeat(gray.pixels, 3, axis=2))
-        want = to_input_tensor(resample_to(tripled, 224, 224), [128.0] * 3).array
+        want = to_input_tensor(resample_to(tripled, 224, 224).pixels, [128.0] * 3).array
         got = _prepare_input(gray, spec, 128.0).array
         assert got.shape == want.shape == (224, 224, 3)
         assert got.tobytes() == want.tobytes()

@@ -164,15 +164,14 @@ class TestToyDataset:
         assert len(images) == 18 and labels.shape == (18,)
         assert len(train_idx) == 9 and len(test_idx) == 9
         assert set(train_idx) | set(test_idx) == set(range(18))
-        assert all(img.pixels.shape == (8, 8, 3) for img in images)
+        assert all(img.shape == (8, 8, 3) for img in images)
         # stratified: every class appears in both splits
         assert set(labels[list(train_idx)]) == set(labels[list(test_idx)]) == {0, 1, 2}
 
     @pytest.mark.parametrize("seed, shape", list(DATASET_PIXELS))
     def test_pixels_labels_and_split_match_the_record(self, seed, shape):
         # accuracies cannot see a pixel that moved by one level; the digests do
-        images, labels, train_idx, test_idx = toy_samples(seed, shape)
-        pixels = np.stack([img.pixels for img in images])
+        pixels, labels, train_idx, test_idx = toy_samples(seed, shape)
         assert pixels.dtype == np.uint8 and pixels.shape == (48, shape[1], shape[0], shape[2])
         assert hashlib.sha256(pixels.tobytes()).hexdigest() == DATASET_PIXELS[seed, shape]
         split = b"".join(np.asarray(a, dtype="<i8").tobytes() for a in (labels, train_idx, test_idx))
@@ -184,7 +183,7 @@ class TestToyDataset:
         images, labels, _, _ = toy_samples(seed, shape)
         for idx, (img, label) in enumerate(zip(images, labels)):
             sample = idx % evalharness.SAMPLES_PER_CLASS
-            assert np.array_equal(toy_image(seed, shape, int(label), sample).pixels, img.pixels)
+            assert np.array_equal(toy_image(seed, shape, int(label), sample).pixels, img)
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^toy dataset paints 1 or 3 channels; network input is 8x8x2$"):

@@ -194,7 +194,7 @@ class TestBilinear:
 class TestToInputTensor:
     def test_zero_mean_is_identity_with_transpose(self):
         img = gradient_image(3, 2, 1, seed=8)
-        t = to_input_tensor(img, [0.0])
+        t = to_input_tensor(img.pixels, [0.0])
         assert t.shape == (3, 2, 1)
         # the transposed pixels are copied into C order: a conv without padding reads them in place
         assert t.array.flags.c_contiguous and not t.array.flags.writeable
@@ -204,15 +204,15 @@ class TestToInputTensor:
 
     def test_constant_mean_cancels(self):
         img = RasterImage(pixels=np.full((4, 4, 1), 128, dtype=np.uint8))
-        t = to_input_tensor(img, [128.0])
+        t = to_input_tensor(img.pixels, [128.0])
         npt.assert_array_equal(t.array, np.zeros((4, 4, 1)))
 
     def test_rgb_mean_subtraction(self):
         img = RasterImage(pixels=np.array([[[10, 20, 30]]], dtype=np.uint8))
-        t = to_input_tensor(img, [1.0, 2.0, 3.0])
+        t = to_input_tensor(img.pixels, [1.0, 2.0, 3.0])
         npt.assert_array_equal(t.array.reshape(-1), [9.0, 18.0, 27.0])
 
     def test_mean_length_mismatch(self):
         img = gradient_image(2, 2, 3)
         with pytest.raises(ValueError, match="means"):
-            to_input_tensor(img, [0.0])
+            to_input_tensor(img.pixels, [0.0])

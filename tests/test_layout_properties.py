@@ -172,9 +172,19 @@ def test_to_input_tensor_subtracts_to_the_same_bytes(data):
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw(st.sampled_from([1, 3]))
-    img = RasterImage(pixels=rng.integers(0, 256, size=(draw(st.integers(1, 9)), draw(st.integers(1, 9)), channels),
-                                          dtype=np.uint8))
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    stack = rng.integers(0, 256, size=(*batch, draw(st.integers(1, 9)), draw(st.integers(1, 9)), channels),
+                         dtype=np.uint8)
+    img = RasterImage(pixels=stack[(0,) * len(batch)])
     means = st.sampled_from([0.0, -0.0, 128.0, 127.5, 255.0, -3.25, 1e-300])
     mean = [draw(means) for _ in range(channels)]
-    got, want = to_input_tensor(img, mean).array, to_input_tensor_before(img, mean).array
+    got, want = to_input_tensor(img.pixels, mean).array, to_input_tensor_before(img, mean).array
     assert same_bytes(got, want) and got.flags.c_contiguous and not got.flags.writeable
+
+    def stacked(pixels):  # (W, H, *batch, D): each image's old-form input, stacked on axis 2 per batch axis
+        if pixels.ndim == 3:
+            return to_input_tensor_before(RasterImage(pixels=pixels), mean).array
+        return np.stack([stacked(p) for p in pixels], axis=2)
+
+    got = to_input_tensor(stack, mean).array
+    assert same_bytes(got, stacked(stack)) and got.flags.c_contiguous and not got.flags.writeable

@@ -53,6 +53,8 @@ def test_tracer_sees_toybench_forward(tmp_path):
     finally:
         tracer.uninstall()
     assert {"net.forward", "tensor.from_array"} <= {span[0] for span in tracer.spans}
+    # one input per image group: the 48 tiny-2conv images at 8x8x3 fit one group
+    assert [span[0] for span in tracer.spans].count("tensor.from_array") == 1
 
 
 def _unused_imports(source: str) -> set[str]:

@@ -228,27 +228,41 @@ def backprop_score(spec: NetworkSpec, trace: tuple, T: int, p: int, down_to: int
     return reverse_sweep(spec, trace, layer_score(trace[T], p), T, {down_to})[down_to]
 
 
+def _hop_field(x_next: np.ndarray, relu: bool, parts) -> np.ndarray:
+    """Part k times the ReLU indicator ``x_next > 0`` (if ``relu``), summed over the D'
+    channels into slot k of a (W', H', K, *batch, 1) field, one part at a time.  numpy
+    sums fewer than 8 values left to right from +0.0, so there the channels are added
+    in turn into one contiguous row buffer; from 8 on ``.sum`` keeps its pairwise order."""
+    d = x_next.shape[-1]
+    field = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:-1], 1))
+    masked, row = np.empty(x_next.shape), np.empty((*x_next.shape[:-1], 1))
+    active = x_next > 0 if relu else True  # times 1.0 is exact
+    for k, part in enumerate(parts):
+        np.multiply(part, active, out=masked)
+        if d >= 8:
+            masked.sum(axis=-1, keepdims=True, out=field[:, :, k])
+        else:
+            row[...] = 0.0
+            for c in range(d):
+                row += masked[..., c : c + 1]
+            field[:, :, k] = row
+    return field
+
+
 def _gamma_hop(hop: ConvLayer, x_t: np.ndarray, x_next: np.ndarray, parts) -> np.ndarray:
     """gamma at X(t) from K scores at X(t+1) = ``hop(x_t)``, one per config.
 
     Each of the ``parts`` broadcasts to ``x_next``'s (W', H', *batch, D')
     shape: a swept score, or a per-channel layer score, never expanded.
-    Each in turn is multiplied by the activated-neuron indicator of the hop
-    layer's output, which tests the post-activation response exactly as the
-    score function prescribes (a conv layer without fused ReLU carries none),
-    into one scratch array of ``x_next``'s shape, and summed over the output
-    channels into slot k of a one-channel (W', H', K, *batch, 1) field: one
-    config is masked at a time.  The hop is a differentiation in the
-    connection weights, hence weight-free, and no downstream set depends on
-    the input channel, so that field is box-summed into the (W, H, K, *batch, 1)
-    gamma field: added at each tap of ``window_taps``, with no kernel.
+    ``_hop_field`` masks each in turn by the activated-neuron indicator of the
+    hop layer's output, which tests the post-activation response exactly as
+    the score function prescribes (a conv layer without fused ReLU carries
+    none), and sums it over the output channels.  The hop is a differentiation
+    in the connection weights, hence weight-free, and no downstream set depends
+    on the input channel, so that one-channel field is box-summed into the
+    (W, H, K, *batch, 1) gamma field: added at each tap of ``window_taps``.
     """
-    masked = np.empty(x_next.shape)
-    field = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:-1], 1))
-    active = x_next > 0 if hop.apply_relu else True  # times 1.0 is exact
-    for k, part in enumerate(parts):
-        np.multiply(part, active, out=masked)
-        masked.sum(axis=-1, keepdims=True, out=field[:, :, k])
+    field = _hop_field(x_next, hop.apply_relu, parts)
     (w, h), p = x_t.shape[:2], hop.padding
     gxp = np.zeros((w + 2 * p, h + 2 * p, *field.shape[2:]))
     for _, _, tap in window_taps(*hop.kernel.shape[:2], hop.stride, *field.shape[:2]):

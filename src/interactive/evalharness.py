@@ -41,13 +41,13 @@ BLOB_SIGMA = 2.0
 NOISE_LEVEL = 60
 JITTER = 1
 
-# Input elements per image group in ``compare_pipelines``: 16 toy-cnn images
-# at 16x16x3, so the 48 toy images make 3 groups.  Every intermediate of the
-# forward pass and the reverse sweep grows with the group, so the process's
-# peak RSS does too; the gamma hop masks one config at a time, which keeps
-# its share small (README, "Toy benchmark", has the figures per group size).
-# An image larger than the budget is a group of one.
-GROUP_INPUT_ELEMENTS = 16 * 16 * 16 * 3
+# Input elements per image group in ``compare_pipelines``: all 48 toy-cnn images
+# at 16x16x3, so a toy-cnn run makes one forward pass, one sweep and one hop per
+# target.  Every intermediate of the forward pass and the reverse sweep grows with
+# the group, so the process's peak RSS does too; the gamma hop masks one config at
+# a time, which keeps its share small (README, "Toy benchmark", has the figures
+# per group size).  An image larger than the budget is a group of one.
+GROUP_INPUT_ELEMENTS = 48 * 16 * 16 * 3
 
 PIPELINE_CONFIGS = ("orig-avg", "orig-max", *(f"{sup}-p{p}" for sup, p in WEIGHTED_CONFIGS))
 
@@ -119,9 +119,15 @@ def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z: np.ndarray, out=None, e=None, pos=None) -> np.ndarray:
+    """1 / (1 + exp(-z)) from e = exp(-|z|), which never overflows: 1 / (1 + e)
+    where z >= 0, e / (1 + e) elsewhere.  ``out`` (which may be ``z``), ``e`` and
+    the boolean ``pos`` are optional buffers of z's shape."""
+    pos = np.greater_equal(z, 0, out=pos)
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    out = np.add(1.0, e, out=out)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, out, out=out)
 
 
 def train_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -143,14 +149,18 @@ def train_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     c, n, d = X.shape
     reg = 1.0 / (SLACK_C * n)
     Xb = np.concatenate([X, np.ones((c, n, 1))], axis=2)
-    Y = (y[:, None] == np.arange(k)[None, :]).astype(np.float64)
-    W = np.zeros((c, k, d + 1))
-    mask = np.ones((1, 1, d + 1))
-    mask[..., -1] = 0.0  # intercept unregularized
-    for _ in range(EPOCHS):
-        S = _sigmoid(Xb @ W.transpose(0, 2, 1))
-        grad = (S - Y).transpose(0, 2, 1) @ Xb / n + 2.0 * reg * (W * mask)
-        W = W - LEARNING_RATE * grad
+    # Y and decay at full size: an operand broadcast in a ufunc makes numpy allocate a buffer
+    Y = np.broadcast_to(y[:, None] == np.arange(k)[None, :], (c, n, k)).astype(np.float64, order="C")
+    decay = np.full((c, k, d + 1), 2.0 * reg)
+    decay[..., -1] = 0.0  # intercept unregularized; W * decay has the bits of 2 * reg * (W * mask), mask 0 or 1
+    S, e, pos = np.empty((c, n, k)), np.empty((c, n, k)), np.empty((c, n, k), dtype=bool)
+    W, grad, step = np.zeros((c, k, d + 1)), np.empty((c, k, d + 1)), np.empty((c, k, d + 1))
+    for _ in range(EPOCHS):  # in the buffers above: no array data is allocated per epoch
+        _sigmoid(np.matmul(Xb, W.transpose(0, 2, 1), out=S), S, e, pos)
+        np.matmul(np.subtract(S, Y, out=S).transpose(0, 2, 1), Xb, out=grad)
+        np.divide(grad, n, out=grad)
+        grad += np.multiply(W, decay, out=step)
+        W -= np.multiply(LEARNING_RATE, grad, out=grad)
     return W
 
 

@@ -578,6 +578,28 @@ def test_weighted_features_peak_on_a_group_of_16_no_higher_than_with_one_masked_
     assert peak <= WEIGHTED_FEATURES_PEAK_16
 
 
+# The same measure, on the one toybench group of all 48 images of toy dataset 0,
+# when every hop masked each config's score into one full (W', H', *batch, D')
+# scratch array before summing it over the channels: the highest of eleven runs
+# (2,952,080 to 2,952,877 B).
+WEIGHTED_FEATURES_PEAK_48 = 2_952_877
+
+
+def test_weighted_features_peak_on_the_group_of_48_no_higher_than_with_a_full_masked_array():
+    spec = generate_model("toy-cnn", seed=0)
+    images = toy_samples(0, spec.input_shape)[0]
+    assert len(images) == 48
+    trace = forward(spec, np.stack([to_input_tensor(img, [INPUT_MEAN] * 3).array for img in images], axis=2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weighted_features(spec, trace, valid_targets(spec))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= WEIGHTED_FEATURES_PEAK_48
+
+
 def config_scores(spec, acts, targets, configs):
     """The (supervision, p) scores at X(t+1) that ``gamma_stacks`` hops from,
     ``{t: (W', H', K, *batch, D')}``, configs in order on axis 2: a "last"

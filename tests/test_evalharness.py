@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -148,6 +149,72 @@ def test_sigmoid_is_bit_identical_to_the_masked_formula():
         got, want = evalharness._sigmoid(z), masked_sigmoid(z)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the fit's call: in place, on reused scratch buffers that hold an earlier call's values
+        buf, e, pos = z.copy(), np.full(z.shape, np.nan), np.ones(z.shape, dtype=bool)
+        evalharness._sigmoid(-z, None, e, pos)
+        assert evalharness._sigmoid(buf, buf, e, pos) is buf
+        assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+
+
+def sigmoid_before(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def train_linear_before(X, y):
+    """``train_linear`` as it was before it ran in buffers: a new array per step,
+    the decay as 2 * reg * (W * mask).  Also returns the largest |z| it saw."""
+    k = int(y.max()) + 1
+    c, n, d = X.shape
+    reg = 1.0 / (SLACK_C * n)
+    Xb = np.concatenate([X, np.ones((c, n, 1))], axis=2)
+    Y = (y[:, None] == np.arange(k)[None, :]).astype(np.float64)
+    W = np.zeros((c, k, d + 1))
+    mask = np.ones((1, 1, d + 1))
+    mask[..., -1] = 0.0
+    z_max = 0.0
+    for _ in range(evalharness.EPOCHS):
+        z = Xb @ W.transpose(0, 2, 1)
+        z_max = max(z_max, float(np.abs(z).max()))
+        S = sigmoid_before(z)
+        grad = (S - Y).transpose(0, 2, 1) @ Xb / n + 2.0 * reg * (W * mask)
+        W = W - evalharness.LEARNING_RATE * grad
+    return W, z_max
+
+
+def test_an_epoch_of_the_fit_allocates_no_array(monkeypatch):
+    # the tracemalloc peak of a 300-epoch fit is that of a fit with no epoch, up to
+    # a few small objects: each array of an epoch here holds 5 KB or more
+    X = np.random.default_rng(0).standard_normal((18, 24, 12))
+    y = np.arange(24) % 3
+    train_linear(X, y)  # numpy's first-call caches
+    peaks = []
+    for epochs in (0, 300):
+        monkeypatch.setattr(evalharness, "EPOCHS", epochs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_linear(X, y)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 8.0, 30.0])
+def test_buffered_fit_is_bit_identical_to_the_allocating_loop(scale, seed):
+    # random (C, N, D) stacks whose trailing columns are zero, as the padded fit's are
+    rng = np.random.default_rng(seed)
+    c, n, d = rng.integers(1, 7), rng.integers(4, 25), rng.integers(1, 9)
+    X = scale * rng.standard_normal((c, n, d))
+    X[..., rng.integers(1, d + 1) :] = 0.0
+    y = rng.permutation(np.arange(n) % rng.integers(2, 5))
+    want, z_max = train_linear_before(X, y)
+    got = train_linear(X, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if scale == 30.0:  # past 745, exp(-|z|) underflows to 0
+        assert z_max > 800.0
 
 
 class TestToyDataset:
@@ -317,12 +384,12 @@ class TestComparePipelines:
         assert len(calls) == 1
         assert calls[0][0] == len(PIPELINE_CONFIGS) * (1 if targets else len(valid_targets(spec)))
 
-    def test_three_forward_passes_per_toy_cnn_run(self, monkeypatch):
-        # the 48 toy images at 16x16x3 make 3 groups of 16, each one forward pass
+    def test_one_forward_pass_per_toy_cnn_run(self, monkeypatch):
+        # the 48 toy images at 16x16x3 make one group, one forward pass
         shapes = []
         monkeypatch.setattr(evalharness, "forward", lambda spec, x: shapes.append(x.shape) or forward(spec, x))
         compare_pipelines(0, generate_model("toy-cnn", seed=0))
-        assert shapes == [(16, 16, 16, 3)] * 3
+        assert shapes == [(16, 16, 48, 3)]
 
     def test_text_report_shape(self, seed3_report):
         lines = seed3_report.to_text().splitlines()

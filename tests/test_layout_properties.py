@@ -7,8 +7,8 @@ values; the rewritten kernels make the same IEEE operations per element, in
 the same order, over whole rows.  Each old formulation is kept here, and the
 outputs are compared by ``tobytes()``, so a signed zero that moved would count.
 Hypothesis draws forced ties and signed zeros, negative scores, stacked seeds,
-batch axes, pool windows wider than their stride, resamples both ways and
-random conv geometries.
+batch axes, pool windows wider than their stride, resamples both ways,
+random conv geometries and gamma hops over 1 to 9 output channels.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from interactive import (
     to_input_tensor,
 )
 from interactive import net
-from interactive.activeness import _lift, _pool_backward
+from interactive.activeness import _hop_field, _lift, _pool_backward
 from interactive.image import bilinear_resize
 from interactive.net import apply_conv, apply_pool, window_taps
 
@@ -82,6 +82,16 @@ def apply_conv_before(layer, x):
 def to_input_tensor_before(img, mean):
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     return Tensor3.from_array(img.pixels.transpose(1, 0, 2) - mean)
+
+
+def hop_field_before(x_next, relu, parts):
+    masked = np.empty(x_next.shape)
+    field = np.empty((*x_next.shape[:2], len(parts), *x_next.shape[2:-1], 1))
+    active = x_next > 0 if relu else True
+    for k, part in enumerate(parts):
+        np.multiply(part, active, out=masked)
+        masked.sum(axis=-1, keepdims=True, out=field[:, :, k])
+    return field
 
 
 def tied(draw, shape, rng):
@@ -188,3 +198,36 @@ def test_to_input_tensor_subtracts_to_the_same_bytes(data):
 
     got = to_input_tensor(stack, mean).array
     assert same_bytes(got, stacked(stack)) and got.flags.c_contiguous and not got.flags.writeable
+
+
+def signed(draw, shape, rng):
+    """Values of both signs with magnitudes from 1e-8 to 1e8, zeros of both signs
+    mixed in, and some rows (all channels of one position) all -0.0."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    if draw(st.booleans()):
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0
+    x[rng.random(shape[:-1]) < 0.2] = -0.0
+    return x
+
+
+@LAYOUT
+@given(data=st.data())
+def test_hop_field_sums_channels_to_the_same_bytes(data):
+    # below 8 output channels the field adds one masked channel at a time from +0.0;
+    # from 8 on it keeps numpy's pairwise sum; either way the bits of the old
+    # full-size masked array summed over the channel axis, signed zeros included
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), *batch, draw(st.integers(1, 9)))
+    x_next = signed(draw, shape, rng)  # the mask reads only its signs
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # a swept score: a strided view of its slot in a stack
+            stack = signed(draw, (*shape[:2], 2, *shape[2:]), rng)
+            parts.append(stack[:, :, draw(st.integers(0, 1))])
+        else:  # a per-channel layer score, broadcast over (W', H')
+            parts.append(signed(draw, shape[2:], rng))
+    relu = draw(st.booleans())
+    assert same_bytes(_hop_field(x_next, relu, parts), hop_field_before(x_next, relu, parts))

@@ -561,7 +561,7 @@ class TestEnumerateGamma:
 
 # The engine's backward path.  The oracles check it, so they must not run it.
 ENGINE_BACKWARD = {
-    "reverse_sweep", "gamma_stacks", "_gamma_hop", "_conv_backward_input",
+    "reverse_sweep", "gamma_stacks", "_gamma_hop", "_hop_field", "_conv_backward_input",
     "_pool_backward", "_lift", "weighted_features", "window_taps",
 }
 

@@ -6,9 +6,9 @@ uninformative so that spatial weighting has signal to exploit.  All its
 images are painted as one stack; only the random draws run per image.
 Features are l2-normalized and scored with a one-vs-rest logistic
 regression trained by full-batch gradient descent (the same linear
-hypothesis class as an SVM, with no external solver); the regularizer
-maps a slack constant C through reg = 1 / (C * N).  The class count,
-samples per class, C, epoch count and learning rate are module constants.
+hypothesis class as an SVM, with no external solver) in steps of size 1;
+the regularizer maps a slack constant C through reg = 1 / (C * N).  The
+class count, samples per class, C and epoch count are module constants.
 
 Accuracy DIFFERENCES between pipelines are reported, never asserted:
 a random-weight toy net carries no promise about their ordering.
@@ -27,10 +27,9 @@ from .activeness import neuron_activeness  # noqa: F401 -- only the benchmark's 
 from .image import RasterImage, to_input_tensor
 from .net import NetworkSpec, forward
 
-# The classifier: slack C, and a fixed number of full-batch steps of one size
+# The classifier: slack C, and a fixed number of full-batch steps of size 1
 SLACK_C = 10.0
 EPOCHS = 300
-LEARNING_RATE = 1.0
 INPUT_MEAN = 128.0
 
 # The toy dataset (``toy_image``): class count, samples per class (half train,
@@ -119,26 +118,16 @@ def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def _sigmoid(z: np.ndarray, out=None, e=None, pos=None) -> np.ndarray:
-    """1 / (1 + exp(-z)) from e = exp(-|z|), which never overflows: 1 / (1 + e)
-    where z >= 0, e / (1 + e) elsewhere.  ``out`` (which may be ``z``), ``e`` and
-    the boolean ``pos`` are optional buffers of z's shape."""
-    pos = np.greater_equal(z, 0, out=pos)
-    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
-    out = np.add(1.0, e, out=out)
-    np.copyto(e, 1.0, where=pos)
-    return np.divide(e, out, out=out)
-
-
 def train_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One-vs-rest logistic regression by full-batch gradient descent.
 
     ``X`` is a (C, N, D) stack of C training sets that share the N labels
     ``y``; returns a (C, K, D+1) tensor of C independent fits, K = y.max() + 1,
     last column the intercept (which is not regularized).  Deterministic:
-    zero init, then ``EPOCHS`` steps of size ``LEARNING_RATE``.  An all-zero
-    feature column gets zero gradient and zero regularization, so its weight
-    stays exactly 0.0.
+    zero init, then ``EPOCHS`` steps of size 1, ``W -= grad``.  The logistic
+    is (1 + tanh(z / 2)) / 2, which cannot overflow.  An all-zero feature
+    column gets zero gradient and zero regularization, so its weight stays
+    exactly 0.0.
     """
     if y.size == 0:
         raise ValueError("empty training split")
@@ -153,14 +142,15 @@ def train_linear(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     Y = np.broadcast_to(y[:, None] == np.arange(k)[None, :], (c, n, k)).astype(np.float64, order="C")
     decay = np.full((c, k, d + 1), 2.0 * reg)
     decay[..., -1] = 0.0  # intercept unregularized; W * decay has the bits of 2 * reg * (W * mask), mask 0 or 1
-    S, e, pos = np.empty((c, n, k)), np.empty((c, n, k)), np.empty((c, n, k), dtype=bool)
+    S = np.empty((c, n, k))
     W, grad, step = np.zeros((c, k, d + 1)), np.empty((c, k, d + 1)), np.empty((c, k, d + 1))
     for _ in range(EPOCHS):  # in the buffers above: no array data is allocated per epoch
-        _sigmoid(np.matmul(Xb, W.transpose(0, 2, 1), out=S), S, e, pos)
+        np.matmul(Xb, W.transpose(0, 2, 1), out=S)
+        np.add(0.5, np.multiply(0.5, np.tanh(np.multiply(0.5, S, out=S), out=S), out=S), out=S)  # logistic
         np.matmul(np.subtract(S, Y, out=S).transpose(0, 2, 1), Xb, out=grad)
         np.divide(grad, n, out=grad)
         grad += np.multiply(W, decay, out=step)
-        W -= np.multiply(LEARNING_RATE, grad, out=grad)
+        W -= grad
     return W
 
 
@@ -242,19 +232,16 @@ def compare_pipelines(dataset_seed: int, spec: NetworkSpec, targets: list[int] |
         for i in range(0, len(pixels), size)
     ]
 
-    # All targets' six configs train as one stack, rows zero-padded to the widest D:
-    # a zero column keeps an exactly zero weight, so each target's slice is its own fit.
+    # All targets' six configs train and test as one stack, zero-padded to the widest D:
+    # a zero column keeps an exactly zero weight and meets a zero feature, so each
+    # target's slice is its own fit and scores its own test rows.
     feats = [l2_normalize_rows(np.concatenate([g[t] for g in groups], axis=1)) for t in targets]
     width = max(f.shape[2] for f in feats)
-    padded = [np.pad(f[:, train], ((0, 0), (0, 0), (0, width - f.shape[2]))) for f in feats]
-    weights = np.split(train_linear(np.concatenate(padded), labels[train]), len(targets))
-    rows = []
-    for t, f, w in zip(targets, feats, weights):
-        # slice the first D_t columns and the intercept before testing the unpadded rows
-        for config, acc in zip(PIPELINE_CONFIGS, accuracy(w[..., [*range(f.shape[2]), -1]], f[:, test], labels[test])):
-            rows.append((target_name(spec, t), config, f.shape[2], float(acc)))
+    X = np.concatenate([np.pad(f, ((0, 0), (0, 0), (0, width - f.shape[2]))) for f in feats])
+    accs = accuracy(train_linear(X[:, train], labels[train]), X[:, test], labels[test])
+    keys = [(target_name(spec, t), config, f.shape[2]) for t, f in zip(targets, feats) for config in PIPELINE_CONFIGS]
     return PipelineReport(
-        rows=tuple(rows),
+        rows=tuple((*key, float(acc)) for key, acc in zip(keys, accs)),
         dataset_seed=dataset_seed,
         classes=CLASSES,
         train_size=len(train),

@@ -6,7 +6,8 @@ and pool-1 once more with ``--summarize average``.  Each run pins the feature
 file's f32 values and the heatmap file's sha256, and, through the library, a
 sha256 of the float64 ``feature`` and ``map2d`` (the files quantize to f32 and
 8 bits, so a last-bit move shows only there).  The toybench JSON of every
-architecture at model seeds 0 and 3 is pinned by its sha256.
+architecture at model seeds 0 and 3 and dataset seeds 0, 1 and 2 is pinned by
+its sha256.
 
 A moved value fails its key.  ``PYTHONPATH=src python tests/test_outputs_224.py``
 writes a new record; re-record only for a change that explains, key by key, why its outputs moved.
@@ -38,6 +39,7 @@ LAYERS = ("input", "pool-1", "pool-2")
 RUNS = [(layer, sup, p, "max") for layer in LAYERS for sup in ("last", "next") for p in (1, 2)]
 RUNS.append(("pool-1", "last", 2, "average"))
 MODEL_SEEDS = (0, 3)
+DATASET_SEEDS = (0, 1, 2)
 
 
 def _sha256(data: bytes) -> str:
@@ -76,14 +78,22 @@ def _activeness_record(tmp: Path) -> dict:
     return record
 
 
+def _toybench_key(arch: str, seed: int, dataset_seed: int) -> str:
+    # dataset seed 0's keys were recorded first, without a dataset suffix
+    return f"toybench/{arch}/{seed}" + (f"/dataset-{dataset_seed}" if dataset_seed else "")
+
+
 def _toybench_record(tmp: Path) -> dict:
     record = {}
     for arch in sorted(ARCHITECTURES):
         for seed in MODEL_SEEDS:
             model, report = tmp / f"{arch}-{seed}.model", tmp / "r.json"
             save_model(generate_model(arch, seed=seed), model)
-            assert main(["toybench", "--model", str(model), "--out", str(tmp / "r.txt"), "--json", str(report)]) == 0
-            record[f"toybench/{arch}/{seed}"] = _sha256(report.read_bytes())
+            for dataset_seed in DATASET_SEEDS:
+                argv = ["toybench", "--model", str(model), "--dataset-seed", str(dataset_seed),
+                        "--out", str(tmp / "r.txt"), "--json", str(report)]
+                assert main(argv) == 0, argv
+                record[_toybench_key(arch, seed, dataset_seed)] = _sha256(report.read_bytes())
     return record
 
 
@@ -101,7 +111,7 @@ def produced(tmp_path_factory):
 
 def test_record_covers_every_run():
     runs = {"/".join((name, layer, sup, f"p{p}", summarize)) for name in IMAGES for layer, sup, p, summarize in RUNS}
-    toybench = {f"toybench/{arch}/{seed}" for arch in ARCHITECTURES for seed in MODEL_SEEDS}
+    toybench = {_toybench_key(arch, seed, ds) for arch in ARCHITECTURES for seed in MODEL_SEEDS for ds in DATASET_SEEDS}
     assert set(RECORD) == runs | toybench
 
 
